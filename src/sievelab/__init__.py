@@ -4,120 +4,9 @@ Build a table of (a - b*m) * F(a, b) values, remove all prime factors
 up to a bound with three different strategies, and account for every
 division attempt exactly.  Brute-force oracles recompute the per-(b, l)
 costs from hit-set sizes and must agree with the measured ledgers.
+
+The package root holds only the version; import from the modules:
+arith, poly, roots, engine, oracle, experiments and cli.
 """
 
-from .arith import InvariantViolation, max_exponent, mod_inverse, primes_up_to, valuation
-from .engine import (
-    CLASSICAL,
-    IMPROVED,
-    TRIVIAL,
-    CostLedger,
-    SieveOutcome,
-    SieveTable,
-    build_table,
-    sieve_classical,
-    sieve_improved,
-    sieve_trivial,
-)
-from .experiments import (
-    ComparisonResult,
-    LiftEventReport,
-    RandomModel,
-    SweepInstance,
-    SweepRow,
-    enumerate_exact,
-    lift_event,
-    monte_carlo,
-    random_sieve_polynomial,
-    ratio_sweep,
-    reference_success_product,
-    run_comparison,
-    sample_poly,
-)
-from .oracle import (
-    LedgerReport,
-    PairRecord,
-    SetFamily,
-    compute_sets,
-    predict_asymptotic,
-    predict_exact,
-    verify_ledgers,
-)
-from .poly import (
-    MonicPolynomial,
-    NormForm,
-    SievePolynomial,
-    algebraic_bound,
-    eval_derivative,
-    eval_norm,
-    eval_poly,
-    norm_form,
-    rational_bound,
-)
-from .roots import (
-    LiftTables,
-    PrecomputeStats,
-    PrimeLadder,
-    RootClassification,
-    build_lift_tables,
-    classify_roots,
-    hensel_lift_simple,
-    lift_multiple_test,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CLASSICAL",
-    "IMPROVED",
-    "TRIVIAL",
-    "ComparisonResult",
-    "CostLedger",
-    "InvariantViolation",
-    "LedgerReport",
-    "LiftEventReport",
-    "LiftTables",
-    "MonicPolynomial",
-    "NormForm",
-    "PairRecord",
-    "PrecomputeStats",
-    "PrimeLadder",
-    "RandomModel",
-    "RootClassification",
-    "SetFamily",
-    "SievePolynomial",
-    "SieveOutcome",
-    "SieveTable",
-    "SweepInstance",
-    "SweepRow",
-    "algebraic_bound",
-    "build_lift_tables",
-    "build_table",
-    "classify_roots",
-    "compute_sets",
-    "enumerate_exact",
-    "eval_derivative",
-    "eval_norm",
-    "eval_poly",
-    "hensel_lift_simple",
-    "lift_event",
-    "lift_multiple_test",
-    "max_exponent",
-    "mod_inverse",
-    "monte_carlo",
-    "norm_form",
-    "predict_asymptotic",
-    "predict_exact",
-    "primes_up_to",
-    "random_sieve_polynomial",
-    "ratio_sweep",
-    "rational_bound",
-    "reference_success_product",
-    "run_comparison",
-    "sample_poly",
-    "sieve_classical",
-    "sieve_improved",
-    "sieve_trivial",
-    "valuation",
-    "verify_ledgers",
-]

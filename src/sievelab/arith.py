@@ -4,8 +4,6 @@ Everything here works on native Python integers, so values may exceed
 machine word size without any special handling.
 """
 
-from math import gcd
-
 
 class InvariantViolation(RuntimeError):
     """An internal consistency check that must never fail did fail."""
@@ -63,6 +61,3 @@ def max_exponent(l: int, bound: int) -> int:
         power *= l
     return e
 
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

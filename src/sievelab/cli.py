@@ -10,6 +10,9 @@ Subcommands:
               polynomial mod l^2
   sweep       measured classical/improved ratios over many instances
 
+A --config JSON file supplies flags by name ({"u": 3} reads as --u=3);
+its values go through the same parsing, and explicit flags win.
+
 Exit codes: 0 success, 1 statistical gate failed, 2 usage error,
 3 a verified identity or internal invariant was violated.
 """
@@ -20,12 +23,11 @@ import json
 import logging
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .arith import InvariantViolation
-from .engine import CLASSICAL, IMPROVED, TRIVIAL, SieveOutcome, sieve_classical, sieve_improved, sieve_trivial
+from .engine import CLASSICAL, IMPROVED, TRIVIAL, sieve_classical, sieve_improved, sieve_trivial
 from .experiments import (
     RandomModel,
     SweepInstance,
@@ -74,27 +76,6 @@ SWEEP_COLUMNS = [
 ]
 
 
-@dataclass
-class RunConfig:
-    """One resolved run; a JSON config file supplies the same keys as the flags."""
-
-    command: str
-    poly: tuple[int, ...] | None = None
-    random: bool = False
-    d: int | None = None
-    m: int | None = None
-    u: int | None = None
-    y: int | None = None
-    l: int | None = None
-    alg: str = IMPROVED
-    trials: int | None = None
-    instances: int | None = None
-    seed: int = 0
-    out: str | None = None
-    format: str = "csv"
-    sweep_instances: list[SweepInstance] | None = None
-
-
 def format_rational(x: Fraction, places: int = 6) -> str:
     """Exact decimal rendering of a rational, no float detour."""
     scaled = x.numerator * 10**places
@@ -113,78 +94,95 @@ def _parse_poly_text(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"polynomial must be comma-separated integers, got {text!r}") from None
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    """Flags win over config-file values; the file supplies the rest."""
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        try:
-            file_values = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file {args.config}: {exc}")
-        if not isinstance(file_values, dict):
-            parser.error("config file must hold a JSON object")
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
 
-    cfg = RunConfig(command=args.command)
-    for name in ("poly", "random", "d", "m", "u", "y", "l", "alg", "trials", "instances", "seed", "out", "format"):
-        value = getattr(args, name, None)
-        unset = value is None or (name == "random" and value is False)
-        if unset:
-            value = file_values.get(name, None)
-        if value is None:
-            continue
-        if name == "poly" and not isinstance(value, tuple):
-            if isinstance(value, str):
-                value = _parse_poly_text(value)
-            elif isinstance(value, list):
-                value = tuple(int(c) for c in value)
-            else:
-                parser.error("config key 'poly' must be a list of integers or a comma string")
-        setattr(cfg, name, value)
-
-    raw_instances = file_values.get("sweep_instances")
-    if raw_instances is not None:
+    def parse(text: str) -> int:
         try:
-            cfg.sweep_instances = [
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _config_tokens(values: dict) -> list[str]:
+    """Config-file keys as the flags they name: a list becomes a comma-joined
+    value and true the bare flag; false and null are dropped."""
+    tokens = []
+    for key, value in values.items():
+        if value is True:
+            tokens.append(f"--{key}")
+        elif isinstance(value, list):
+            tokens.append(f"--{key}=" + ",".join(str(v) for v in value))
+        elif value is not False and value is not None:
+            tokens.append(f"--{key}={value}")
+    return tokens
+
+
+def _install_config(args: argparse.Namespace) -> None:
+    """Parse the config file with the subcommand's own parser and make the
+    result that parser's defaults, so that flags parsed afterwards win."""
+    parser = args.parser
+    try:
+        values = json.loads(Path(args.config).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"cannot read config file {args.config}: {exc}")
+    if not isinstance(values, dict):
+        parser.error("config file must hold a JSON object")
+
+    if args.command == "sweep" and values.get("sweep_instances") is not None:
+        try:
+            instances = [
                 SweepInstance(degree=int(r["d"]), m=int(r["m"]), u=int(r["u"]), y=int(r["y"]), seed=int(r["seed"]))
-                for r in raw_instances
+                for r in values.pop("sweep_instances")
             ]
         except (KeyError, TypeError, ValueError) as exc:
             parser.error(f"bad sweep_instances entry in config: {exc}")
-    return cfg
+        parser.set_defaults(sweep_instances=instances)
+
+    parser.allow_abbrev = False  # a key must spell out its flag
+    file_args = parser.parse_args(_config_tokens(values))
+    parser.allow_abbrev = True
+    parser.set_defaults(**vars(file_args))
 
 
-def _resolve_polynomial(cfg: RunConfig, parser: argparse.ArgumentParser) -> SievePolynomial:
-    if cfg.poly is not None and cfg.random:
+def _resolve_polynomial(args: argparse.Namespace) -> SievePolynomial:
+    parser = args.parser
+    if args.poly is not None and args.random:
         parser.error("--poly and --random are mutually exclusive")
-    if cfg.m is None:
+    if args.m is None:
         parser.error("this command needs --m")
-    if cfg.poly is not None:
-        if len(cfg.poly) < 3:
+    if args.poly is not None:
+        if len(args.poly) < 3:
             parser.error("polynomial must have degree >= 2 (at least three coefficients c_0,...,c_d)")
-        if cfg.poly[-1] != 1:
+        if args.poly[-1] != 1:
             parser.error("polynomial must be monic: the last coefficient c_d must be 1")
         try:
-            return SievePolynomial(coefficients=cfg.poly, m=cfg.m)
+            return SievePolynomial(coefficients=args.poly, m=args.m)
         except ValueError as exc:
             parser.error(str(exc))
-    if cfg.random:
-        if cfg.d is None:
+    if args.random:
+        if args.d is None:
             parser.error("--random needs --d")
-        return random_sieve_polynomial(cfg.d, cfg.m, random.Random(f"{cfg.seed}:poly"))
+        return random_sieve_polynomial(args.d, args.m, random.Random(f"{args.seed}:poly"))
     parser.error("provide a polynomial with --poly or ask for one with --random")
     raise AssertionError("unreachable")
 
 
-def _require(parser: argparse.ArgumentParser, cfg: RunConfig, *names: str) -> None:
+def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
-        if getattr(cfg, name) is None:
-            parser.error(f"this command needs --{name}")
+        if getattr(args, name) is None:
+            args.parser.error(f"this command needs --{name}")
 
 
-def _out_dir(cfg: RunConfig) -> Path | None:
-    if cfg.out is None:
+def _out_dir(args: argparse.Namespace) -> Path | None:
+    if args.out is None:
         return None
-    path = Path(cfg.out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -207,15 +205,11 @@ def _emit_summary(summary: dict, out: Path | None) -> None:
         (out / "summary.json").write_text(text + "\n")
 
 
-def _ledger_phase(outcome: SieveOutcome, b: int, l: int, phase: str) -> int:
-    return outcome.ledger.pair_phase(b, l, phase)
-
-
-def _cmd_compare(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    _require(parser, cfg, "u", "y")
-    f = _resolve_polynomial(cfg, parser)
-    log.info("compare: poly=%s m=%d u=%d y=%d", f.coefficients, f.m, cfg.u, cfg.y)
-    comp = run_comparison(f, cfg.u, cfg.y, include_trivial=True)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    _require(args, "u", "y")
+    f = _resolve_polynomial(args)
+    log.info("compare: poly=%s m=%d u=%d y=%d", f.coefficients, f.m, args.u, args.y)
+    comp = run_comparison(f, args.u, args.y, include_trivial=True)
     report = comp.report
 
     rows = []
@@ -235,23 +229,23 @@ def _cmd_compare(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
                 {
                     **common,
                     "alg": alg,
-                    "attempts_rational": _ledger_phase(outcome, rec.b, rec.l, "rational"),
-                    "attempts_algebraic_simple": _ledger_phase(outcome, rec.b, rec.l, "algebraic_simple"),
-                    "attempts_algebraic_multiple": _ledger_phase(outcome, rec.b, rec.l, "algebraic_multiple"),
+                    "attempts_rational": outcome.ledger.pair_phase(rec.b, rec.l, "rational"),
+                    "attempts_algebraic_simple": outcome.ledger.pair_phase(rec.b, rec.l, "algebraic_simple"),
+                    "attempts_algebraic_multiple": outcome.ledger.pair_phase(rec.b, rec.l, "algebraic_multiple"),
                 }
             )
 
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     if out is not None:
-        _write_rows(out, "pairs", cfg.format, PAIR_COLUMNS, rows)
+        _write_rows(out, "pairs", args.format, PAIR_COLUMNS, rows)
 
     ratio = report.ratio
     summary = {
         "command": "compare",
         "poly": list(f.coefficients),
         "m": f.m,
-        "u": cfg.u,
-        "y": cfg.y,
+        "u": args.u,
+        "y": args.y,
         "identities_ok": report.ok,
         "tables_match": comp.tables_match,
         "mismatched_pairs": [list(p) for p in report.mismatches[:10]],
@@ -276,33 +270,31 @@ def _cmd_compare(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     return EXIT_OK
 
 
-def _cmd_sieve(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    _require(parser, cfg, "u", "y")
-    if cfg.alg not in (TRIVIAL, CLASSICAL, IMPROVED):
-        parser.error(f"--alg must be one of {TRIVIAL}|{CLASSICAL}|{IMPROVED}, got {cfg.alg}")
-    f = _resolve_polynomial(cfg, parser)
-    runner = {TRIVIAL: sieve_trivial, CLASSICAL: sieve_classical, IMPROVED: sieve_improved}[cfg.alg]
-    outcome = runner(f, cfg.u, cfg.y)
+def _cmd_sieve(args: argparse.Namespace) -> int:
+    _require(args, "u", "y")
+    f = _resolve_polynomial(args)
+    runner = {TRIVIAL: sieve_trivial, CLASSICAL: sieve_classical, IMPROVED: sieve_improved}[args.alg]
+    outcome = runner(f, args.u, args.y)
 
     smooth = []
-    for b in range(1, cfg.u + 1):
+    for b in range(1, args.u + 1):
         row = outcome.table.entries[b - 1]
         for i, val in enumerate(row):
             if val == 1 or val == -1:
-                smooth.append({"b": b, "a": i - cfg.u, "residual": val})
+                smooth.append({"b": b, "a": i - args.u, "residual": val})
 
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     if out is not None:
-        _write_rows(out, "smooth", cfg.format, ["b", "a", "residual"], smooth)
+        _write_rows(out, "smooth", args.format, ["b", "a", "residual"], smooth)
 
     ledger = outcome.ledger
     summary = {
         "command": "sieve",
-        "alg": cfg.alg,
+        "alg": args.alg,
         "poly": list(f.coefficients),
         "m": f.m,
-        "u": cfg.u,
-        "y": cfg.y,
+        "u": args.u,
+        "y": args.y,
         "attempts_total": ledger.grand_total(),
         "attempts_by_phase": {
             phase: ledger.phase_total(phase)
@@ -315,16 +307,11 @@ def _cmd_sieve(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     return EXIT_OK
 
 
-def _cmd_montecarlo(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    _require(parser, cfg, "d", "y", "trials")
-    if cfg.trials < 1:
-        parser.error("--trials must be >= 1")
-    try:
-        model = RandomModel(degree=cfg.d, smooth_bound=cfg.y, seed=cfg.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
-    report = monte_carlo(model, cfg.trials)
-    out = _out_dir(cfg)
+def _cmd_montecarlo(args: argparse.Namespace) -> int:
+    _require(args, "d", "y", "trials")
+    model = RandomModel(degree=args.d, smooth_bound=args.y, seed=args.seed)
+    report = monte_carlo(model, args.trials)
+    out = _out_dir(args)
     summary = {"command": "montecarlo", **report.to_dict()}
     _emit_summary(summary, out)
     log.info(
@@ -334,18 +321,18 @@ def _cmd_montecarlo(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     return EXIT_OK if report.passes_gate else EXIT_GATE_FAILED
 
 
-def _cmd_enumerate(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    _require(parser, cfg, "d", "l")
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    _require(args, "d", "l")
     try:
-        count_bad, count_total, per_point = enumerate_exact(cfg.d, cfg.l)
+        count_bad, count_total, per_point = enumerate_exact(args.d, args.l)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     print(f"{count_bad}/{count_total}")
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     summary = {
         "command": "enumerate",
-        "d": cfg.d,
-        "l": cfg.l,
+        "d": args.d,
+        "l": args.l,
         "count_bad": count_bad,
         "count_total": count_total,
         "per_point_counts": list(per_point),
@@ -355,28 +342,28 @@ def _cmd_enumerate(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     return EXIT_OK
 
 
-def _build_sweep_instances(cfg: RunConfig, parser: argparse.ArgumentParser) -> list[SweepInstance]:
-    if cfg.sweep_instances is not None:
-        return cfg.sweep_instances
-    if cfg.instances is None:
-        parser.error("sweep needs --instances N or a config file with sweep_instances")
+def _build_sweep_instances(args: argparse.Namespace) -> list[SweepInstance]:
+    if args.sweep_instances is not None:
+        return args.sweep_instances
+    if args.instances is None:
+        args.parser.error("sweep needs --instances N or a config file with sweep_instances")
     instances = []
-    for i in range(cfg.instances):
-        rng = random.Random(f"{cfg.seed}:instance:{i}")
+    for i in range(args.instances):
+        rng = random.Random(f"{args.seed}:instance:{i}")
         instances.append(
             SweepInstance(
-                degree=cfg.d if cfg.d is not None else rng.randint(2, 5),
-                m=cfg.m if cfg.m is not None else rng.randint(5, 50),
-                u=cfg.u if cfg.u is not None else rng.randint(50, 300),
-                y=cfg.y if cfg.y is not None else rng.randint(10, 100),
+                degree=args.d if args.d is not None else rng.randint(2, 5),
+                m=args.m if args.m is not None else rng.randint(5, 50),
+                u=args.u if args.u is not None else rng.randint(50, 300),
+                y=args.y if args.y is not None else rng.randint(10, 100),
                 seed=rng.randrange(2**32),
             )
         )
     return instances
 
 
-def _cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    instances = _build_sweep_instances(cfg, parser)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    instances = _build_sweep_instances(args)
     log.info("sweep over %d instances", len(instances))
     rows = ratio_sweep(instances)
 
@@ -399,9 +386,9 @@ def _cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
                 "correction_free": row.correction_free,
             }
         )
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     if out is not None:
-        _write_rows(out, "sweep", cfg.format, SWEEP_COLUMNS, table)
+        _write_rows(out, "sweep", args.format, SWEEP_COLUMNS, table)
 
     classical_sum = sum(r.classical_total for r in rows)
     improved_sum = sum(r.improved_total for r in rows)
@@ -426,47 +413,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, poly: bool = False) -> None:
-        p.add_argument("--config", help="JSON file supplying any of the other flags")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    def add_command(name: str, handler, summary: str, *, poly: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, parser=p)
+        p.add_argument("--config", help="JSON file whose keys are flag names; explicit flags win")
+        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", help="directory for result files")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="row file format (default csv)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="row file format (default csv)")
         if poly:
-            p.add_argument("--poly", type=_parse_poly_text, default=None,
+            p.add_argument("--poly", type=_parse_poly_text,
                            help="comma-separated coefficients c_0,...,c_d with c_d = 1")
             p.add_argument("--random", action="store_true", help="draw a random polynomial instead")
-            p.add_argument("--d", type=int, default=None, help="degree for --random")
-            p.add_argument("--m", type=int, default=None, help="coefficient bound and rational-side root")
+            p.add_argument("--d", type=_int_at_least(2), help="degree for --random")
+            p.add_argument("--m", type=_int_at_least(1), help="coefficient bound and rational-side root")
+        return p
 
-    p = sub.add_parser("compare", help="run all sieves, verify the cost identities")
-    add_common(p, poly=True)
-    p.add_argument("--u", type=int, default=None, help="table half-width")
-    p.add_argument("--y", type=int, default=None, help="prime bound")
+    p = add_command("compare", _cmd_compare, "run all sieves, verify the cost identities", poly=True)
+    p.add_argument("--u", type=_int_at_least(1), help="table half-width")
+    p.add_argument("--y", type=_int_at_least(2), help="prime bound")
 
-    p = sub.add_parser("sieve", help="run one sieve and report smooth entries")
-    add_common(p, poly=True)
-    p.add_argument("--u", type=int, default=None)
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--alg", choices=(TRIVIAL, CLASSICAL, IMPROVED), default=None)
+    p = add_command("sieve", _cmd_sieve, "run one sieve and report smooth entries", poly=True)
+    p.add_argument("--u", type=_int_at_least(1))
+    p.add_argument("--y", type=_int_at_least(2))
+    p.add_argument("--alg", choices=(TRIVIAL, CLASSICAL, IMPROVED), default=IMPROVED)
 
-    p = sub.add_parser("montecarlo", help="sampled probability that every prime is free of liftable multiple roots")
-    add_common(p)
-    p.add_argument("--d", type=int, default=None, help="polynomial degree")
-    p.add_argument("--y", type=int, default=None, help="prime bound")
-    p.add_argument("--trials", type=int, default=None)
+    p = add_command("montecarlo", _cmd_montecarlo,
+                    "sampled probability that every prime is free of liftable multiple roots")
+    p.add_argument("--d", type=_int_at_least(1), help="polynomial degree")
+    p.add_argument("--y", type=_int_at_least(2), help="prime bound")
+    p.add_argument("--trials", type=_int_at_least(1))
 
-    p = sub.add_parser("enumerate", help="exact lift-event counts over all monic polynomials mod l^2")
-    add_common(p)
-    p.add_argument("--d", type=int, default=None, help="polynomial degree")
-    p.add_argument("--l", type=int, default=None, help="prime")
+    p = add_command("enumerate", _cmd_enumerate, "exact lift-event counts over all monic polynomials mod l^2")
+    p.add_argument("--d", type=_int_at_least(1), help="polynomial degree")
+    p.add_argument("--l", type=_int_at_least(2), help="prime")
 
-    p = sub.add_parser("sweep", help="classical/improved ratio across random instances")
-    add_common(p)
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--d", type=int, default=None, help="pin the degree (otherwise sampled)")
-    p.add_argument("--m", type=int, default=None, help="pin m (otherwise sampled)")
-    p.add_argument("--u", type=int, default=None, help="pin u (otherwise sampled)")
-    p.add_argument("--y", type=int, default=None, help="pin y (otherwise sampled)")
+    p = add_command("sweep", _cmd_sweep, "classical/improved ratio across random instances")
+    p.set_defaults(sweep_instances=None)
+    p.add_argument("--instances", type=int)
+    p.add_argument("--d", type=_int_at_least(2), help="pin the degree (otherwise sampled)")
+    p.add_argument("--m", type=_int_at_least(1), help="pin m (otherwise sampled)")
+    p.add_argument("--u", type=_int_at_least(1), help="pin u (otherwise sampled)")
+    p.add_argument("--y", type=_int_at_least(2), help="pin y (otherwise sampled)")
     return parser
 
 
@@ -477,23 +464,11 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(message)s",
     )
-    cfg = _merge_config(args, parser)
-    if cfg.seed is None:
-        cfg.seed = 0
-    if cfg.format is None:
-        cfg.format = "csv"
-    if cfg.alg is None:
-        cfg.alg = IMPROVED
-
-    handlers = {
-        "compare": _cmd_compare,
-        "sieve": _cmd_sieve,
-        "montecarlo": _cmd_montecarlo,
-        "enumerate": _cmd_enumerate,
-        "sweep": _cmd_sweep,
-    }
+    if args.config:
+        _install_config(args)
+        args = parser.parse_args(argv)
     try:
-        return handlers[cfg.command](cfg, parser)
+        return args.handler(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

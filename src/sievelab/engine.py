@@ -23,17 +23,14 @@ The three strategies differ only in how they find entries to divide:
 
 Unconditional divisions in the improved sieve must always succeed; a
 failure raises InvariantViolation and means the ladders are wrong.
-
-Rows (fixed b) are independent given the precomputed ladders: each row
-function takes one row and returns that row's attempt counts, so any
-row scheduling yields the same tables and the same merged ledger.
 """
 
 from dataclasses import dataclass, field
-from math import gcd
+
+import numpy as np
 
 from .arith import InvariantViolation, primes_up_to
-from .poly import SievePolynomial
+from .poly import SievePolynomial, eval_norm
 from .roots import LiftTables, PrimeLadder, build_lift_tables
 
 TRIVIAL = "trivial"
@@ -48,11 +45,6 @@ class SieveTable:
     u: int
     entries: list[list[int]]
 
-    def entry(self, b: int, a: int) -> int:
-        if not (1 <= b <= self.u and -self.u <= a <= self.u):
-            raise ValueError(f"(b, a) = ({b}, {a}) outside table region u = {self.u}")
-        return self.entries[b - 1][a + self.u]
-
 
 @dataclass
 class CostLedger:
@@ -60,7 +52,7 @@ class CostLedger:
 
     Phases: "total" for the trivial sieve; "rational", "algebraic_simple"
     and "algebraic_multiple" for the other two.  Only nonzero counters
-    are stored.  The merge of two ledgers is the component-wise sum.
+    are stored.
     """
 
     algorithm: str
@@ -83,15 +75,6 @@ class CostLedger:
     def grand_total(self) -> int:
         return sum(sum(c.values()) for c in self.counts.values())
 
-    def merged_with(self, other: "CostLedger") -> "CostLedger":
-        if other.algorithm != self.algorithm:
-            raise ValueError("cannot merge ledgers from different algorithms")
-        merged = CostLedger(self.algorithm, {k: dict(v) for k, v in self.counts.items()})
-        for key, phases in other.counts.items():
-            for phase, n in phases.items():
-                merged.add(key[0], key[1], phase, n)
-        return merged
-
 
 @dataclass
 class SieveOutcome:
@@ -104,28 +87,13 @@ def build_table(f: SievePolynomial, u: int) -> SieveTable:
     """Fresh table of (a - b*m) * F(a, b) on coprime pairs, 0 elsewhere."""
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
-    coeffs = f.coefficients
-    d = f.degree
-    m = f.m
+    a64 = np.arange(-u, u + 1, dtype=np.int64)
+    a = a64.astype(object)  # exact Python integers, whatever the bounds
     entries: list[list[int]] = []
     for b in range(1, u + 1):
-        bp = [1]
-        for _ in range(d):
-            bp.append(bp[-1] * b)
-        row = []
-        for a in range(-u, u + 1):
-            if gcd(a, b) != 1:
-                row.append(0)
-                continue
-            rat = a - b * m
-            if rat == 0:
-                row.append(0)
-                continue
-            acc = coeffs[d]
-            for i in range(d - 1, -1, -1):
-                acc = acc * a + coeffs[i] * bp[d - i]
-            row.append(rat * acc)
-        entries.append(row)
+        row = (a - b * f.m) * eval_norm(f, a, b)
+        row[np.gcd(a64, b) != 1] = 0
+        entries.append(row.tolist())
     return SieveTable(u=u, entries=entries)
 
 

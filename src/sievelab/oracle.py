@@ -9,7 +9,9 @@ table entry is nonzero and count, per level e >= 1:
   multiple[e-1]  same with a multiple root
 
 Each count is found by direct divisibility tests on the two factors of
-the entry, never by walking the ladders the engine uses.  From these
+the entry, recomputed per row with poly.eval_norm (int64 when the proven
+bounds stay below 2^62, exact integers above), never by reading the
+engine's tables or walking the ladders it uses.  From these
 set sizes the exact per-pair attempt counts of both sieves follow:
 
   classical(b, l) = rational[0] + sum(rational) + algebraic[0] + sum(algebraic)
@@ -24,13 +26,12 @@ sums by their l-adic limits.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 from .arith import InvariantViolation, max_exponent, mod_inverse, primes_up_to, valuation
 from .engine import CLASSICAL, IMPROVED, SieveOutcome
-from .poly import SievePolynomial, algebraic_bound, norm_form, rational_bound
+from .poly import SievePolynomial, algebraic_bound, eval_norm, rational_bound
 from .roots import classify_roots
 
 _INT64_SAFE = 2**62
@@ -73,21 +74,19 @@ def predict_asymptotic(sets: SetFamily, l: int) -> tuple[Fraction, Fraction]:
 class _RowScanner:
     """Factor arrays for one row at a time, scanned per prime.
 
-    Uses int64 vector arithmetic when the norm bound fits comfortably,
-    otherwise falls back to exact Python integers.  Both paths report
-    identical hits.
+    The dtype is fixed once from the proven bounds: int64 when both
+    factors stay below _INT64_SAFE, exact Python integers (object) above.
+    Both dtypes run the same code and report the same hits.
     """
 
     def __init__(self, f: SievePolynomial, u: int):
         self.f = f
         self.u = u
-        self.form = norm_form(f)
-        self.vectorized = algebraic_bound(f, u) < _INT64_SAFE and rational_bound(f, u) < _INT64_SAFE
+        fits = algebraic_bound(f, u) < _INT64_SAFE and rational_bound(f, u) < _INT64_SAFE
+        self._a64 = np.arange(-u, u + 1, dtype=np.int64)
+        self._avals = self._a64 if fits else self._a64.astype(object)
         self._row_b = 0
         self._classes: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-        if self.vectorized:
-            self._avals = np.arange(-u, u + 1, dtype=np.int64)
-            self._abs_a = np.abs(self._avals)
 
     def classes(self, l: int) -> tuple[frozenset[int], frozenset[int]]:
         got = self._classes.get(l)
@@ -101,58 +100,17 @@ class _RowScanner:
         if self._row_b == b:
             return
         self._row_b = b
-        f = self.f
-        d = f.degree
-        coeffs = f.coefficients
-        if self.vectorized:
-            a = self._avals
-            rat = a - np.int64(b * f.m)
-            bp = [1]
-            for _ in range(d):
-                bp.append(bp[-1] * b)
-            acc = np.full(a.shape, np.int64(coeffs[d]))
-            for i in range(d - 1, -1, -1):
-                acc = acc * a + np.int64(coeffs[i] * bp[d - i])
-            active = (np.gcd(self._abs_a, b) == 1) & (rat != 0) & (acc != 0)
-            self._rat = rat
-            self._norm = acc
-            self._active = active
-        else:
-            u = self.u
-            rat_list = []
-            norm_list = []
-            active_list = []
-            bp = [1]
-            for _ in range(d):
-                bp.append(bp[-1] * b)
-            for a in range(-u, u + 1):
-                rat = a - b * f.m
-                acc = coeffs[d]
-                for i in range(d - 1, -1, -1):
-                    acc = acc * a + coeffs[i] * bp[d - i]
-                rat_list.append(rat)
-                norm_list.append(acc)
-                active_list.append(gcd(a, b) == 1 and rat != 0 and acc != 0)
-            self._rat = rat_list
-            self._norm = norm_list
-            self._active = active_list
+        self._rat = self._avals - b * self.f.m
+        self._norm = eval_norm(self.f, self._avals, b)
+        self._active = (np.gcd(self._a64, b) == 1) & (self._rat != 0) & (self._norm != 0)
 
     def scan(self, b: int, l: int) -> tuple[list[int], list[tuple[int, int]]]:
         """Rational hit values, and (a, norm value) for the norm hits."""
         self._load_row(b)
-        u = self.u
-        if self.vectorized:
-            rmask = self._active & (self._rat % l == 0)
-            nmask = self._active & (self._norm % l == 0)
-            rational_hits = self._rat[rmask].tolist()
-            norm_hits = list(zip((np.nonzero(nmask)[0] - u).tolist(), self._norm[nmask].tolist()))
-        else:
-            rational_hits = [v for v, ok in zip(self._rat, self._active) if ok and v % l == 0]
-            norm_hits = [
-                (i - u, v)
-                for i, (v, ok) in enumerate(zip(self._norm, self._active))
-                if ok and v % l == 0
-            ]
+        rmask = self._active & (self._rat % l == 0)
+        nmask = self._active & (self._norm % l == 0)
+        rational_hits = self._rat[rmask].tolist()
+        norm_hits = list(zip((np.nonzero(nmask)[0] - self.u).tolist(), self._norm[nmask].tolist()))
         return rational_hits, norm_hits
 
 

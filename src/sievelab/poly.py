@@ -8,7 +8,9 @@ The algebraic side of a table entry is the binary form
     F(a, b) = sum_{i=0..d} c_i a^i b^(d-i) = b^d f(a/b),
 
 so F(a, 1) = f(a) and, for l not dividing b, the l-adic valuation of
-F(a, b) is controlled by the roots of f modulo powers of l.
+F(a, b) is controlled by the roots of f modulo powers of l.  F has the
+same coefficients as f, so eval_norm takes f itself; it is the one
+evaluator of F, used by the table builder and the oracle alike.
 """
 
 from dataclasses import dataclass
@@ -51,22 +53,6 @@ class SievePolynomial(MonicPolynomial):
                 raise ValueError(f"|c_{i}| = {abs(c)} exceeds m = {self.m}")
 
 
-@dataclass(frozen=True)
-class NormForm:
-    """Homogeneous binary form F(a, b); coefficient i multiplies a^i b^(d-i)."""
-
-    coefficients: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def norm_form(f: MonicPolynomial) -> NormForm:
-    """Homogenize f into the binary form F with F(a, 1) = f(a)."""
-    return NormForm(coefficients=f.coefficients)
-
-
 def eval_poly(f: MonicPolynomial, x: int, modulus: int | None = None) -> int:
     """f(x), reduced mod modulus when one is given.  Horner scheme."""
     acc = 0
@@ -97,14 +83,18 @@ def eval_derivative(f: MonicPolynomial, x: int, modulus: int | None = None) -> i
     return acc
 
 
-def eval_norm(form: NormForm, a: int, b: int) -> int:
-    """F(a, b) by Horner in a with ascending powers of b folded in."""
-    d = form.degree
-    acc = form.coefficients[d]
+def eval_norm(f: MonicPolynomial, a, b: int):
+    """F(a, b) by Horner in a with ascending powers of b folded in.
+
+    `a` is an int or a numpy array of a values; an array comes back as an
+    array of the same dtype, so object arrays keep exact integers.
+    """
+    coeffs = f.coefficients
+    acc = coeffs[-1]
     bp = 1
-    for i in range(d - 1, -1, -1):
+    for c in reversed(coeffs[:-1]):
         bp *= b
-        acc = acc * a + form.coefficients[i] * bp
+        acc = acc * a + c * bp
     return acc
 
 

@@ -29,13 +29,6 @@ class PrecomputeStats:
     newton_lift_steps: int = 0
     multiple_lift_tests: int = 0
 
-    def merged_with(self, other: "PrecomputeStats") -> "PrecomputeStats":
-        return PrecomputeStats(
-            self.root_scan_evaluations + other.root_scan_evaluations,
-            self.newton_lift_steps + other.newton_lift_steps,
-            self.multiple_lift_tests + other.multiple_lift_tests,
-        )
-
 
 @dataclass(frozen=True)
 class PrimeLadder:
@@ -62,10 +55,6 @@ class LiftTables:
     ladders: dict[int, PrimeLadder] = field(compare=False)
     stats: PrecomputeStats = field(compare=False)
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(self.ladders)
-
 
 def classify_roots(f: MonicPolynomial, l: int, stats: PrecomputeStats | None = None) -> RootClassification:
     """Scan all residues mod l and split the roots by derivative vanishing."""
@@ -83,24 +72,6 @@ def classify_roots(f: MonicPolynomial, l: int, stats: PrecomputeStats | None = N
         # one f scan always; f' only evaluated on the roots found
         stats.root_scan_evaluations += l + len(simple) + len(multiple)
     return RootClassification(prime=l, simple_roots=frozenset(simple), multiple_roots=frozenset(multiple))
-
-
-def hensel_lift_simple(f: MonicPolynomial, l: int, root: int, e: int) -> int:
-    """The unique root of f mod l^e over the simple root `root` of f mod l."""
-    if e < 1:
-        raise ValueError(f"target exponent must be >= 1, got {e}")
-    x = root % l
-    if eval_poly(f, x, l) != 0:
-        raise ValueError(f"{root} is not a root of f modulo {l}")
-    deriv = eval_derivative(f, x, l)
-    if deriv == 0:
-        raise ValueError(f"{root} is not a simple root modulo {l}: derivative vanishes")
-    step = mod_inverse(deriv, l)
-    modulus = l
-    for _ in range(e - 1):
-        modulus *= l
-        x = (x - eval_poly(f, x, modulus) * step) % modulus
-    return x
 
 
 def lift_multiple_test(f: MonicPolynomial, l: int, root: int, stats: PrecomputeStats | None = None) -> bool:

@@ -21,7 +21,7 @@ from sievelab.experiments import (
     reference_success_product,
     run_comparison,
 )
-from sievelab.poly import eval_poly, norm_form
+from sievelab.poly import eval_poly
 from sievelab.roots import classify_roots
 
 from conftest import record_acceptance
@@ -209,8 +209,7 @@ def test_criterion_8_norm_root_bijection():
         b = rng.randint(1, 200)
         if b % l == 0:
             b += 1
-        form = norm_form(f)
-        coeffs = form.coefficients
+        coeffs = f.coefficients  # F(a, b) = sum c_i a^i b^(d-i)
 
         def norm_mod(a, modulus, _c=coeffs, _b=b, _d=d):
             acc = _c[_d] % modulus

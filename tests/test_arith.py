@@ -1,10 +1,12 @@
 """Integer helpers, each checked against a brute-force twin."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sievelab.arith import coprime, max_exponent, mod_inverse, primes_up_to, valuation
+from sievelab.arith import max_exponent, mod_inverse, primes_up_to, valuation
 
 
 def trial_division_primes(bound):
@@ -77,7 +79,7 @@ def test_mod_inverse_examples():
 def test_mod_inverse_matches_exhaustive_search():
     modulus = 25
     for x in range(1, modulus):
-        if coprime(x, modulus):
+        if gcd(x, modulus) == 1:
             wanted = next(c for c in range(modulus) if x * c % modulus == 1)
             assert mod_inverse(x, modulus) == wanted
 
@@ -91,7 +93,7 @@ def test_mod_inverse_rejects_non_coprime():
 
 @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=-10**6, max_value=10**6))
 def test_mod_inverse_round_trip(modulus, x):
-    if not coprime(x, modulus):
+    if gcd(x, modulus) != 1:
         x = 1
     assert x * mod_inverse(x, modulus) % modulus == 1
 
@@ -122,10 +124,3 @@ def test_max_exponent_rejects_bad_arguments():
 def test_max_exponent_sandwich(l, bound):
     e = max_exponent(l, bound)
     assert l**e <= bound < l ** (e + 1)
-
-
-def test_coprime():
-    assert coprime(3, 5)
-    assert not coprime(4, 6)
-    assert coprime(1, 0)
-    assert not coprime(0, 5)

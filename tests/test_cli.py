@@ -102,26 +102,64 @@ def test_json_row_format(tmp_path):
 
 def test_config_file_supplies_flags(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"poly": [1, 0, 1], "m": 4, "u": 3, "y": 5}))
-    assert main(["compare", "--config", str(config)]) == EXIT_OK
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["u"] == 3 and summary["poly"] == [1, 0, 1]
+    for values in (
+        {"poly": [1, 0, 1], "m": 4, "u": 3, "y": 5},
+        # values get the parsing of the flags they name
+        {"poly": "1,0,1", "m": "4", "u": "3", "y": 5, "format": "csv", "random": False},
+    ):
+        config.write_text(json.dumps(values))
+        assert main(["compare", "--config", str(config)]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["u"] == 3 and summary["poly"] == [1, 0, 1]
 
 
 def test_flags_override_config_file(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"poly": [1, 0, 1], "m": 4, "u": 3, "y": 5}))
-    assert main(["compare", "--config", str(config), "--u", "4"]) == EXIT_OK
-    summary = json.loads(capsys.readouterr().out)
-    assert summary["u"] == 4
+    for values, flags, u in (
+        ({"poly": [1, 0, 1], "m": 4, "u": 3, "y": 5}, ["--u", "4"], 4),
+        ({"random": True, "d": 2, "m": 4, "u": 3, "y": 5}, ["--u=5", "--seed", "2"], 5),
+    ):
+        config.write_text(json.dumps(values))
+        assert main(["compare", "--config", str(config), *flags]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["u"] == u
 
 
-def test_config_rejects_bad_json(tmp_path):
+def test_config_rejects_bad_json(tmp_path, capsys):
     config = tmp_path / "broken.json"
-    config.write_text("{not json")
+    for text in (
+        "{not json",
+        "[1, 0, 1]",
+        '{"poly": [1, 0, 1], "m": 4, "u": 3.5, "y": 5}',
+        '{"poly": [1, 0, 1], "m": 4, "u": 3, "y": 5, "bogus": 1}',
+        '{"poly": [1, 0, 1], "m": 4, "u": 3, "y": 5, "trials": 10}',  # a flag of another subcommand
+        '{"poly": [1, 0, 1], "m": 4, "u": 3, "y": 5, "form": "csv"}',  # keys are not abbreviated
+        '{"poly": [1, 0, 1], "m": 4, "u": true, "y": 5}',
+        '{"poly": [1, 0, 1], "m": 4, "u": 0, "y": 5}',
+    ):
+        config.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", str(config)])
+        assert exc.value.code == 2, text
+        assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", *WORKED[:4], "--u", "0", "--y", "5"],
+        ["sieve", *WORKED[:6], "--y", "1"],
+        ["sweep", "--d", "1", "--instances", "1"],
+        ["sweep", "--m", "0", "--instances", "1"],
+        ["compare", "--random", "--d", "1", "--m", "4", "--u", "3", "--y", "5"],
+    ],
+)
+def test_out_of_range_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["compare", "--config", str(config)])
+        main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
 
 
 def test_sieve_subcommand(tmp_path, capsys):
@@ -232,6 +270,10 @@ def test_sweep_instances_from_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(config)]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
     assert summary["instances"] == 1
+    # sweep_instances is a sweep key only
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", *WORKED, "--config", str(config)])
+    assert exc.value.code == 2
 
 
 def test_sweep_requires_instance_count():

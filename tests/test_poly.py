@@ -6,6 +6,7 @@ fraction arithmetic on b^d * f(a/b).
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from sievelab.poly import (
     eval_derivative,
     eval_norm,
     eval_poly,
-    norm_form,
     rational_bound,
 )
 
@@ -60,25 +60,33 @@ def test_sieve_polynomial_validation():
 
 def test_norm_form_examples():
     # x^2 + 1 homogenizes to a^2 + b^2: coefficient i multiplies a^i b^(d-i)
-    assert norm_form(SievePolynomial((1, 0, 1), m=4)).coefficients == (1, 0, 1)
-    assert norm_form(SievePolynomial((0, 0, 1), m=3)).coefficients == (0, 0, 1)
+    square = SievePolynomial((1, 0, 1), m=4)
+    pure = SievePolynomial((0, 0, 1), m=3)
     f = SievePolynomial((-1, 2, 0, 1), m=2)
-    form = norm_form(f)
     for a in range(-6, 7):
         for b in range(1, 7):
-            assert eval_norm(form, a, b) == fraction_norm(f, a, b)
+            assert eval_norm(square, a, b) == a * a + b * b
+            assert eval_norm(pure, a, b) == a * a
+            assert eval_norm(f, a, b) == fraction_norm(f, a, b)
 
 
 def test_eval_norm_examples():
-    square = norm_form(SievePolynomial((1, 0, 1), m=4))
-    assert eval_norm(square, 3, 2) == 13
-    cubic = norm_form(SievePolynomial((-1, 2, 0, 1), m=2))
-    assert eval_norm(cubic, 2, 3) == 8 + 36 - 27
+    assert eval_norm(SievePolynomial((1, 0, 1), m=4), 3, 2) == 13
+    assert eval_norm(SievePolynomial((-1, 2, 0, 1), m=2), 2, 3) == 8 + 36 - 27
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_eval_norm_on_arrays(dtype):
+    f = SievePolynomial((-1, 2, 0, 1), m=2)
+    a = np.arange(-6, 7).astype(dtype)
+    values = eval_norm(f, a, 5)
+    assert values.dtype == a.dtype
+    assert values.tolist() == [fraction_norm(f, int(x), 5) for x in range(-6, 7)]
 
 
 @given(sieve_polys(), st.integers(min_value=-50, max_value=50))
 def test_norm_at_b_one_is_plain_evaluation(f, a):
-    assert eval_norm(norm_form(f), a, 1) == eval_poly(f, a)
+    assert eval_norm(f, a, 1) == eval_poly(f, a)
 
 
 @given(
@@ -87,7 +95,7 @@ def test_norm_at_b_one_is_plain_evaluation(f, a):
     st.integers(min_value=1, max_value=50),
 )
 def test_norm_matches_fraction_route(f, a, b):
-    assert eval_norm(norm_form(f), a, b) == fraction_norm(f, a, b)
+    assert eval_norm(f, a, b) == fraction_norm(f, a, b)
 
 
 def test_eval_poly_examples():
@@ -129,10 +137,9 @@ def test_bound_examples():
 
 @given(sieve_polys(max_degree=4, max_m=12), st.integers(min_value=1, max_value=20))
 def test_bounds_hold_over_the_whole_region(f, u):
-    form = norm_form(f)
     rat = rational_bound(f, u)
     alg = algebraic_bound(f, u)
     for b in range(1, u + 1):
         for a in range(-u, u + 1):
             assert abs(a - b * f.m) <= rat
-            assert abs(eval_norm(form, a, b)) <= alg
+            assert abs(eval_norm(f, a, b)) <= alg

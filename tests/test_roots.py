@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.arith import max_exponent, primes_up_to
-from sievelab.poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_derivative, eval_norm, eval_poly, norm_form, rational_bound
-from sievelab.roots import build_lift_tables, classify_roots, hensel_lift_simple, lift_multiple_test
+from sievelab.poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_derivative, eval_norm, eval_poly, rational_bound
+from sievelab.roots import build_lift_tables, classify_roots, lift_multiple_test
 
 ENUM_LIMIT = 10**4
+# u^2 >= ENUM_LIMIT, so every ladder reaches l^e = ENUM_LIMIT
+LADDER_U = 100
 
 
 @st.composite
@@ -50,21 +52,13 @@ def test_classify_matches_definition(f, l):
 
 
 def test_hensel_examples():
+    # the ladder over the root 2 of x^2 + 1 mod 5 reads 7 mod 25, 57 mod 125
     f = SievePolynomial((1, 0, 1), m=4)
-    assert hensel_lift_simple(f, 5, 2, 2) == 7
-    assert hensel_lift_simple(f, 5, 2, 3) == 57
+    levels = build_lift_tables(f, u=4, y=5).ladders[5].simple_levels
+    assert levels[0] == (2, 3)
+    assert levels[1] == (7, 18)
+    assert levels[2] == (57, 68)
     assert (57 * 57 + 1) % 125 == 0
-    assert hensel_lift_simple(MonicPolynomial((-3, 1)), 7, 3, 4) == 3
-
-
-def test_hensel_rejects_bad_roots():
-    f = SievePolynomial((1, 0, 1), m=4)
-    with pytest.raises(ValueError):
-        hensel_lift_simple(f, 5, 1, 2)  # not a root
-    with pytest.raises(ValueError):
-        hensel_lift_simple(SievePolynomial((0, 0, 1), m=3), 3, 0, 2)  # multiple root
-    with pytest.raises(ValueError):
-        hensel_lift_simple(f, 5, 2, 0)
 
 
 @settings(deadline=None)
@@ -72,15 +66,15 @@ def test_hensel_rejects_bad_roots():
 def test_hensel_agrees_with_exhaustive_enumeration(f, l):
     """Each simple root owns exactly one root mod l^e, the lifted one."""
     rc = classify_roots(f, l)
+    levels = build_lift_tables(f, LADDER_U, l).ladders[l].simple_levels
     e_top = max_exponent(l, ENUM_LIMIT)
     for e in range(2, e_top + 1):
-        modulus = l**e
-        found = brute_roots(f, modulus)
+        found = brute_roots(f, l**e)
+        assert set(levels[e - 1]) == {x for x in found if x % l in rc.simple_roots}
         for root in rc.simple_roots:
-            lifted = hensel_lift_simple(f, l, root, e)
-            above = {x for x in found if x % l == root}
-            assert above == {lifted}
-            assert lifted % l ** (e - 1) == hensel_lift_simple(f, l, root, e - 1)
+            lifted = [x for x in levels[e - 1] if x % l == root]
+            assert len(lifted) == 1
+            assert lifted[0] % l ** (e - 1) in levels[e - 2]
 
 
 def test_lift_multiple_examples():
@@ -112,7 +106,7 @@ def test_lift_decision_is_constant_on_the_class(f, l):
 def test_build_tables_worked_instance():
     f = SievePolynomial((1, 0, 1), m=4)
     tables = build_lift_tables(f, u=3, y=5)
-    assert tables.primes == (2, 3, 5)
+    assert tuple(tables.ladders) == (2, 3, 5)
     five = tables.ladders[5]
     assert five.rational_targets == (4,)  # 25 > 15 caps the ladder at e = 1
     assert five.simple_levels[0] == (2, 3)
@@ -167,8 +161,7 @@ def test_ladder_levels_are_roots_and_chain(f, u, y):
 def _root_sets_correspond(f, b, l, e):
     """Progression targets of the norm form are b times the roots of f."""
     modulus = l**e
-    form = norm_form(f)
-    norm_side = {a % modulus for a in range(modulus) if eval_norm(form, a, b) % modulus == 0}
+    norm_side = {a % modulus for a in range(modulus) if eval_norm(f, a, b) % modulus == 0}
     poly_side = {b * x % modulus for x in brute_roots(f, modulus)}
     return norm_side == poly_side
 
@@ -191,8 +184,7 @@ def test_norm_root_classes_match_at_level_one(f, l, b):
     if b % l == 0:
         b += 1
     rc = classify_roots(f, l)
-    form = norm_form(f)
     for x in range(l):
         a = b * x % l
-        hit = eval_norm(form, a, b) % l == 0
+        hit = eval_norm(f, a, b) % l == 0
         assert hit == (x in rc.simple_roots or x in rc.multiple_roots)
