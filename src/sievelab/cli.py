@@ -123,6 +123,23 @@ def _config_tokens(values: dict) -> list[str]:
     return tokens
 
 
+def _sweep_instance(entry: dict) -> SweepInstance:
+    """One sweep_instances entry, each value parsed like the flag it pins."""
+    fields = {}
+    for key, name, parse in (
+        ("d", "degree", _int_at_least(2)),
+        ("m", "m", _int_at_least(1)),
+        ("u", "u", _int_at_least(1)),
+        ("y", "y", _int_at_least(2)),
+        ("seed", "seed", int),
+    ):
+        try:
+            fields[name] = parse(str(entry[key]))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return SweepInstance(**fields)
+
+
 def _install_config(args: argparse.Namespace) -> None:
     """Parse the config file with the subcommand's own parser and make the
     result that parser's defaults, so that flags parsed afterwards win."""
@@ -136,10 +153,7 @@ def _install_config(args: argparse.Namespace) -> None:
 
     if args.command == "sweep" and values.get("sweep_instances") is not None:
         try:
-            instances = [
-                SweepInstance(degree=int(r["d"]), m=int(r["m"]), u=int(r["u"]), y=int(r["y"]), seed=int(r["seed"]))
-                for r in values.pop("sweep_instances")
-            ]
+            instances = [_sweep_instance(r) for r in values.pop("sweep_instances")]
         except (KeyError, TypeError, ValueError) as exc:
             parser.error(f"bad sweep_instances entry in config: {exc}")
         parser.set_defaults(sweep_instances=instances)
@@ -266,6 +280,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     _emit_summary(summary, out)
     if not (report.ok and comp.tables_match):
         log.error("identity violation: mismatches=%s stray=%s", report.mismatches[:10], report.stray_pairs[:10])
+        for b, l, alg, phase, expected, measured in report.phase_mismatches[:10]:
+            log.error("identity violation at (b=%d, l=%d): %s %s attempts expected %d, measured %d",
+                      b, l, alg, phase, expected, measured)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -449,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("sweep", _cmd_sweep, "classical/improved ratio across random instances")
     p.set_defaults(sweep_instances=None)
-    p.add_argument("--instances", type=int)
+    p.add_argument("--instances", type=_int_at_least(1))
     p.add_argument("--d", type=_int_at_least(2), help="pin the degree (otherwise sampled)")
     p.add_argument("--m", type=_int_at_least(1), help="pin m (otherwise sampled)")
     p.add_argument("--u", type=_int_at_least(1), help="pin u (otherwise sampled)")

@@ -1,28 +1,37 @@
 """Three line sieves over the same table, instrumented to the division attempt.
 
-The table T(b, a) covers 1 <= b <= u, |a| <= u.  On coprime pairs the
-entry is (a - b*m) * F(a, b); everywhere else (and wherever that product
-vanishes) the entry is stored as 0 and skipped by every loop below,
-since repeatedly dividing 0 would never terminate.
+The table covers 1 <= b <= u, |a| <= u and keeps the two factors of each
+cell apart, as two-sided sievers do: a (u, 2u+1) array of rational
+factors a - b*m and one of algebraic factors F(a, b), each of dtype int64
+when its own proven bound stays below 2^62 and of exact Python integers
+above.  A cell is dead when gcd(a, b) > 1 or either factor vanishes; dead
+cells hold 0 on both sides and every pass below skips them, since
+repeatedly dividing 0 would never terminate.  The residual entry of a
+cell is the product of its two sides.
 
-The cost unit is one fused test-and-divide on a table entry:
+The cost unit is one fused test-and-divide on one side of a cell:
 
   * a while-loop ("divide as long as l divides") pays one attempt per
     successful division plus one attempt for the final failed test;
   * an unconditional division pays exactly one attempt.
 
-The three strategies differ only in how they find entries to divide:
+The three strategies differ only in how they find cells to divide:
 
-  * trivial  - every prime against every nonzero entry;
-  * classical - per (b, l) with l not dividing b, walk the arithmetic
-    progression a = b*(m mod l) (mod l) and the progressions over the
-    roots of f mod l, with a while-loop at each stop;
-  * improved - walk progressions modulo l^e for every ladder level e,
-    replacing while-loops by single unconditional divisions; only the
-    multiple roots whose class lifts mod l^2 keep a while-loop pass.
+  * trivial  - every prime against every live cell; a cell pays
+    v_l(rational) + v_l(algebraic) + 1, as one while-loop on the product;
+  * classical - for l not dividing b, the progression a = b*(m mod l)
+    (mod l) on the rational side and the progressions over the roots of
+    f mod l on the algebraic side, with a while-loop at each stop;
+  * improved - progressions modulo l^e for every ladder level e, with
+    single unconditional divisions; only the multiple roots whose class
+    lifts mod l^2 keep a while-loop pass.
 
-Unconditional divisions in the improved sieve must always succeed; a
-failure raises InvariantViolation and means the ladders are wrong.
+Each sieve runs prime by prime, and for each (level, residue) makes one
+numpy pass over the cells of every row at once; per-(b, l) attempts come
+from counting the touched cells per row.  A sieve given a prebuilt table
+divides that table in place; without one it builds its own.  Unconditional
+divisions in the improved sieve must always succeed; a failure raises
+InvariantViolation and means the ladders are wrong.
 """
 
 from dataclasses import dataclass, field
@@ -30,20 +39,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import InvariantViolation, primes_up_to
-from .poly import SievePolynomial, eval_norm
-from .roots import LiftTables, PrimeLadder, build_lift_tables
+from .poly import SievePolynomial, algebraic_bound, eval_norm, exact_dtype, rational_bound
+from .roots import LiftTables, build_lift_tables
 
 TRIVIAL = "trivial"
 CLASSICAL = "classical"
 IMPROVED = "improved"
+PHASES = ("rational", "algebraic_simple", "algebraic_multiple")
 
 
-@dataclass
+@dataclass(eq=False)
 class SieveTable:
-    """Dense grid of entries; entries[b-1][a+u] holds T(b, a)."""
+    """rational[b-1, a+u] = a - b*m and algebraic[b-1, a+u] = F(a, b) on
+    live cells, 0 on both sides of dead ones; sieving divides them down."""
 
     u: int
-    entries: list[list[int]]
+    rational: np.ndarray
+    algebraic: np.ndarray
+
+    @property
+    def entries(self) -> list[list[int]]:
+        """Residual products as Python ints; entries[b-1][a+u] holds T(b, a)."""
+        return (self.rational.astype(object) * self.algebraic.astype(object)).tolist()
+
+    def copy(self) -> "SieveTable":
+        return SieveTable(self.u, self.rational.copy(), self.algebraic.copy())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SieveTable):
+            return NotImplemented
+        return (
+            self.u == other.u
+            and np.array_equal(self.rational, other.rational)
+            and np.array_equal(self.algebraic, other.algebraic)
+        )
 
 
 @dataclass
@@ -84,192 +113,152 @@ class SieveOutcome:
 
 
 def build_table(f: SievePolynomial, u: int) -> SieveTable:
-    """Fresh table of (a - b*m) * F(a, b) on coprime pairs, 0 elsewhere."""
+    """Fresh two-sided table: a - b*m and F(a, b) on live cells, 0 elsewhere."""
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
-    a64 = np.arange(-u, u + 1, dtype=np.int64)
-    a = a64.astype(object)  # exact Python integers, whatever the bounds
-    entries: list[list[int]] = []
-    for b in range(1, u + 1):
-        row = (a - b * f.m) * eval_norm(f, a, b)
-        row[np.gcd(a64, b) != 1] = 0
-        entries.append(row.tolist())
-    return SieveTable(u=u, entries=entries)
+    a = np.arange(-u, u + 1, dtype=np.int64)
+    b = np.arange(1, u + 1, dtype=np.int64)[:, None]
+    rat_t, alg_t = exact_dtype(rational_bound(f, u)), exact_dtype(algebraic_bound(f, u))
+    rational = a.astype(rat_t) - b.astype(rat_t) * f.m
+    algebraic = eval_norm(f, a.astype(alg_t), b.astype(alg_t))
+    dead = (np.gcd(a, b) != 1) | (rational == 0) | (algebraic == 0)
+    rational[dead] = 0
+    algebraic[dead] = 0
+    return SieveTable(u=u, rational=rational, algebraic=algebraic)
 
 
-def _exhaust(row: list[int], i: int, l: int) -> int:
-    """While-loop on one nonzero entry; returns attempts paid (>= 1)."""
-    val = row[i]
-    n = 0
+def _cells(rows: np.ndarray, x: int, modulus: int, u: int) -> np.ndarray:
+    """Flat indices of the cells (b, a) with b in rows and a = b*x (mod
+    modulus), row by row in ascending a."""
+    width = 2 * u + 1
+    if modulus < width:
+        start = (rows * x + u) % modulus
+        counts = (width - 1 - start) // modulus + 1
+        steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        return np.repeat((rows - 1) * width + start, counts) + modulus * steps
+    # at most one cell per row; b*x can pass 2^63 on the deep levels
+    start = (rows.astype(exact_dtype((u + 1) * modulus)) * x + u) % modulus
+    hit = start < width
+    return (rows[hit] - 1) * width + start[hit].astype(np.int64)
+
+
+def _per_row(cells: np.ndarray, u: int) -> np.ndarray:
+    return np.bincount(cells // (2 * u + 1), minlength=u)
+
+
+def _divide_out(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarray:
+    """Divide each live cell by l as long as l divides; returns the
+    successful divisions per row."""
+    done = np.zeros(u, dtype=np.int64)
+    values = side[cells]
     while True:
-        n += 1
-        q, r = divmod(val, l)
-        if r:
-            break
-        val = q
-    row[i] = val
-    return n
+        keep = values % l == 0
+        cells, values = cells[keep], values[keep] // l
+        if not cells.size:
+            return done
+        side[cells] = values
+        done += _per_row(cells, u)
 
 
-def _index_range(residue: int, u: int, step: int) -> range:
-    """Row indices i with i - u congruent to residue modulo step."""
-    return range((residue + u) % step, 2 * u + 1, step)
+def _while_loop(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarray:
+    """A while-loop at each live cell among `cells`; returns the attempts
+    per row, one per successful division plus the final failed test."""
+    cells = cells[side[cells] != 0]
+    return _per_row(cells, u) + _divide_out(side, cells, l, u)
 
 
-def _trivial_row(row: list[int], primes: tuple[int, ...]) -> dict[int, int]:
-    nonzero = [i for i, v in enumerate(row) if v]
-    out = {}
-    for l in primes:
-        attempts = 0
-        for i in nonzero:
-            val = row[i]
-            while True:  # fused test-and-divide, one attempt per test
-                attempts += 1
-                q, r = divmod(val, l)
-                if r:
-                    break
-                val = q
-            row[i] = val
-        if attempts:
-            out[l] = attempts
-    return out
+def _divide_once(side: np.ndarray, cells: np.ndarray, l: int, u: int, what: str, modulus: int) -> np.ndarray:
+    """One unconditional division at each live cell, which must succeed.
+    Returns the divisions per row."""
+    values = side[cells]
+    live = values != 0
+    cells, values = cells[live], values[live]
+    missed = np.flatnonzero(values % l != 0)
+    if missed.size:
+        b, i = divmod(int(cells[missed[0]]), 2 * u + 1)
+        raise InvariantViolation(
+            f"{what} division missed at b={b + 1}, a={i - u}, l={l}, level modulus {modulus}"
+        )
+    side[cells] = values // l
+    return _per_row(cells, u)
 
 
-def sieve_trivial(f: SievePolynomial, u: int, y: int) -> SieveOutcome:
-    """Every prime l <= y against every nonzero entry, while-loops throughout."""
+def _ledger(algorithm: str, primes, phases: tuple[str, ...], counts: np.ndarray) -> CostLedger:
+    """counts[k, p, b-1] = attempts of phase p at (b, primes[k])."""
+    ledger = CostLedger(algorithm)
+    per_row = counts.transpose(2, 0, 1).tolist()
+    for bi, li in zip(*np.nonzero(counts.any(axis=1).T)):
+        ledger.counts[(int(bi) + 1, primes[li])] = {p: n for p, n in zip(phases, per_row[bi][li]) if n}
+    return ledger
+
+
+def _rows_without(l: int, u: int) -> np.ndarray:
+    """The b in [1, u] that l does not divide: the rows progressions walk."""
+    rows = np.arange(1, u + 1, dtype=np.int64)
+    return rows[rows % l != 0]
+
+
+def sieve_trivial(f: SievePolynomial, u: int, y: int, table: SieveTable | None = None) -> SieveOutcome:
+    """Every prime l <= y against every live cell, while-loops throughout."""
     primes = primes_up_to(y)
-    table = build_table(f, u)
-    ledger = CostLedger(TRIVIAL)
-    for b in range(1, u + 1):
-        for l, attempts in _trivial_row(table.entries[b - 1], primes).items():
-            ledger.counts[(b, l)] = {"total": attempts}
-    return SieveOutcome(TRIVIAL, table, ledger)
+    table = _table_for(f, u, table)
+    rational, algebraic = table.rational.reshape(-1), table.algebraic.reshape(-1)
+    live = np.flatnonzero(rational)
+    live_per_row = _per_row(live, u)
+    counts = np.zeros((len(primes), 1, u), dtype=np.int64)
+    for k, l in enumerate(primes):
+        counts[k, 0] = live_per_row + _divide_out(rational, live, l, u) + _divide_out(algebraic, live, l, u)
+    return SieveOutcome(TRIVIAL, table, _ledger(TRIVIAL, primes, ("total",), counts))
 
 
-def _classical_row(row: list[int], b: int, u: int, m: int, ladders: dict[int, PrimeLadder]) -> dict[int, dict[str, int]]:
-    out: dict[int, dict[str, int]] = {}
-    for l, ladder in ladders.items():
-        if b % l == 0:
-            continue
-        rational = 0
-        for i in _index_range(b * (m % l) % l, u, l):
-            if row[i]:
-                rational += _exhaust(row, i, l)
-        simple = 0
-        # a ladder with no simple levels stored means l exceeds the norm
-        # bound, so no nonzero entry in those progressions is divisible
-        # anyway and walking them would pay nothing
-        for x in ladder.simple_levels[0] if ladder.simple_levels else ():
-            for i in _index_range(b * x % l, u, l):
-                if row[i]:
-                    simple += _exhaust(row, i, l)
-        multiple = 0
-        for x in ladder.multiple_roots:
-            for i in _index_range(b * x % l, u, l):
-                if row[i]:
-                    multiple += _exhaust(row, i, l)
-        phases = {}
-        if rational:
-            phases["rational"] = rational
-        if simple:
-            phases["algebraic_simple"] = simple
-        if multiple:
-            phases["algebraic_multiple"] = multiple
-        if phases:
-            out[l] = phases
-    return out
-
-
-def sieve_classical(f: SievePolynomial, u: int, y: int, tables: LiftTables | None = None) -> SieveOutcome:
+def sieve_classical(
+    f: SievePolynomial, u: int, y: int, tables: LiftTables | None = None, table: SieveTable | None = None
+) -> SieveOutcome:
     """Per (b, l) progressions at level 1 only, while-loop at every stop."""
     tables = _tables_for(f, u, y, tables)
-    table = build_table(f, u)
-    ledger = CostLedger(CLASSICAL)
-    for b in range(1, u + 1):
-        for l, phases in _classical_row(table.entries[b - 1], b, u, f.m, tables.ladders).items():
-            ledger.counts[(b, l)] = phases
-    return SieveOutcome(CLASSICAL, table, ledger)
+    table = _table_for(f, u, table)
+    rational, algebraic = table.rational.reshape(-1), table.algebraic.reshape(-1)
+    counts = np.zeros((len(tables.ladders), len(PHASES), u), dtype=np.int64)
+    for k, (l, ladder) in enumerate(tables.ladders.items()):
+        rows = _rows_without(l, u)
+        # a ladder with no simple levels stored means l exceeds the norm
+        # bound, so no live cell in those progressions is divisible
+        simple = ladder.simple_levels[0] if ladder.simple_levels else ()
+        for phase, side, residues in (
+            (0, rational, (f.m % l,)),
+            (1, algebraic, simple),
+            (2, algebraic, ladder.multiple_roots),
+        ):
+            for x in residues:
+                counts[k, phase] += _while_loop(side, _cells(rows, x, l, u), l, u)
+    return SieveOutcome(CLASSICAL, table, _ledger(CLASSICAL, list(tables.ladders), PHASES, counts))
 
 
-def _improved_row(row: list[int], b: int, u: int, ladders: dict[int, PrimeLadder]) -> dict[int, dict[str, int]]:
-    out: dict[int, dict[str, int]] = {}
-    for l, ladder in ladders.items():
-        if b % l == 0:
-            continue
-
-        rational = 0
-        power = 1
-        for target in ladder.rational_targets:
-            power *= l
-            for i in _index_range(b * target % power, u, power):
-                val = row[i]
-                if val == 0:
-                    continue
-                q, r = divmod(val, l)
-                if r:
-                    raise InvariantViolation(
-                        f"rational division missed at b={b}, a={i - u}, l={l}, level modulus {power}"
-                    )
-                row[i] = q
-                rational += 1
-
-        simple = 0
-        power = 1
-        for level in ladder.simple_levels:
-            power *= l
-            for x in level:
-                for i in _index_range(b * x % power, u, power):
-                    val = row[i]
-                    if val == 0:
-                        continue
-                    q, r = divmod(val, l)
-                    if r:
-                        raise InvariantViolation(
-                            f"simple-root division missed at b={b}, a={i - u}, l={l}, level modulus {power}"
-                        )
-                    row[i] = q
-                    simple += 1
-
-        multiple = 0
-        for x in ladder.multiple_roots:
-            for i in _index_range(b * x % l, u, l):
-                val = row[i]
-                if val == 0:
-                    continue
-                q, r = divmod(val, l)
-                if r:
-                    raise InvariantViolation(
-                        f"multiple-root division missed at b={b}, a={i - u}, l={l}"
-                    )
-                row[i] = q
-                multiple += 1
-        for x in ladder.liftable_multiple:
-            for i in _index_range(b * x % l, u, l):
-                if row[i]:
-                    multiple += _exhaust(row, i, l)
-
-        phases = {}
-        if rational:
-            phases["rational"] = rational
-        if simple:
-            phases["algebraic_simple"] = simple
-        if multiple:
-            phases["algebraic_multiple"] = multiple
-        if phases:
-            out[l] = phases
-    return out
-
-
-def sieve_improved(f: SievePolynomial, u: int, y: int, tables: LiftTables | None = None) -> SieveOutcome:
+def sieve_improved(
+    f: SievePolynomial, u: int, y: int, tables: LiftTables | None = None, table: SieveTable | None = None
+) -> SieveOutcome:
     """Ladder-driven sieve: unconditional divisions at every level, plus one
     while-loop pass over the liftable multiple-root progressions."""
     tables = _tables_for(f, u, y, tables)
-    table = build_table(f, u)
-    ledger = CostLedger(IMPROVED)
-    for b in range(1, u + 1):
-        for l, phases in _improved_row(table.entries[b - 1], b, u, tables.ladders).items():
-            ledger.counts[(b, l)] = phases
-    return SieveOutcome(IMPROVED, table, ledger)
+    table = _table_for(f, u, table)
+    rational, algebraic = table.rational.reshape(-1), table.algebraic.reshape(-1)
+    counts = np.zeros((len(tables.ladders), len(PHASES), u), dtype=np.int64)
+    for k, (l, ladder) in enumerate(tables.ladders.items()):
+        rows = _rows_without(l, u)
+        modulus = 1
+        for target in ladder.rational_targets:
+            modulus *= l
+            counts[k, 0] += _divide_once(rational, _cells(rows, target, modulus, u), l, u, "rational", modulus)
+        modulus = 1
+        for level in ladder.simple_levels:
+            modulus *= l
+            for x in level:
+                counts[k, 1] += _divide_once(algebraic, _cells(rows, x, modulus, u), l, u, "simple-root", modulus)
+        for x in ladder.multiple_roots:
+            counts[k, 2] += _divide_once(algebraic, _cells(rows, x, l, u), l, u, "multiple-root", l)
+        for x in ladder.liftable_multiple:
+            counts[k, 2] += _while_loop(algebraic, _cells(rows, x, l, u), l, u)
+    return SieveOutcome(IMPROVED, table, _ledger(IMPROVED, list(tables.ladders), PHASES, counts))
 
 
 def _tables_for(f: SievePolynomial, u: int, y: int, tables: LiftTables | None) -> LiftTables:
@@ -278,3 +267,12 @@ def _tables_for(f: SievePolynomial, u: int, y: int, tables: LiftTables | None) -
     if tables.u != u or tables.y != y:
         raise ValueError(f"lift tables built for (u={tables.u}, y={tables.y}), run wants (u={u}, y={y})")
     return tables
+
+
+def _table_for(f: SievePolynomial, u: int, table: SieveTable | None) -> SieveTable:
+    """The table this run sieves in place: the one given, or a fresh one."""
+    if table is None:
+        return build_table(f, u)
+    if table.u != u:
+        raise ValueError(f"table built for u={table.u}, run wants u={u}")
+    return table

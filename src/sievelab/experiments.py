@@ -25,7 +25,7 @@ from itertools import product
 from math import pi, sqrt
 
 from .arith import InvariantViolation, primes_up_to
-from .engine import SieveOutcome, sieve_classical, sieve_improved, sieve_trivial
+from .engine import SieveOutcome, build_table, sieve_classical, sieve_improved, sieve_trivial
 from .oracle import LedgerReport, verify_ledgers
 from .poly import MonicPolynomial, SievePolynomial
 from .roots import LiftTables, build_lift_tables, classify_roots, lift_multiple_test
@@ -173,6 +173,8 @@ def enumerate_exact(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
     count_total = (l * l) ** d
     if count_total > ENUMERATION_CAP:
         raise ValueError(f"enumeration space {count_total} exceeds cap {ENUMERATION_CAP}")
+    if primes_up_to(l)[-1] != l:
+        raise ValueError(f"l must be prime, got {l}")
     l2 = l * l
     per_point = [0] * l
     count_bad = 0
@@ -228,11 +230,14 @@ class ComparisonResult:
 
 
 def run_comparison(f: SievePolynomial, u: int, y: int, include_trivial: bool = True) -> ComparisonResult:
-    """Run the sieves on one instance and verify the cost identities."""
+    """Run the sieves on one instance, each on its own copy of one freshly
+    built table (the last one sieves the table itself), and verify the
+    cost identities."""
     tables = build_lift_tables(f, u, y)
-    classical = sieve_classical(f, u, y, tables)
-    improved = sieve_improved(f, u, y, tables)
-    trivial = sieve_trivial(f, u, y) if include_trivial else None
+    table = build_table(f, u)
+    classical = sieve_classical(f, u, y, tables, table.copy())
+    improved = sieve_improved(f, u, y, tables, table.copy() if include_trivial else table)
+    trivial = sieve_trivial(f, u, y, table) if include_trivial else None
     report = verify_ledgers(classical, improved, f, u, y)
     return ComparisonResult(
         f=f, u=u, y=y, trivial=trivial, classical=classical, improved=improved,
@@ -262,22 +267,23 @@ class SweepRow:
 def ratio_sweep(instances: list[SweepInstance]) -> list[SweepRow]:
     """Measure both sieves on seeded random instances; the per-pair cost
     identities are rechecked on every instance and must hold."""
-    rows = []
-    for inst in instances:
-        rng = random.Random(f"{inst.seed}:poly")
-        f = random_sieve_polynomial(inst.degree, inst.m, rng)
-        comp = run_comparison(f, inst.u, inst.y, include_trivial=False)
-        if not comp.report.ok:
-            raise InvariantViolation(
-                f"cost identities failed on instance {inst}: mismatched pairs {comp.report.mismatches[:5]}"
-            )
-        rows.append(
-            SweepRow(
-                instance=inst,
-                coefficients=f.coefficients,
-                classical_total=comp.report.classical_total,
-                improved_total=comp.report.improved_total,
-                correction_total=comp.report.correction_total,
-            )
+    return [_sweep_row(inst) for inst in instances]
+
+
+def _sweep_row(inst: SweepInstance) -> SweepRow:
+    # one instance per call, so its tables are freed before the next is built
+    rng = random.Random(f"{inst.seed}:poly")
+    f = random_sieve_polynomial(inst.degree, inst.m, rng)
+    comp = run_comparison(f, inst.u, inst.y, include_trivial=False)
+    if not comp.report.ok:
+        raise InvariantViolation(
+            f"cost identities failed on instance {inst}: mismatched pairs {comp.report.mismatches[:5]}, "
+            f"phases (b, l, algorithm, phase, expected, measured) {comp.report.phase_mismatches[:5]}"
         )
-    return rows
+    return SweepRow(
+        instance=inst,
+        coefficients=f.coefficients,
+        classical_total=comp.report.classical_total,
+        improved_total=comp.report.improved_total,
+        correction_total=comp.report.correction_total,
+    )

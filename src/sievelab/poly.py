@@ -11,9 +11,14 @@ so F(a, 1) = f(a) and, for l not dividing b, the l-adic valuation of
 F(a, b) is controlled by the roots of f modulo powers of l.  F has the
 same coefficients as f, so eval_norm takes f itself; it is the one
 evaluator of F, used by the table builder and the oracle alike.
+
+Arrays of table values take their dtype from a proven bound through
+exact_dtype: int64 below 2^62, exact Python integers (object) above.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -83,18 +88,20 @@ def eval_derivative(f: MonicPolynomial, x: int, modulus: int | None = None) -> i
     return acc
 
 
-def eval_norm(f: MonicPolynomial, a, b: int):
+def eval_norm(f: MonicPolynomial, a, b):
     """F(a, b) by Horner in a with ascending powers of b folded in.
 
-    `a` is an int or a numpy array of a values; an array comes back as an
-    array of the same dtype, so object arrays keep exact integers.
+    `a` and `b` are ints or numpy arrays that broadcast against each other
+    (a row of a values and a column of b values give the whole table); the
+    result has their dtype, so object arrays keep exact integers.
     """
     coeffs = f.coefficients
-    acc = coeffs[-1]
-    bp = 1
-    for c in reversed(coeffs[:-1]):
-        bp *= b
-        acc = acc * a + c * bp
+    acc = coeffs[-1] * a + coeffs[-2] * b  # a fresh array, updated in place below
+    bp = b
+    for c in reversed(coeffs[:-2]):
+        bp = bp * b
+        acc *= a
+        acc += c * bp
     return acc
 
 
@@ -110,3 +117,8 @@ def algebraic_bound(f: SievePolynomial, u: int) -> int:
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
     return f.m * (f.degree + 1) * u**f.degree
+
+
+def exact_dtype(bound: int):
+    """np.int64 when |values| <= bound < 2^62, else object (exact Python integers)."""
+    return np.int64 if bound < 2**62 else object

@@ -152,6 +152,9 @@ def test_config_rejects_bad_json(tmp_path, capsys):
         ["sweep", "--d", "1", "--instances", "1"],
         ["sweep", "--m", "0", "--instances", "1"],
         ["compare", "--random", "--d", "1", "--m", "4", "--u", "3", "--y", "5"],
+        ["sweep", "--instances", "-2"],
+        ["sweep", "--instances", "0"],
+        ["enumerate", "--d", "2", "--l", "4"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(argv, capsys):
@@ -274,6 +277,16 @@ def test_sweep_instances_from_config(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compare", *WORKED, "--config", str(config)])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # entries are range-checked like the flags they pin
+    for bad in ({"d": 1}, {"u": 0}):
+        entry = {"d": 2, "m": 6, "u": 20, "y": 7, "seed": 1, **bad}
+        config.write_text(json.dumps({"sweep_instances": [entry]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(config)])
+        assert exc.value.code == 2, bad
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
 
 
 def test_sweep_requires_instance_count():
@@ -291,7 +304,7 @@ def test_invariant_violation_maps_to_exit_three(monkeypatch, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
-def test_identity_mismatch_maps_to_exit_three(monkeypatch, capsys):
+def test_identity_mismatch_maps_to_exit_three(monkeypatch, capsys, caplog):
     import dataclasses
 
     real = cli.run_comparison
@@ -299,7 +312,11 @@ def test_identity_mismatch_maps_to_exit_three(monkeypatch, capsys):
     def doctored(*args, **kwargs):
         comp = real(*args, **kwargs)
         record = comp.report.rows[0]
-        comp.report.rows[0] = dataclasses.replace(record, measured_classical=record.measured_classical + 1)
+        comp.report.rows[0] = dataclasses.replace(
+            record,
+            measured_classical=record.measured_classical + 1,
+            phase_mismatches=(("classical", "rational", 2, 3),),
+        )
         return comp
 
     monkeypatch.setattr(cli, "run_comparison", doctored)
@@ -307,6 +324,7 @@ def test_identity_mismatch_maps_to_exit_three(monkeypatch, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["identities_ok"] is False
     assert summary["mismatched_pairs"]
+    assert "identity violation at (b=1, l=2): classical rational attempts expected 2, measured 3" in caplog.text
 
 
 def test_console_entry_point_runs():

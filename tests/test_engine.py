@@ -1,23 +1,27 @@
 """The three sieves: table construction, attempt accounting, equivalence."""
 
+import dataclasses
+import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sievelab.arith import primes_up_to
+from sievelab.arith import InvariantViolation, primes_up_to
 from sievelab.engine import (
     CLASSICAL,
     IMPROVED,
     TRIVIAL,
     CostLedger,
-    _trivial_row,
     build_table,
     sieve_classical,
     sieve_improved,
     sieve_trivial,
 )
+from sievelab.experiments import random_sieve_polynomial
+from sievelab.oracle import verify_ledgers
 from sievelab.poly import SievePolynomial, eval_norm
 from sievelab.roots import build_lift_tables
 
@@ -59,11 +63,15 @@ def test_build_table_against_direct_products():
             assert table.entries[b - 1][a + u] == expected
 
 
-def test_trivial_row_hand_count():
-    row = [12]
-    attempts = _trivial_row(row, (2, 3))
-    assert attempts == {2: 3, 3: 2}  # two hits then a miss; one hit then a miss
-    assert row == [1]
+def test_trivial_sieve_hand_count():
+    # b = 1, a = -1, 0, 1: rational sides -5, -4, -3 and norms 2, 1, 2
+    outcome = sieve_trivial(F_SQUARE_PLUS_ONE, 1, 3)
+    # l = 2 pays 1 + 1 (norm 2), 2 + 1 (rational -4), 1 + 1 (norm 2);
+    # l = 3 pays 1, 1 and 1 + 1 (rational -3)
+    assert outcome.ledger.counts == {(1, 2): {"total": 7}, (1, 3): {"total": 4}}
+    assert outcome.table.rational.tolist() == [[-5, -1, -1]]
+    assert outcome.table.algebraic.tolist() == [[1, 1, 1]]
+    assert outcome.table.entries == [[-5, -1, -1]]
 
 
 def test_trivial_skips_zero_entries():
@@ -142,6 +150,17 @@ def test_shared_tables_must_match_parameters():
     with pytest.raises(ValueError):
         sieve_improved(F_SQUARE_PLUS_ONE, 3, 7, tables)
     assert sieve_improved(F_SQUARE_PLUS_ONE, 3, 5, tables).ledger.pair_total(1, 5) == 5
+    table = build_table(F_SQUARE_PLUS_ONE, 3)
+    with pytest.raises(ValueError):
+        sieve_trivial(F_SQUARE_PLUS_ONE, 4, 5, table)
+    with pytest.raises(ValueError):
+        sieve_classical(F_SQUARE_PLUS_ONE, 4, 5, None, table)
+    # a prebuilt table is sieved in place; its copy keeps the pristine values
+    pristine = table.copy()
+    shared = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5, tables, table)
+    assert shared.table is table
+    assert shared.table == sieve_improved(F_SQUARE_PLUS_ONE, 3, 5).table
+    assert pristine == build_table(F_SQUARE_PLUS_ONE, 3) != table
 
 
 def test_ledger_arithmetic():
@@ -177,3 +196,46 @@ def test_all_three_sieves_agree(instance):
             if v:
                 for l in primes_up_to(y):
                     assert v % l != 0
+
+
+def test_corrupted_ladder_root_is_an_invariant_violation():
+    f = SievePolynomial((1, 0, 1), m=4)
+    tables = build_lift_tables(f, 12, 5)
+    ladder = tables.ladders[5]
+    assert ladder.simple_levels[1] == (7, 18)
+    # 12 lies over the root 2 mod 5 but is no root mod 25: F(12, 1) = 145
+    bad = dataclasses.replace(ladder, simple_levels=(ladder.simple_levels[0], (12, 18), *ladder.simple_levels[2:]))
+    tables.ladders[5] = bad
+    with pytest.raises(InvariantViolation, match=r"b=1, a=12, l=5, level modulus 25"):
+        sieve_improved(f, 12, 5, tables)
+
+
+def test_mixed_dtype_instance_matches_direct_products():
+    # the tiny sweep shape (d, m, u, y) = (8, 10^12, 10, 11): the rational
+    # side fits int64, the norm side does not, and the deepest level
+    # modulus of a simple root passes 2^63
+    f = random_sieve_polynomial(8, 10**12, random.Random("mixed:0"))
+    u, y = 10, 11
+    tables = build_lift_tables(f, u, y)
+    assert any(
+        ladder.simple_levels[0] and l ** len(ladder.simple_levels) > 2**63 for l, ladder in tables.ladders.items()
+    )
+    classical = sieve_classical(f, u, y, tables)
+    improved = sieve_improved(f, u, y, tables)
+    for outcome in (classical, improved, sieve_trivial(f, u, y)):
+        assert outcome.table.rational.dtype == np.int64
+        assert outcome.table.algebraic.dtype == object
+    assert verify_ledgers(classical, improved, f, u, y).ok
+    primes = primes_up_to(y)
+    expected = []
+    for b in range(1, u + 1):
+        row = []
+        for a in range(-u, u + 1):
+            norm = sum(c * a**i * b ** (f.degree - i) for i, c in enumerate(f.coefficients))
+            value = (a - b * f.m) * norm if gcd(a, b) == 1 else 0
+            for l in primes:
+                while value and value % l == 0:
+                    value //= l
+            row.append(value)
+        expected.append(row)
+    assert classical.table.entries == improved.table.entries == expected

@@ -189,6 +189,12 @@ def test_enumerate_rejects_oversized_spaces():
         enumerate_exact(2, 97)
 
 
+@pytest.mark.parametrize("l", [4, 9, 25])
+def test_enumerate_rejects_composite_l(l):
+    with pytest.raises(ValueError, match="prime"):
+        enumerate_exact(1, l)
+
+
 def test_random_sieve_polynomial_stays_in_bounds():
     rng = random.Random(4)
     for _ in range(50):
@@ -210,6 +216,27 @@ def test_run_comparison_worked_instance():
     assert comp.improved.ledger.pair_total(1, 5) == 5
     lean = run_comparison(F_SQUARE_PLUS_ONE, 3, 5, include_trivial=False)
     assert lean.trivial is None and lean.report.ok
+
+
+def test_run_comparison_builds_the_table_once(monkeypatch):
+    import sievelab.engine
+    import sievelab.experiments
+
+    calls = []
+    real = sievelab.engine.build_table
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sievelab.engine, "build_table", counted)
+    monkeypatch.setattr(sievelab.experiments, "build_table", counted)
+    comp = run_comparison(F_SQUARE_PLUS_ONE, 3, 5)
+    assert len(calls) == 1
+    assert comp.tables_match and comp.report.ok
+    # each sieve divided its own copy
+    outcomes = (comp.trivial, comp.classical, comp.improved)
+    assert len({id(o.table.algebraic) for o in outcomes}) == 3
 
 
 def test_run_comparison_flags_correction():

@@ -1,7 +1,7 @@
 """Hit-set counting and the two cost identities.
 
-Two independent routes are kept in tension here: compute_sets (vectorized
-row scans) against a plain per-entry recount written below, and both
+Two independent routes are kept in tension here: compute_sets (whole-table
+scans) against a plain per-entry recount written below, and both
 against the attempt counters the sieves actually produce.
 """
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.arith import InvariantViolation, max_exponent, mod_inverse, primes_up_to, valuation
-from sievelab.engine import sieve_classical, sieve_improved
+from sievelab.engine import PHASES, sieve_classical, sieve_improved
 from sievelab.oracle import SetFamily, compute_sets, predict_asymptotic, predict_exact, verify_ledgers
 from sievelab.poly import SievePolynomial, algebraic_bound, rational_bound
 from sievelab.roots import classify_roots
@@ -218,6 +218,31 @@ def test_verify_ledgers_detects_tampered_counts():
     report = verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 5)
     assert (1, 5) in report.mismatches
     assert not report.ok
+    # one attempt moved between phases keeps the pair total but breaks two phases
+    improved.ledger.add(1, 5, "rational", -1)
+    improved.ledger.add(1, 5, "algebraic_simple", 1)
+    report = verify_ledgers(sieve_classical(F_SQUARE_PLUS_ONE, 3, 5), improved, F_SQUARE_PLUS_ONE, 3, 5)
+    assert report.mismatches == [(1, 5)]
+    assert report.phase_mismatches == [
+        (1, 5, "improved", "rational", 1, 0),
+        (1, 5, "improved", "algebraic_simple", 4, 5),
+    ]
+
+
+def test_classical_phases_match_per_side_set_sizes():
+    # 2 and 5 divide f(m) = 10, so at the cells with a = 3b mod l they divide
+    # both factors; a while-loop on the product would mix the phases there
+    f = SievePolynomial((1, 0, 1), m=3)
+    u, y = 30, 7
+    classical = sieve_classical(f, u, y)
+    report = verify_ledgers(classical, sieve_improved(f, u, y), f, u, y)
+    assert len(report.rows) == 85
+    assert report.ok and report.phase_mismatches == []
+    for row in report.rows:
+        sets = recount_sets(f, u, row.b, row.l)
+        for phase, sizes in zip(PHASES, (sets.rational, sets.simple, sets.multiple)):
+            expected = (sizes[0] if sizes else 0) + sum(sizes)
+            assert classical.ledger.pair_phase(row.b, row.l, phase) == expected
 
 
 @settings(deadline=None, max_examples=30)
@@ -231,3 +256,18 @@ def test_identities_hold_on_random_instances(instance):
     for row in report.rows:
         if row.correction == 0:
             assert row.d_asym <= Fraction(2, 3) * row.c_asym
+
+
+def test_oracle_invariants_raise(monkeypatch):
+    import sievelab.oracle as oracle
+    from sievelab.roots import RootClassification
+
+    # a root classification that misses the roots of x^2 + 1 mod 5
+    monkeypatch.setattr(oracle, "classify_roots", lambda f, l: RootClassification(l, frozenset(), frozenset()))
+    with pytest.raises(InvariantViolation, match="non-root residue"):
+        compute_sets(F_SQUARE_PLUS_ONE, 3, 1, 5)
+    monkeypatch.undo()
+    # a proven depth of 0, which every hit exceeds
+    monkeypatch.setattr(oracle, "max_exponent", lambda l, bound: 0)
+    with pytest.raises(InvariantViolation, match="proven depth 0"):
+        compute_sets(F_SQUARE_PLUS_ONE, 3, 1, 5)
