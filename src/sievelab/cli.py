@@ -14,7 +14,10 @@ A --config JSON file supplies flags by name ({"u": 3} reads as --u=3);
 its values go through the same parsing, and explicit flags win.
 
 Exit codes: 0 success, 1 statistical gate failed, 2 usage error,
-3 a verified identity or internal invariant was violated.
+3 a verified identity or internal invariant was violated.  An --out
+directory that cannot be created and a request over a work cap
+(experiments.ENUMERATION_CAP, experiments.MONTE_CARLO_CAP) are usage
+errors, found before any work starts.
 """
 
 import argparse
@@ -193,14 +196,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             args.parser.error(f"this command needs --{name}")
 
 
-def _out_dir(args: argparse.Namespace) -> Path | None:
-    if args.out is None:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_rows(path_base: Path, name: str, fmt: str, columns: list[str], rows: list[dict]) -> None:
     if fmt == "json":
         payload = [{c: r[c] for c in columns} for r in rows]
@@ -249,9 +244,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 }
             )
 
-    out = _out_dir(args)
-    if out is not None:
-        _write_rows(out, "pairs", args.format, PAIR_COLUMNS, rows)
+    if args.out is not None:
+        _write_rows(args.out, "pairs", args.format, PAIR_COLUMNS, rows)
 
     ratio = report.ratio
     summary = {
@@ -277,7 +271,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "multiple_lift_tests": comp.tables.stats.multiple_lift_tests,
         },
     }
-    _emit_summary(summary, out)
+    _emit_summary(summary, args.out)
     if not (report.ok and comp.tables_match):
         log.error("identity violation: mismatches=%s stray=%s", report.mismatches[:10], report.stray_pairs[:10])
         for b, l, alg, phase, expected, measured in report.phase_mismatches[:10]:
@@ -300,9 +294,8 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
             if val == 1 or val == -1:
                 smooth.append({"b": b, "a": i - args.u, "residual": val})
 
-    out = _out_dir(args)
-    if out is not None:
-        _write_rows(out, "smooth", args.format, ["b", "a", "residual"], smooth)
+    if args.out is not None:
+        _write_rows(args.out, "smooth", args.format, ["b", "a", "residual"], smooth)
 
     ledger = outcome.ledger
     summary = {
@@ -320,17 +313,19 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
         },
         "smooth_entries": len(smooth),
     }
-    _emit_summary(summary, out)
+    _emit_summary(summary, args.out)
     return EXIT_OK
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     _require(args, "d", "y", "trials")
     model = RandomModel(degree=args.d, smooth_bound=args.y, seed=args.seed)
-    report = monte_carlo(model, args.trials)
-    out = _out_dir(args)
+    try:
+        report = monte_carlo(model, args.trials)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     summary = {"command": "montecarlo", **report.to_dict()}
-    _emit_summary(summary, out)
+    _emit_summary(summary, args.out)
     log.info(
         "estimate %.4f +/- %.4f, reference product %.4f, limit %.4f",
         report.estimate, report.stderr, report.reference_product, report.zeta2_reciprocal,
@@ -345,7 +340,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         args.parser.error(str(exc))
     print(f"{count_bad}/{count_total}")
-    out = _out_dir(args)
     summary = {
         "command": "enumerate",
         "d": args.d,
@@ -355,7 +349,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "per_point_counts": list(per_point),
         "per_point_density": [format_rational(Fraction(n, count_total), 9) for n in per_point],
     }
-    _emit_summary(summary, out)
+    _emit_summary(summary, args.out)
     return EXIT_OK
 
 
@@ -403,9 +397,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "correction_free": row.correction_free,
             }
         )
-    out = _out_dir(args)
-    if out is not None:
-        _write_rows(out, "sweep", args.format, SWEEP_COLUMNS, table)
+    if args.out is not None:
+        _write_rows(args.out, "sweep", args.format, SWEEP_COLUMNS, table)
 
     classical_sum = sum(r.classical_total for r in rows)
     improved_sum = sum(r.improved_total for r in rows)
@@ -418,7 +411,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "aggregate_ratio": None if aggregate is None else format_rational(aggregate),
         "correction_free_instances": sum(1 for r in rows if r.correction_free),
     }
-    _emit_summary(summary, out)
+    _emit_summary(summary, args.out)
     return EXIT_OK
 
 
@@ -435,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, parser=p)
         p.add_argument("--config", help="JSON file whose keys are flag names; explicit flags win")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--out", help="directory for result files")
+        p.add_argument("--out", type=Path, help="directory for result files (created before the work starts)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="row file format (default csv)")
         if poly:
             p.add_argument("--poly", type=_parse_poly_text,
@@ -484,6 +477,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.config:
         _install_config(args)
         args = parser.parse_args(argv)
+    if args.out is not None:
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            args.parser.error(f"cannot create --out directory {args.out}: {exc}")
     try:
         return args.handler(args)
     except InvariantViolation as exc:

@@ -14,6 +14,27 @@ Two questions get an empirical treatment here:
    attempt count does the improved sieve land?  Per prime the
    asymptotic quotient is l/(2l - 1), so aggregates settle shy of 2/3.
 
+Both lift-event counts run on one numpy kernel, lift_events: for a block
+of polynomials, as an int64 (n, d+1) array of coefficients mod l^2, one
+fused Horner pass over every row and every residue x in [0, l) marks where
+f(x) == 0 mod l^2 and f'(x) == 0 mod l, which is exactly when x is a
+multiple root mod l whose class lifts to a root mod l^2.  Monte Carlo
+feeds it blocks of trials, each reduced mod l^2 once per prime;
+enumerate_exact feeds it blocks of the flat index range [0, l^(2d)),
+whose base-l^2 digits are the coefficients.  A block holds
+max(1, _BLOCK_CELLS // l) rows (Monte Carlo sizes it for its largest
+prime), so a pass touches at most 2^14 cells, or a single row for a
+prime above 2^14.  Every Horner intermediate stays below l^3, so int64
+is exact while l^3 < 2^62; the kernel raises ValueError for larger
+primes, and the work caps keep every accepted input far below that.
+
+Work caps: ENUMERATION_CAP bounds the number of polynomials enumerated,
+l^(2d), so l < 2^12 there.  MONTE_CARLO_CAP bounds the residue
+evaluations of a Monte Carlo run, trials * (sum of the primes l <= y);
+already one trial needs y < 502,259 to stay under it, so every prime
+is below 2^19 and its cube below 2^57.  An input over either cap is a
+ValueError before any work starts.
+
 Trial streams are seeded per index, so any partition of the trials
 across workers reproduces the same draws.
 """
@@ -21,16 +42,22 @@ across workers reproduces the same draws.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import pi, sqrt
+
+import numpy as np
 
 from .arith import InvariantViolation, primes_up_to
 from .engine import SieveOutcome, build_table, sieve_classical, sieve_improved, sieve_trivial
 from .oracle import LedgerReport, verify_ledgers
-from .poly import MonicPolynomial, SievePolynomial
-from .roots import LiftTables, build_lift_tables, classify_roots, lift_multiple_test
+from .poly import MonicPolynomial, SievePolynomial, exact_dtype
+from .roots import LiftTables, build_lift_tables
 
-ENUMERATION_CAP = 10**7
+ENUMERATION_CAP = 10**7  # polynomials walked by enumerate_exact: l^(2d)
+MONTE_CARLO_CAP = 10**10  # residue evaluations of monte_carlo: trials * sum of primes <= y
+# sum of the primes <= 10^6 is about 3.8e10, above MONTE_CARLO_CAP, so a
+# larger prime bound is over the cap whatever the trial count
+_CAP_PRIME_SCAN = 10**6
+_BLOCK_CELLS = 2**14  # rows * residues per kernel pass
 
 
 @dataclass(frozen=True)
@@ -60,18 +87,44 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
+def _draw(model: RandomModel, modulus: int, index: int) -> tuple[int, ...]:
+    """Coefficients c_0..c_d of the index-th draw; modulus is model.modulus."""
+    rng = _trial_rng(model.seed, index)
+    return tuple(rng.randrange(modulus) for _ in range(model.degree)) + (1,)
+
+
 def sample_poly(model: RandomModel, index: int = 0) -> MonicPolynomial:
     """Draw the index-th polynomial of the model's stream."""
-    rng = _trial_rng(model.seed, index)
-    modulus = model.modulus
-    coeffs = tuple(rng.randrange(modulus) for _ in range(model.degree)) + (1,)
-    return MonicPolynomial(coefficients=coeffs)
+    return MonicPolynomial(coefficients=_draw(model, model.modulus, index))
 
 
-def lift_event(f: MonicPolynomial, l: int) -> bool:
-    """True when some multiple root of f mod l lifts to a root mod l^2."""
-    rc = classify_roots(f, l)
-    return any(lift_multiple_test(f, l, x) for x in sorted(rc.multiple_roots))
+def lift_events(coeffs: np.ndarray, l: int) -> np.ndarray:
+    """Lift events of a block of polynomials at one prime l.
+
+    coeffs is an int64 (n, d+1) array, row k holding c_0..c_d of one
+    polynomial reduced mod l^2.  Entry [k, x] of the (n, l) result is true
+    when f_k(x) == 0 mod l^2 and f_k'(x) == 0 mod l: x is a multiple root
+    mod l whose class contains a root mod l^2 (f is constant mod l^2 on
+    the class, so this one residue decides it).
+    """
+    if exact_dtype(l**3) is not np.int64:
+        raise ValueError(f"prime {l} too large for int64 lift tests (l^3 >= 2^62)")
+    l2 = l * l
+    x = np.arange(l, dtype=np.int64)
+    value = np.repeat(coeffs[:, -1:], l, axis=1)  # Horner's first step: f = c_d, f' = 0
+    deriv = np.zeros_like(value)
+    for c in coeffs.T[-2::-1]:  # fused Horner: value -> f(x), deriv -> f'(x); each step < l^3
+        deriv *= x
+        deriv += value
+        deriv %= l2
+        value *= x
+        value += c[:, None]
+        value %= l2
+    return (value == 0) & (deriv % l == 0)
+
+
+def _block_rows(l: int) -> int:
+    return max(1, _BLOCK_CELLS // l)
 
 
 @dataclass
@@ -136,18 +189,24 @@ def monte_carlo(model: RandomModel, trials: int) -> LiftEventReport:
     multiple root, counting per-prime failures along the way."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    primes = primes_up_to(model.smooth_bound)
+    primes = primes_up_to(min(model.smooth_bound, _CAP_PRIME_SCAN))
+    if trials * sum(primes) > MONTE_CARLO_CAP:
+        raise ValueError(
+            f"{trials} trials times the sum of the primes <= {model.smooth_bound} exceeds "
+            f"the cap of {MONTE_CARLO_CAP} residue evaluations"
+        )
+    modulus = model.modulus
     failures = {l: 0 for l in primes}
     successes = 0
-    for index in range(trials):
-        f = sample_poly(model, index)
-        clean = True
+    step = _block_rows(primes[-1])  # sized for the largest prime; smaller ones touch fewer cells
+    for start in range(0, trials, step):
+        block = np.array([_draw(model, modulus, i) for i in range(start, min(start + step, trials))], dtype=object)
+        clean = np.ones(block.shape[0], dtype=bool)
         for l in primes:
-            if lift_event(f, l):
-                failures[l] += 1
-                clean = False
-        if clean:
-            successes += 1
+            hit = lift_events((block % (l * l)).astype(np.int64), l).any(axis=1)
+            failures[l] += int(np.count_nonzero(hit))
+            clean &= ~hit
+        successes += int(np.count_nonzero(clean))
     return LiftEventReport(
         degree=model.degree,
         smooth_bound=model.smooth_bound,
@@ -176,23 +235,19 @@ def enumerate_exact(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
     if primes_up_to(l)[-1] != l:
         raise ValueError(f"l must be prime, got {l}")
     l2 = l * l
-    per_point = [0] * l
+    per_point = np.zeros(l, dtype=np.int64)
     count_bad = 0
-    for tail in product(range(l2), repeat=d):
-        coeffs = tail + (1,)
-        bad = False
-        for i in range(l):
-            value = 0
-            deriv = 0
-            for c in reversed(coeffs):  # fused Horner: value -> f(i), deriv -> f'(i)
-                deriv = (deriv * i + value) % l2
-                value = (value * i + c) % l2
-            if value == 0 and deriv % l == 0:
-                per_point[i] += 1
-                bad = True
-        if bad:
-            count_bad += 1
-    return count_bad, count_total, tuple(per_point)
+    step = _block_rows(l)
+    for start in range(0, count_total, step):
+        index = np.arange(start, min(start + step, count_total), dtype=np.int64)
+        coeffs = np.ones((index.size, d + 1), dtype=np.int64)
+        for i in range(d):  # c_i is base-l^2 digit i of the index
+            coeffs[:, i] = index % l2
+            index //= l2
+        hits = lift_events(coeffs, l)
+        per_point += hits.sum(axis=0)
+        count_bad += int(np.count_nonzero(hits.any(axis=1)))
+    return count_bad, count_total, tuple(int(n) for n in per_point)
 
 
 def random_sieve_polynomial(degree: int, m: int, rng: random.Random) -> SievePolynomial:

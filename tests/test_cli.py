@@ -155,6 +155,8 @@ def test_config_rejects_bad_json(tmp_path, capsys):
         ["sweep", "--instances", "-2"],
         ["sweep", "--instances", "0"],
         ["enumerate", "--d", "2", "--l", "4"],
+        ["montecarlo", "--d", "3", "--y", str(10**6), "--trials", "1"],  # over the work cap
+        ["montecarlo", "--d", "3", "--y", "100", "--trials", str(10**8)],
     ],
 )
 def test_out_of_range_values_are_usage_errors(argv, capsys):
@@ -163,6 +165,21 @@ def test_out_of_range_values_are_usage_errors(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+
+
+def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (
+        ["enumerate", "--d", "2", "--l", "2", "--out", str(blocker)],
+        ["sweep", "--instances", "1", "--d", "2", "--m", "3", "--u", "5", "--y", "5", "--out", str(blocker / "x")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any work
+        assert "cannot create --out directory" in captured.err and "Traceback" not in captured.err
 
 
 def test_sieve_subcommand(tmp_path, capsys):

@@ -2,19 +2,23 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.arith import primes_up_to
+from sievelab import experiments
 from sievelab.experiments import (
+    MONTE_CARLO_CAP,
     ComparisonResult,
     RandomModel,
     SweepInstance,
     enumerate_exact,
-    lift_event,
+    lift_events,
     monte_carlo,
     random_sieve_polynomial,
     ratio_sweep,
@@ -23,8 +27,20 @@ from sievelab.experiments import (
     sample_poly,
 )
 from sievelab.poly import MonicPolynomial, SievePolynomial
+from sievelab.roots import classify_roots, lift_multiple_test
 
 F_SQUARE_PLUS_ONE = SievePolynomial((1, 0, 1), m=4)
+
+
+def kernel_row(f: MonicPolynomial, l: int) -> list[bool]:
+    """The kernel's lift events of one polynomial, residue by residue."""
+    coeffs = np.array([[c % (l * l) for c in f.coefficients]], dtype=np.int64)
+    return lift_events(coeffs, l)[0].tolist()
+
+
+def reference_lift_event(f: MonicPolynomial, l: int) -> bool:
+    """Some multiple root of f mod l lifts to a root mod l^2, by the ladders' own tests."""
+    return any(lift_multiple_test(f, l, x) for x in classify_roots(f, l).multiple_roots)
 
 
 def test_random_model_validation():
@@ -45,7 +61,8 @@ def test_sample_poly_is_reproducible_and_in_range():
     assert f == sample_poly(model, 7)
     assert f.degree == 3 and f.coefficients[-1] == 1
     assert all(0 <= c < 900 for c in f.coefficients[:-1])
-    assert f != sample_poly(model, 8) or True  # distinct indices draw independently
+    assert f.coefficients == (502, 797, 550, 1)
+    assert sample_poly(model, 8).coefficients == (546, 558, 421, 1)
 
 
 def test_sample_streams_partition_by_index():
@@ -56,10 +73,78 @@ def test_sample_streams_partition_by_index():
 
 
 def test_lift_event_examples():
-    assert lift_event(MonicPolynomial((0, 0, 1)), 2) is True
-    assert lift_event(MonicPolynomial((2, 0, 1)), 2) is False
-    assert lift_event(MonicPolynomial((1, 2, 1)), 3) is True
-    assert lift_event(MonicPolynomial((1, 0, 1)), 5) is False  # only simple roots
+    assert kernel_row(MonicPolynomial((0, 0, 1)), 2) == [True, False]  # x^2: 0 lifts
+    assert kernel_row(MonicPolynomial((2, 0, 1)), 2) == [False, False]  # x^2 + 2: f(0) = 2 mod 4
+    assert kernel_row(MonicPolynomial((1, 2, 1)), 3) == [False, False, True]  # (x + 1)^2
+    assert kernel_row(MonicPolynomial((1, 0, 1)), 5) == [False] * 5  # only simple roots
+
+
+def test_lift_events_near_the_int64_bound():
+    # x^3 (x - r)^2 (x - s) lifts at 0 and r only; adding l blocks both
+    # lifts, as f(0) = f(r) = l.  Every Horner step nears l^3 ~ 2^60, and
+    # six steps would pass 2^63 without the reductions mod l^2.
+    l, r, s = 1048573, 1000003, 77
+    l2 = l * l
+    lifting = [0, 0, 0, (-r * r * s) % l2, (r * r + 2 * r * s) % l2, (-2 * r - s) % l2, 1]
+    blocked = [l, *lifting[1:]]
+    hits = lift_events(np.array([lifting, blocked], dtype=np.int64), l)
+    assert np.flatnonzero(hits[0]).tolist() == [0, r]
+    assert not hits[1].any()
+
+
+@pytest.mark.parametrize("l", [1664511, 2**21])
+def test_lift_events_refuse_primes_past_the_int64_bound(l):
+    # l^3 >= 2^62 is refused before any array of l residues is built
+    with pytest.raises(ValueError, match="int64"):
+        lift_events(np.zeros((1, 3), dtype=np.int64), l)
+
+
+@pytest.mark.parametrize("d,y,seed,trials", [(1, 30, 4, 300), (2, 2, 6, 8200), (3, 100, 0, 400), (4, 13, 2, 1300)])
+def test_monte_carlo_matches_per_trial_reference(d, y, seed, trials):
+    # trial blocks hold 8192 rows at y = 2, 168 at y = 100 and 1260 at y = 13
+    model = RandomModel(degree=d, smooth_bound=y, seed=seed)
+    primes = primes_up_to(y)
+    failures = dict.fromkeys(primes, 0)
+    successes = 0
+    for i in range(trials):
+        f = sample_poly(model, i)
+        events = [l for l in primes if reference_lift_event(f, l)]
+        for l in events:
+            failures[l] += 1
+        successes += not events
+    report = monte_carlo(model, trials)
+    assert report.successes == successes
+    assert report.per_prime_failures == failures
+    if d == 1:
+        assert successes == trials  # f' = 1 has no roots
+
+
+def test_kernel_passes_stay_within_the_cell_budget(monkeypatch):
+    shapes = []
+
+    def recorded(coeffs, l):
+        shapes.append((coeffs.shape[0], l))
+        return lift_events(coeffs, l)
+
+    monkeypatch.setattr(experiments, "lift_events", recorded)
+    monte_carlo(RandomModel(degree=3, smooth_bound=100, seed=0), 400)
+    enumerate_exact(2, 7)
+    enumerate_exact(1, 97)
+    assert shapes
+    assert all(rows * l <= experiments._BLOCK_CELLS for rows, l in shapes)
+
+
+def test_monte_carlo_work_cap(monkeypatch):
+    with pytest.raises(ValueError, match="cap"):
+        monte_carlo(RandomModel(degree=3, smooth_bound=10**6), 1)
+    with pytest.raises(ValueError, match="cap"):
+        monte_carlo(RandomModel(degree=3, smooth_bound=10**12), 1)  # no sieve up to 10^12
+    assert sum(primes_up_to(experiments._CAP_PRIME_SCAN)) > MONTE_CARLO_CAP
+    # the cap is trials * (sum of the primes <= y), exactly: 2 + 3 + 5 + 7 = 17
+    monkeypatch.setattr(experiments, "MONTE_CARLO_CAP", 17 * 5)
+    assert monte_carlo(RandomModel(degree=2, smooth_bound=10), 5).trials == 5
+    with pytest.raises(ValueError, match="cap"):
+        monte_carlo(RandomModel(degree=2, smooth_bound=10), 6)
 
 
 def test_reference_product_values():
@@ -117,13 +202,10 @@ def test_per_prime_failure_rates_stay_under_the_square_bound():
 def test_lift_events_uncorrelated_across_primes():
     model = RandomModel(degree=2, smooth_bound=3, seed=9)
     n = 2000
-    hits2, hits3, both = 0, 0, 0
-    for i in range(n):
-        f = sample_poly(model, i)
-        a, b = lift_event(f, 2), lift_event(f, 3)
-        hits2 += a
-        hits3 += b
-        both += a and b
+    coeffs = np.array([sample_poly(model, i).coefficients for i in range(n)], dtype=np.int64)
+    event2 = lift_events(coeffs % 4, 2).any(axis=1)
+    event3 = lift_events(coeffs % 9, 3).any(axis=1)
+    hits2, hits3, both = int(event2.sum()), int(event3.sum()), int((event2 & event3).sum())
     p2, p3 = hits2 / n, hits3 / n
     corr = (both / n - p2 * p3) / sqrt(p2 * (1 - p2) * p3 * (1 - p3))
     assert abs(corr) <= 4 / sqrt(n)
@@ -180,6 +262,27 @@ def test_enumerate_exact_against_direct_count():
                     hit = True
             bad += hit
     assert enumerate_exact(2, 3) == (bad, 81, tuple(per_point))
+
+
+@pytest.mark.parametrize("d,l", [(1, 2), (3, 7), (1, 97)])
+def test_enumerate_exact_matches_nested_loop_recount(d, l):
+    # (1, 97) runs 57 blocks of 168 rows, the last a single row; (3, 7) runs 51 of 2340
+    l2 = l * l
+    powers = [[pow(x, i, l2) for i in range(d + 1)] for x in range(l)]
+    bad = 0
+    per_point = [0] * l
+    for tail in product(range(l2), repeat=d):
+        c = (*tail, 1)
+        hit = False
+        for x in range(l):
+            px = powers[x]
+            value = sum(c[i] * px[i] for i in range(d + 1)) % l2
+            slope = sum(i * c[i] * px[i - 1] for i in range(1, d + 1)) % l
+            if value == 0 and slope == 0:
+                per_point[x] += 1
+                hit = True
+        bad += hit
+    assert enumerate_exact(d, l) == (bad, l ** (2 * d), tuple(per_point))
 
 
 def test_enumerate_rejects_oversized_spaces():
