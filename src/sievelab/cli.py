@@ -15,9 +15,11 @@ its values go through the same parsing, and explicit flags win.
 
 Exit codes: 0 success, 1 statistical gate failed, 2 usage error,
 3 a verified identity or internal invariant was violated.  An --out
-directory that cannot be created and a request over a work cap
-(experiments.ENUMERATION_CAP, experiments.MONTE_CARLO_CAP) are usage
-errors, found before any work starts.
+path that can never be a directory and a request over a cap
+(experiments.ENUMERATION_CAP, MONTE_CARLO_CAP and DRAW_CAP, and
+TABLE_CELL_CAP here) are usage errors, found before any work starts.  The
+--out directory itself is created only when the first result file is
+written, so a usage error leaves nothing behind.
 """
 
 import argparse
@@ -28,6 +30,8 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .arith import InvariantViolation
 from .engine import CLASSICAL, IMPROVED, TRIVIAL, sieve_classical, sieve_improved, sieve_trivial
@@ -40,13 +44,18 @@ from .experiments import (
     ratio_sweep,
     run_comparison,
 )
-from .poly import SievePolynomial
+from .oracle import LedgerReport
+from .poly import SievePolynomial, exact_dtype
 
 log = logging.getLogger("sievelab")
 
 EXIT_OK = 0
 EXIT_GATE_FAILED = 1
 EXIT_VIOLATION = 3
+
+# cells u * (2u+1) of one sieve table, so u <= 1023: compare, sieve and
+# sweep refuse a larger u before building anything
+TABLE_CELL_CAP = 2**21
 
 PAIR_COLUMNS = [
     "instance_id",
@@ -88,6 +97,16 @@ def format_rational(x: Fraction, places: int = 6) -> str:
     sign = "-" if quotient < 0 else ""
     quotient = abs(quotient)
     return f"{sign}{quotient // 10**places}.{quotient % 10**places:0{places}d}"
+
+
+def _format_column(numerator: np.ndarray, denominator: np.ndarray, places: int = 6) -> list[str]:
+    """format_rational of each numerator/denominator >= 0, by the same
+    exact rounding, without building a Fraction per entry."""
+    scale = 10**places
+    scaled = numerator.astype(exact_dtype(int(numerator.max(initial=0)) * scale)) * scale
+    quotient, remainder = scaled // denominator, scaled % denominator
+    quotient += remainder * 2 >= denominator
+    return [f"{q // scale}.{q % scale:0{places}d}" for q in quotient.tolist()]
 
 
 def _parse_poly_text(text: str) -> tuple[int, ...]:
@@ -196,56 +215,73 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             args.parser.error(f"this command needs --{name}")
 
 
-def _write_rows(path_base: Path, name: str, fmt: str, columns: list[str], rows: list[dict]) -> None:
-    if fmt == "json":
-        payload = [{c: r[c] for c in columns} for r in rows]
-        (path_base / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_rows(args: argparse.Namespace, name: str, columns: list[str], rows: list[list]) -> None:
+    out = _out_dir(args)
+    if args.format == "json":
+        payload = [dict(zip(columns, r)) for r in rows]
+        (out / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        with open(path_base / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
+        with open(out / f"{name}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
             writer.writerows(rows)
 
 
-def _emit_summary(summary: dict, out: Path | None) -> None:
+def _emit_summary(summary: dict, args: argparse.Namespace) -> None:
     text = json.dumps(summary, indent=2, sort_keys=True)
     print(text)
-    if out is not None:
-        (out / "summary.json").write_text(text + "\n")
+    if args.out is not None:
+        (_out_dir(args) / "summary.json").write_text(text + "\n")
+
+
+def _out_dir(args: argparse.Namespace) -> Path:
+    """The --out directory, created on the first write, once the handler
+    has validated its inputs."""
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        args.parser.error(f"cannot create --out directory {args.out}: {exc}")
+    return args.out
+
+
+def _check_out(args: argparse.Namespace) -> None:
+    """Refuse an --out path that can never be a directory: an existing
+    file, or a path below one.  Nothing is created here."""
+    for path in (args.out, *args.out.parents):
+        if path.exists():
+            if not path.is_dir():
+                args.parser.error(f"cannot create --out directory {args.out}: {path} is not a directory")
+            return
+
+
+def _check_table(args: argparse.Namespace, u: int) -> None:
+    cells = u * (2 * u + 1)
+    if cells > TABLE_CELL_CAP:
+        args.parser.error(f"u={u} asks for a table of {cells} cells, over the cap of {TABLE_CELL_CAP}")
+
+
+def _pair_rows(report: LedgerReport) -> list[list]:
+    """pairs rows in PAIR_COLUMNS order: per pair, classical then improved."""
+    pairs = report.pair_columns()
+    c_asym, d_asym = (_format_column(scaled, pairs.l - 1) for scaled in pairs.scaled_asymptotic)
+    common = zip(pairs.b.tolist(), pairs.l.tolist(), pairs.c_exact.tolist(), pairs.d_exact.tolist(),
+                 pairs.correction.tolist(), c_asym, d_asym)
+    rows = []
+    for (b, l, c_exact, d_exact, correction, c, d), classical, improved in zip(common, *pairs.measured.tolist()):
+        rows.append([0, b, l, CLASSICAL, *classical, c_exact, d_exact, correction, c, d])
+        rows.append([0, b, l, IMPROVED, *improved, c_exact, d_exact, correction, c, d])
+    return rows
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     _require(args, "u", "y")
     f = _resolve_polynomial(args)
+    _check_table(args, args.u)
     log.info("compare: poly=%s m=%d u=%d y=%d", f.coefficients, f.m, args.u, args.y)
     comp = run_comparison(f, args.u, args.y, include_trivial=True)
     report = comp.report
-
-    rows = []
-    for rec in report.rows:
-        common = {
-            "instance_id": 0,
-            "b": rec.b,
-            "l": rec.l,
-            "C_exact": rec.c_exact,
-            "D_exact": rec.d_exact,
-            "correction": rec.correction,
-            "C_asym": format_rational(rec.c_asym),
-            "D_asym": format_rational(rec.d_asym),
-        }
-        for alg, outcome in ((CLASSICAL, comp.classical), (IMPROVED, comp.improved)):
-            rows.append(
-                {
-                    **common,
-                    "alg": alg,
-                    "attempts_rational": outcome.ledger.pair_phase(rec.b, rec.l, "rational"),
-                    "attempts_algebraic_simple": outcome.ledger.pair_phase(rec.b, rec.l, "algebraic_simple"),
-                    "attempts_algebraic_multiple": outcome.ledger.pair_phase(rec.b, rec.l, "algebraic_multiple"),
-                }
-            )
-
     if args.out is not None:
-        _write_rows(args.out, "pairs", args.format, PAIR_COLUMNS, rows)
+        _write_rows(args, "pairs", PAIR_COLUMNS, _pair_rows(report))
 
     ratio = report.ratio
     summary = {
@@ -264,14 +300,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         },
         "ratio_improved_over_classical": None if ratio is None else format_rational(ratio),
         "correction_total": report.correction_total,
-        "pair_count": len(report.rows),
+        "pair_count": report.pair_count,
         "precompute": {
             "root_scan_evaluations": comp.tables.stats.root_scan_evaluations,
             "newton_lift_steps": comp.tables.stats.newton_lift_steps,
             "multiple_lift_tests": comp.tables.stats.multiple_lift_tests,
         },
     }
-    _emit_summary(summary, args.out)
+    _emit_summary(summary, args)
     if not (report.ok and comp.tables_match):
         log.error("identity violation: mismatches=%s stray=%s", report.mismatches[:10], report.stray_pairs[:10])
         for b, l, alg, phase, expected, measured in report.phase_mismatches[:10]:
@@ -284,18 +320,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_sieve(args: argparse.Namespace) -> int:
     _require(args, "u", "y")
     f = _resolve_polynomial(args)
+    _check_table(args, args.u)
     runner = {TRIVIAL: sieve_trivial, CLASSICAL: sieve_classical, IMPROVED: sieve_improved}[args.alg]
     outcome = runner(f, args.u, args.y)
 
-    smooth = []
-    for b in range(1, args.u + 1):
-        row = outcome.table.entries[b - 1]
-        for i, val in enumerate(row):
-            if val == 1 or val == -1:
-                smooth.append({"b": b, "a": i - args.u, "residual": val})
-
+    smooth = [
+        [b, i - args.u, val]
+        for b, row in enumerate(outcome.table.entries, start=1)
+        for i, val in enumerate(row)
+        if val == 1 or val == -1
+    ]
     if args.out is not None:
-        _write_rows(args.out, "smooth", args.format, ["b", "a", "residual"], smooth)
+        _write_rows(args, "smooth", ["b", "a", "residual"], smooth)
 
     ledger = outcome.ledger
     summary = {
@@ -313,7 +349,7 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
         },
         "smooth_entries": len(smooth),
     }
-    _emit_summary(summary, args.out)
+    _emit_summary(summary, args)
     return EXIT_OK
 
 
@@ -325,7 +361,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
     except ValueError as exc:
         args.parser.error(str(exc))
     summary = {"command": "montecarlo", **report.to_dict()}
-    _emit_summary(summary, args.out)
+    _emit_summary(summary, args)
     log.info(
         "estimate %.4f +/- %.4f, reference product %.4f, limit %.4f",
         report.estimate, report.stderr, report.reference_product, report.zeta2_reciprocal,
@@ -349,7 +385,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "per_point_counts": list(per_point),
         "per_point_density": [format_rational(Fraction(n, count_total), 9) for n in per_point],
     }
-    _emit_summary(summary, args.out)
+    _emit_summary(summary, args)
     return EXIT_OK
 
 
@@ -375,30 +411,19 @@ def _build_sweep_instances(args: argparse.Namespace) -> list[SweepInstance]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     instances = _build_sweep_instances(args)
+    for inst in instances:
+        _check_table(args, inst.u)
     log.info("sweep over %d instances", len(instances))
     rows = ratio_sweep(instances)
 
     table = []
     for idx, row in enumerate(rows):
         inst = row.instance
-        table.append(
-            {
-                "instance_id": idx,
-                "d": inst.degree,
-                "m": inst.m,
-                "u": inst.u,
-                "y": inst.y,
-                "seed": inst.seed,
-                "poly": ",".join(str(c) for c in row.coefficients),
-                "classical_total": row.classical_total,
-                "improved_total": row.improved_total,
-                "ratio": "" if row.ratio is None else format_rational(row.ratio),
-                "correction_total": row.correction_total,
-                "correction_free": row.correction_free,
-            }
-        )
+        ratio = "" if row.ratio is None else format_rational(row.ratio)
+        table.append([idx, inst.degree, inst.m, inst.u, inst.y, inst.seed, ",".join(str(c) for c in row.coefficients),
+                      row.classical_total, row.improved_total, ratio, row.correction_total, row.correction_free])
     if args.out is not None:
-        _write_rows(args.out, "sweep", args.format, SWEEP_COLUMNS, table)
+        _write_rows(args, "sweep", SWEEP_COLUMNS, table)
 
     classical_sum = sum(r.classical_total for r in rows)
     improved_sum = sum(r.improved_total for r in rows)
@@ -411,7 +436,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "aggregate_ratio": None if aggregate is None else format_rational(aggregate),
         "correction_free_instances": sum(1 for r in rows if r.correction_free),
     }
-    _emit_summary(summary, args.out)
+    _emit_summary(summary, args)
     return EXIT_OK
 
 
@@ -428,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, parser=p)
         p.add_argument("--config", help="JSON file whose keys are flag names; explicit flags win")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--out", type=Path, help="directory for result files (created before the work starts)")
+        p.add_argument("--out", type=Path, help="directory for result files (created when they are written)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="row file format (default csv)")
         if poly:
             p.add_argument("--poly", type=_parse_poly_text,
@@ -478,10 +503,7 @@ def main(argv: list[str] | None = None) -> int:
         _install_config(args)
         args = parser.parse_args(argv)
     if args.out is not None:
-        try:
-            args.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            args.parser.error(f"cannot create --out directory {args.out}: {exc}")
+        _check_out(args)
     try:
         return args.handler(args)
     except InvariantViolation as exc:

@@ -28,13 +28,15 @@ The three strategies differ only in how they find cells to divide:
 
 Each sieve runs prime by prime, and for each (level, residue) makes one
 numpy pass over the cells of every row at once; per-(b, l) attempts come
-from counting the touched cells per row.  A sieve given a prebuilt table
-divides that table in place; without one it builds its own.  Unconditional
-divisions in the improved sieve must always succeed; a failure raises
-InvariantViolation and means the ladders are wrong.
+from counting the touched cells per row.  The ledger is that count array
+itself: attempts[k, p, b-1], int64 of shape (primes, phases, u), for
+prime k and phase p; nothing is kept per pair.  A sieve given a prebuilt
+table divides that table in place; without one it builds its own.
+Unconditional divisions in the improved sieve must always succeed; a
+failure raises InvariantViolation and means the ladders are wrong.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,34 +77,45 @@ class SieveTable:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class CostLedger:
-    """Division attempts keyed by (b, l), split into named phases.
+    """Division attempts per (prime, phase, row).
 
-    Phases: "total" for the trivial sieve; "rational", "algebraic_simple"
-    and "algebraic_multiple" for the other two.  Only nonzero counters
-    are stored.
+    attempts[k, p, b-1] counts the attempts of phase phases[p] at
+    (b, primes[k]).  Phases: ("total",) for the trivial sieve; PHASES,
+    that is "rational", "algebraic_simple" and "algebraic_multiple", for
+    the other two.  A (b, l) or phase outside the array has no attempts.
     """
 
     algorithm: str
-    counts: dict[tuple[int, int], dict[str, int]] = field(default_factory=dict)
+    primes: tuple[int, ...]
+    phases: tuple[str, ...]
+    attempts: np.ndarray
 
-    def add(self, b: int, l: int, phase: str, n: int = 1) -> None:
-        if n:
-            pair = self.counts.setdefault((b, l), {})
-            pair[phase] = pair.get(phase, 0) + n
+    def __post_init__(self) -> None:
+        self._prime_index = {l: k for k, l in enumerate(self.primes)}
 
     def pair_phase(self, b: int, l: int, phase: str) -> int:
-        return self.counts.get((b, l), {}).get(phase, 0)
+        if phase not in self.phases:
+            return 0
+        return int(self._pair(b, l)[self.phases.index(phase)])
 
     def pair_total(self, b: int, l: int) -> int:
-        return sum(self.counts.get((b, l), {}).values())
+        return int(self._pair(b, l).sum())
 
     def phase_total(self, phase: str) -> int:
-        return sum(c.get(phase, 0) for c in self.counts.values())
+        if phase not in self.phases:
+            return 0
+        return int(self.attempts[:, self.phases.index(phase)].sum())
 
     def grand_total(self) -> int:
-        return sum(sum(c.values()) for c in self.counts.values())
+        return int(self.attempts.sum())
+
+    def _pair(self, b: int, l: int) -> np.ndarray:
+        k = self._prime_index.get(l)
+        if k is None or not 1 <= b <= self.attempts.shape[2]:
+            return np.zeros(len(self.phases), dtype=np.int64)
+        return self.attempts[k, :, b - 1]
 
 
 @dataclass
@@ -183,15 +196,6 @@ def _divide_once(side: np.ndarray, cells: np.ndarray, l: int, u: int, what: str,
     return _per_row(cells, u)
 
 
-def _ledger(algorithm: str, primes, phases: tuple[str, ...], counts: np.ndarray) -> CostLedger:
-    """counts[k, p, b-1] = attempts of phase p at (b, primes[k])."""
-    ledger = CostLedger(algorithm)
-    per_row = counts.transpose(2, 0, 1).tolist()
-    for bi, li in zip(*np.nonzero(counts.any(axis=1).T)):
-        ledger.counts[(int(bi) + 1, primes[li])] = {p: n for p, n in zip(phases, per_row[bi][li]) if n}
-    return ledger
-
-
 def _rows_without(l: int, u: int) -> np.ndarray:
     """The b in [1, u] that l does not divide: the rows progressions walk."""
     rows = np.arange(1, u + 1, dtype=np.int64)
@@ -208,7 +212,7 @@ def sieve_trivial(f: SievePolynomial, u: int, y: int, table: SieveTable | None =
     counts = np.zeros((len(primes), 1, u), dtype=np.int64)
     for k, l in enumerate(primes):
         counts[k, 0] = live_per_row + _divide_out(rational, live, l, u) + _divide_out(algebraic, live, l, u)
-    return SieveOutcome(TRIVIAL, table, _ledger(TRIVIAL, primes, ("total",), counts))
+    return SieveOutcome(TRIVIAL, table, CostLedger(TRIVIAL, tuple(primes), ("total",), counts))
 
 
 def sieve_classical(
@@ -231,7 +235,7 @@ def sieve_classical(
         ):
             for x in residues:
                 counts[k, phase] += _while_loop(side, _cells(rows, x, l, u), l, u)
-    return SieveOutcome(CLASSICAL, table, _ledger(CLASSICAL, list(tables.ladders), PHASES, counts))
+    return SieveOutcome(CLASSICAL, table, CostLedger(CLASSICAL, tuple(tables.ladders), PHASES, counts))
 
 
 def sieve_improved(
@@ -258,7 +262,7 @@ def sieve_improved(
             counts[k, 2] += _divide_once(algebraic, _cells(rows, x, l, u), l, u, "multiple-root", l)
         for x in ladder.liftable_multiple:
             counts[k, 2] += _while_loop(algebraic, _cells(rows, x, l, u), l, u)
-    return SieveOutcome(IMPROVED, table, _ledger(IMPROVED, list(tables.ladders), PHASES, counts))
+    return SieveOutcome(IMPROVED, table, CostLedger(IMPROVED, tuple(tables.ladders), PHASES, counts))
 
 
 def _tables_for(f: SievePolynomial, u: int, y: int, tables: LiftTables | None) -> LiftTables:

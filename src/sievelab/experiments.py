@@ -28,12 +28,17 @@ prime above 2^14.  Every Horner intermediate stays below l^3, so int64
 is exact while l^3 < 2^62; the kernel raises ValueError for larger
 primes, and the work caps keep every accepted input far below that.
 
-Work caps: ENUMERATION_CAP bounds the number of polynomials enumerated,
-l^(2d), so l < 2^12 there.  MONTE_CARLO_CAP bounds the residue
-evaluations of a Monte Carlo run, trials * (sum of the primes l <= y);
-already one trial needs y < 502,259 to stay under it, so every prime
-is below 2^19 and its cube below 2^57.  An input over either cap is a
-ValueError before any work starts.
+Work caps, each checked before any work starts (an input over a cap is
+a ValueError):
+
+  ENUMERATION_CAP   residue evaluations of enumerate_exact, l^(2d) polynomials
+                    times l residues; so l <= 464 < 2^9 there
+  MONTE_CARLO_CAP   Horner steps of monte_carlo, trials * (d+1) * (sum of the
+                    primes l <= y); already one trial of degree 1 needs
+                    y < 349,927 to stay under it, so every prime is below
+                    2^19 and its cube below 2^57
+  DRAW_CAP          coefficients monte_carlo draws, trials * d; it bounds the
+                    degree, and with it the memory a single draw holds
 
 Trial streams are seeded per index, so any partition of the trials
 across workers reproduces the same draws.
@@ -52,10 +57,11 @@ from .oracle import LedgerReport, verify_ledgers
 from .poly import MonicPolynomial, SievePolynomial, exact_dtype
 from .roots import LiftTables, build_lift_tables
 
-ENUMERATION_CAP = 10**7  # polynomials walked by enumerate_exact: l^(2d)
-MONTE_CARLO_CAP = 10**10  # residue evaluations of monte_carlo: trials * sum of primes <= y
+ENUMERATION_CAP = 10**8  # residue evaluations of enumerate_exact: l^(2d+1)
+MONTE_CARLO_CAP = 10**10  # Horner steps of monte_carlo: trials * (d+1) * sum of primes <= y
+DRAW_CAP = 10**6  # coefficient draws of monte_carlo: trials * d
 # sum of the primes <= 10^6 is about 3.8e10, above MONTE_CARLO_CAP, so a
-# larger prime bound is over the cap whatever the trial count
+# larger prime bound is over the cap whatever the trial count and degree
 _CAP_PRIME_SCAN = 10**6
 _BLOCK_CELLS = 2**14  # rows * residues per kernel pass
 
@@ -189,11 +195,15 @@ def monte_carlo(model: RandomModel, trials: int) -> LiftEventReport:
     multiple root, counting per-prime failures along the way."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    primes = primes_up_to(min(model.smooth_bound, _CAP_PRIME_SCAN))
-    if trials * sum(primes) > MONTE_CARLO_CAP:
+    if trials * model.degree > DRAW_CAP:
         raise ValueError(
-            f"{trials} trials times the sum of the primes <= {model.smooth_bound} exceeds "
-            f"the cap of {MONTE_CARLO_CAP} residue evaluations"
+            f"{trials} trials of degree {model.degree} exceed the cap of {DRAW_CAP} coefficient draws"
+        )
+    primes = primes_up_to(min(model.smooth_bound, _CAP_PRIME_SCAN))
+    if trials * (model.degree + 1) * sum(primes) > MONTE_CARLO_CAP:
+        raise ValueError(
+            f"{trials} trials times degree + 1 times the sum of the primes <= {model.smooth_bound} "
+            f"exceeds the cap of {MONTE_CARLO_CAP} Horner steps"
         )
     modulus = model.modulus
     failures = {l: 0 for l in primes}
@@ -229,9 +239,12 @@ def enumerate_exact(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
         raise ValueError(f"degree must be >= 1, got {d}")
     if l < 2:
         raise ValueError(f"prime must be >= 2, got {l}")
+    # l >= 2, so l^(2d+1) > ENUMERATION_CAP once the exponent reaches its bit length
+    if l ** min(2 * d + 1, ENUMERATION_CAP.bit_length()) > ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration needs l^(2d+1) = {l}^{2 * d + 1} residue evaluations, over the cap of {ENUMERATION_CAP}"
+        )
     count_total = (l * l) ** d
-    if count_total > ENUMERATION_CAP:
-        raise ValueError(f"enumeration space {count_total} exceeds cap {ENUMERATION_CAP}")
     if primes_up_to(l)[-1] != l:
         raise ValueError(f"l must be prime, got {l}")
     l2 = l * l

@@ -13,12 +13,22 @@ The oracle recomputes both factors itself with poly.eval_norm (each side
 int64 when its proven bound stays below 2^62, exact integers above) and
 never reads the engine's tables or walks the ladders it uses.  It works
 on blocks of rows, one prime at a time: a test over the whole block finds
-the cells divisible by l, repeated division of those cells finds the
-cells divisible by each l^e, a lookup table built from classify_roots
+the cells divisible by l, repeated division of the exact values of those
+cells gives their valuations, a lookup table built from classify_roots
 sorts the algebraic hits by the root class of a * b^(-1) mod l, and
-counting per row gives the sizes of every pair in the block at once.
-From these set sizes the exact attempt counts of both sieves follow,
-phase by phase:
+counting per row gives the sizes of every pair in the block at once.  An
+exact-integer side is reduced once per group of consecutive primes,
+modulo the group's product (below 2^62), and each prime's test then runs
+on those int64 residues: for y = 100 that is 2 passes over exact integers
+where one per prime would be 25.
+
+Only the level-1 sizes, the level sums and multiple[1] enter the
+formulas, so verify_ledgers keeps just those, as (primes, u) arrays, and
+predicts the attempts of every (b, l, phase) of both sieves at once.  Its
+LedgerReport holds the predictions next to the two measured ledgers and
+compares them array against array; per-pair PairRecords are built only
+when its rows are read.  From the set sizes the exact attempt counts of
+both sieves follow, phase by phase:
 
   classical  rational = rational[0] + sum(rational)
              simple   = simple[0] + sum(simple)
@@ -35,6 +45,8 @@ that term and replace the level sums by their l-adic limits.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +58,11 @@ from .roots import classify_roots
 # rows per block of the oracle's own factor arrays: about this many cells,
 # so exact-integer sides stay small next to the engine's tables
 _BLOCK_CELLS = 1 << 14
+# a group of primes whose product stays below this bound reduces an exact
+# side to int64 residues in one pass
+_GROUP_BOUND = 2**62
+# the first axis of a LedgerReport's arrays
+ALGORITHMS = (CLASSICAL, IMPROVED)
 
 
 @dataclass(frozen=True)
@@ -59,34 +76,63 @@ class SetFamily:
     multiple: tuple[int, ...]
 
 
+class LevelSums(NamedTuple):
+    """What the attempt formulas read of the hit sets: level-1 sizes, sums
+    over all levels and the level-2 multiple size.  Ints for one pair, or
+    arrays of one shape for many."""
+
+    r1: int | np.ndarray
+    r_sum: int | np.ndarray
+    s1: int | np.ndarray
+    s_sum: int | np.ndarray
+    m1: int | np.ndarray
+    m2: int | np.ndarray
+    m_sum: int | np.ndarray
+
+    @classmethod
+    def of(cls, sets: SetFamily) -> "LevelSums":
+        r, s, m = sets.rational, sets.simple, sets.multiple
+        first = [sizes[0] if sizes else 0 for sizes in (r, s, m)]
+        return cls(first[0], sum(r), first[1], sum(s), first[2], m[1] if len(m) > 1 else 0, sum(m))
+
+
+def _phases(z: LevelSums) -> tuple[tuple, tuple]:
+    """Per-phase attempts of the classical and of the improved sieve."""
+    classical = (z.r1 + z.r_sum, z.s1 + z.s_sum, z.m1 + z.m_sum)
+    improved = (z.r_sum, z.s_sum, z.m_sum + z.m2)
+    return classical, improved
+
+
+def _asymptotic(z: LevelSums, l) -> tuple:
+    """c_asym and d_asym times (l - 1): geometric-series cost forms from the
+    level-1 sizes, with the exact higher multiple-root terms kept, since
+    those do not telescope."""
+    level1, deep_multiple = z.r1 + z.s1, z.m_sum - z.m1
+    # (2l-1)/(l-1) * (b1+s1) + 2*m1 + deep and l/(l-1) * (b1+s1) + m1 + deep
+    return (
+        (2 * l - 1) * level1 + (l - 1) * (2 * z.m1 + deep_multiple),
+        l * level1 + (l - 1) * (z.m1 + deep_multiple),
+    )
+
+
 def predict_phases(sets: SetFamily) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
     """Per-phase attempts (rational, algebraic_simple, algebraic_multiple)
     of the classical sieve and of the improved sieve."""
-    r, s, m = sets.rational, sets.simple, sets.multiple
-    sr, ss, sm = sum(r), sum(s), sum(m)
-    classical = ((r[0] if r else 0) + sr, (s[0] if s else 0) + ss, (m[0] if m else 0) + sm)
-    improved = (sr, ss, sm + (m[1] if len(m) > 1 else 0))
-    return classical, improved
+    return _phases(LevelSums.of(sets))
 
 
 def predict_exact(sets: SetFamily) -> tuple[int, int, int]:
     """(classical attempts, improved attempts less correction, correction)."""
-    classical, improved = predict_phases(sets)
-    correction = sets.multiple[1] if len(sets.multiple) > 1 else 0
-    return sum(classical), sum(improved) - correction, correction
+    z = LevelSums.of(sets)
+    classical, improved = _phases(z)
+    return sum(classical), sum(improved) - z.m2, z.m2
 
 
 def predict_asymptotic(sets: SetFamily, l: int) -> tuple[Fraction, Fraction]:
     """Geometric-series cost forms from level-1 sizes (exact higher
     multiple-root terms kept, since those do not telescope)."""
-    b1 = sets.rational[0] if sets.rational else 0
-    s1 = sets.simple[0] if sets.simple else 0
-    m1 = sets.multiple[0] if sets.multiple else 0
-    deep_multiple = sum(sets.multiple[1:])
-    # (2l-1)/(l-1) * (b1+s1) + 2*m1 + deep and l/(l-1) * (b1+s1) + m1 + deep
-    c_asym = Fraction((2 * l - 1) * (b1 + s1) + (l - 1) * (2 * m1 + deep_multiple), l - 1)
-    d_asym = Fraction(l * (b1 + s1) + (l - 1) * (m1 + deep_multiple), l - 1)
-    return c_asym, d_asym
+    c_scaled, d_scaled = _asymptotic(LevelSums.of(sets), l)
+    return Fraction(c_scaled, l - 1), Fraction(d_scaled, l - 1)
 
 
 def _factor_arrays(f: SievePolynomial, u: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,22 +146,43 @@ def _factor_arrays(f: SievePolynomial, u: int, b: np.ndarray) -> tuple[np.ndarra
     return rational, algebraic, live
 
 
-def _level_sizes(side: np.ndarray, cells: np.ndarray, l: int, depth: int, rows: int) -> np.ndarray:
-    """sizes[e-1, j] = how many of the cells in row j have l^e dividing
-    their value, for e = 1..depth; the cells must all be divisible by l."""
-    width = side.shape[1]
+def _prime_groups(primes) -> list[list[int]]:
+    """Consecutive primes, grouped so that each group's product stays below 2^62."""
+    groups, product = [], _GROUP_BOUND
+    for l in primes:
+        if product * l >= _GROUP_BOUND:
+            groups.append([])
+            product = 1
+        groups[-1].append(l)
+        product *= l
+    return groups
+
+
+def _residues(side: np.ndarray, groups: list[list[int]]):
+    """(l, side mod l) as int64 for every prime of the groups, in order; an
+    exact-integer side is reduced once per group, modulo its product."""
+    for group in groups:
+        reduced = (side % prod(group)).astype(np.int64) if side.dtype == object else side
+        for l in group:
+            yield l, reduced % l
+
+
+def _valuations(side: np.ndarray, cells: np.ndarray, l: int, depth: int) -> np.ndarray:
+    """v_l of the exact values at the cells, which must all be divisible by
+    l; a valuation above the proven depth is an invariant violation."""
     values = side.reshape(-1)[cells]
-    sizes = np.zeros((depth, rows), dtype=np.int64)
-    e = 0
-    while cells.size:
-        if e == depth:
+    valuation = np.zeros(cells.size, dtype=np.int64)
+    index = np.arange(cells.size)
+    level = 0
+    while index.size:
+        if level == depth:
             raise InvariantViolation(f"valuation exceeds proven depth {depth} for prime {l}")
-        sizes[e] = np.bincount(cells // width, minlength=rows)
+        valuation[index] += 1
         values = values // l
         keep = values % l == 0
-        cells, values = cells[keep], values[keep]
-        e += 1
-    return sizes
+        index, values = index[keep], values[keep]
+        level += 1
+    return valuation
 
 
 def _residue_lookup(f: SievePolynomial, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,22 +196,28 @@ def _residue_lookup(f: SievePolynomial, l: int) -> tuple[np.ndarray, np.ndarray]
     return kinds, inverse
 
 
-def _set_families(
-    f: SievePolynomial,
+def _depths(f: SievePolynomial, u: int, l: int) -> tuple[int, int]:
+    """Proven largest exponents of l on the rational and the algebraic side."""
+    return max_exponent(l, rational_bound(f, u)), max_exponent(l, algebraic_bound(f, u))
+
+
+def _hits(
     u: int,
     b: np.ndarray,
     l: int,
     factors: tuple[np.ndarray, np.ndarray, np.ndarray],
+    residues: tuple[np.ndarray, np.ndarray],
     lookup: tuple[np.ndarray, np.ndarray],
-) -> list[SetFamily]:
-    """Hit-set sizes of (b, l) for every row b (a column) that l does not divide."""
+    depths: tuple[int, int],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(row, v_l) of every rational, simple-root and multiple-root hit of the
+    rows b (a column) that l does not divide; residues are the two sides mod l."""
     rational, algebraic, live = factors
     kinds, inverse = lookup
     width = 2 * u + 1
-    rows = b.shape[0]
     live = live & (b % l != 0)
-    rational_hits = np.flatnonzero(live & (rational % l == 0))
-    norm_hits = np.flatnonzero(live & (algebraic % l == 0))
+    rational_hits = np.flatnonzero(live & (residues[0] == 0))
+    norm_hits = np.flatnonzero(live & (residues[1] == 0))
 
     hit_b = b[norm_hits // width, 0]
     hit_a = norm_hits % width - u
@@ -156,20 +229,46 @@ def _set_families(
         raise InvariantViolation(
             f"norm hit at (b={hit_b[i]}, a={hit_a[i]}) maps to non-root residue {residue[i]} mod {l}"
         )
-
-    depth_rational = max_exponent(l, rational_bound(f, u))
-    depth_algebraic = max_exponent(l, algebraic_bound(f, u))
-    sizes = [
-        _level_sizes(rational, rational_hits, l, depth_rational, rows),
-        _level_sizes(algebraic, norm_hits[kind == 1], l, depth_algebraic, rows),
-        _level_sizes(algebraic, norm_hits[kind == 2], l, depth_algebraic, rows),
-    ]
-    kept = np.flatnonzero(b[:, 0] % l)
-    per_row = [level[:, kept].T.tolist() for level in sizes]
     return [
-        SetFamily(b=int(b[j, 0]), l=l, rational=tuple(r), simple=tuple(s), multiple=tuple(m))
-        for j, r, s, m in zip(kept, *per_row)
+        (cells // width, _valuations(side, cells, l, depth))
+        for side, cells, depth in (
+            (rational, rational_hits, depths[0]),
+            (algebraic, norm_hits[kind == 1], depths[1]),
+            (algebraic, norm_hits[kind == 2], depths[1]),
+        )
     ]
+
+
+def _row_sums(hits: list[tuple[np.ndarray, np.ndarray]], rows: int) -> list[np.ndarray]:
+    """The LevelSums fields, per row, of one prime's hits."""
+    (r_row, r_val), (s_row, s_val), (m_row, m_val) = hits
+
+    def count(row):
+        return np.bincount(row, minlength=rows)
+
+    def total(row, valuation):
+        # bincount weighs in float64; these sums stay far below 2^53, so they are exact
+        return np.bincount(row, valuation, minlength=rows).astype(np.int64)
+
+    return [count(r_row), total(r_row, r_val), count(s_row), total(s_row, s_val),
+            count(m_row), count(m_row[m_val >= 2]), total(m_row, m_val)]
+
+
+def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSums:
+    """LevelSums of every (l, b) as (primes, u) arrays, zero where l divides b."""
+    sums = np.zeros((len(LevelSums._fields), len(primes), u), dtype=np.int64)
+    groups = _prime_groups(primes)
+    lookups = [_residue_lookup(f, l) for l in primes]
+    depths = [_depths(f, u, l) for l in primes]
+    step = max(1, _BLOCK_CELLS // (2 * u + 1))
+    for first in range(1, u + 1, step):
+        b = np.arange(first, min(first + step, u + 1), dtype=np.int64)[:, None]
+        factors = _factor_arrays(f, u, b)
+        sides = zip(_residues(factors[0], groups), _residues(factors[1], groups))
+        for k, ((l, rational), (_, algebraic)) in enumerate(sides):
+            hits = _hits(u, b, l, factors, (rational, algebraic), lookups[k], depths[k])
+            sums[:, k, first - 1 : first - 1 + b.shape[0]] = _row_sums(hits, b.shape[0])
+    return LevelSums(*sums)
 
 
 def compute_sets(f: SievePolynomial, u: int, b: int, l: int) -> SetFamily:
@@ -179,8 +278,15 @@ def compute_sets(f: SievePolynomial, u: int, b: int, l: int) -> SetFamily:
     if b % l == 0:
         raise ValueError(f"set sizes are only defined for l not dividing b, got b={b}, l={l}")
     row = np.array([[b]], dtype=np.int64)
-    (sets,) = _set_families(f, u, row, l, _factor_arrays(f, u, row), _residue_lookup(f, l))
-    return sets
+    factors = _factor_arrays(f, u, row)
+    depths = _depths(f, u, l)
+    hits = _hits(u, row, l, factors, (factors[0] % l, factors[1] % l), _residue_lookup(f, l), depths)
+    levels = []
+    for (_, valuation), depth in zip(hits, (depths[0], depths[1], depths[1])):
+        # level e holds the hits of valuation >= e
+        at_least = np.cumsum(np.bincount(valuation, minlength=depth + 1)[::-1])[::-1]
+        levels.append(tuple(int(n) for n in at_least[1:]))
+    return SetFamily(b=b, l=l, rational=levels[0], simple=levels[1], multiple=levels[2])
 
 
 @dataclass(frozen=True)
@@ -214,28 +320,93 @@ class PairRecord:
         return self.classical_ok and self.improved_ok and not self.phase_mismatches
 
 
-@dataclass
+class PairColumns(NamedTuple):
+    """One entry per checked pair, sorted by (b, l): measured[g, i, p] is the
+    attempts of phase PHASES[p] of algorithm ALGORITHMS[g], and
+    scaled_asymptotic[g] is c_asym (g = 0) or d_asym (g = 1) times (l - 1)."""
+
+    b: np.ndarray
+    l: np.ndarray
+    measured: np.ndarray
+    c_exact: np.ndarray
+    d_exact: np.ndarray
+    correction: np.ndarray
+    scaled_asymptotic: np.ndarray
+
+
+@dataclass(eq=False)
 class LedgerReport:
+    """Measured and predicted attempts of every (b, l, phase), as arrays.
+
+    measured[g, k, p, b-1] and expected[g, k, p, b-1] hold the attempts of
+    phase PHASES[p] at (b, primes[k]), g = 0 for the classical and g = 1 for
+    the improved sieve; correction[k, b-1] is the improved sieve's
+    while-loop correction, scaled_asymptotic[g, k, b-1] is c_asym (g = 0)
+    or d_asym (g = 1) times (l - 1), and checked[k, b-1] marks the pairs
+    with l not dividing b.  A pair is ok when every phase of both sieves
+    matches its prediction, which also makes its totals match.
+    """
+
     u: int
     y: int
-    rows: list[PairRecord]
-    stray_pairs: list[tuple[int, int]]
-    classical_total: int
-    improved_total: int
-    correction_total: int
+    primes: tuple[int, ...]
+    measured: np.ndarray
+    expected: np.ndarray
+    correction: np.ndarray
+    scaled_asymptotic: np.ndarray
+    checked: np.ndarray
+
+    @property
+    def classical_total(self) -> int:
+        return int(self.measured[0].sum())
+
+    @property
+    def improved_total(self) -> int:
+        return int(self.measured[1].sum())
+
+    @property
+    def correction_total(self) -> int:
+        return int(self.correction.sum())
+
+    @property
+    def pair_count(self) -> int:
+        return int(np.count_nonzero(self.checked))
+
+    def _pairs(self, mask: np.ndarray) -> list[tuple[int, int]]:
+        """(b, l) where a (primes, u) mask holds, sorted by b and then l."""
+        rows, ks = np.nonzero(mask.T)
+        return [(b + 1, self.primes[k]) for b, k in zip(rows.tolist(), ks.tolist())]
+
+    def _broken_phases(self) -> np.ndarray:
+        return (self.measured != self.expected) & self.checked[None, :, None, :]
+
+    def _stray(self) -> np.ndarray:
+        return self.measured.any(axis=(0, 2)) & ~self.checked
 
     @property
     def mismatches(self) -> list[tuple[int, int]]:
-        return [(r.b, r.l) for r in self.rows if not r.ok]
+        return self._pairs(self._broken_phases().any(axis=(0, 2)))
 
     @property
     def phase_mismatches(self) -> list[tuple[int, int, str, str, int, int]]:
         """(b, l, algorithm, phase, expected, measured) over all pairs."""
-        return [(r.b, r.l, *m) for r in self.rows for m in r.phase_mismatches]
+        g, k, p, row = np.nonzero(self._broken_phases())
+        order = np.lexsort((p, g, k, row))  # by b, l, algorithm, phase
+        g, k, p, row = (x[order] for x in (g, k, p, row))
+        expected, measured = self.expected[g, k, p, row].tolist(), self.measured[g, k, p, row].tolist()
+        return [
+            (b + 1, self.primes[ki], ALGORITHMS[gi], PHASES[pi], e, m)
+            for gi, ki, pi, b, e, m in zip(g.tolist(), k.tolist(), p.tolist(), row.tolist(), expected, measured)
+        ]
+
+    @property
+    def stray_pairs(self) -> list[tuple[int, int]]:
+        """(b, l) with l dividing b where either ledger recorded attempts."""
+        return self._pairs(self._stray())
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches and not self.stray_pairs
+        return not self._broken_phases().any() and not self._stray().any()
 
     @property
     def ratio(self) -> Fraction | None:
@@ -243,62 +414,79 @@ class LedgerReport:
             return None
         return Fraction(self.improved_total, self.classical_total)
 
+    def pair_columns(self) -> PairColumns:
+        """Every checked pair's measured and predicted counts, as columns."""
+        row, k = np.nonzero(self.checked.T)
+        correction = self.correction[k, row]
+        return PairColumns(
+            b=row + 1,
+            l=np.array(self.primes, dtype=np.int64)[k],
+            measured=self.measured.transpose(0, 1, 3, 2)[:, k, row],
+            c_exact=self.expected[0].sum(axis=1)[k, row],
+            d_exact=self.expected[1].sum(axis=1)[k, row] - correction,
+            correction=correction,
+            scaled_asymptotic=self.scaled_asymptotic[:, k, row],
+        )
+
+    @property
+    def rows(self) -> list[PairRecord]:
+        """One PairRecord per checked pair, sorted by (b, l); built on each read."""
+        pairs = self.pair_columns()
+        broken: dict[tuple[int, int], list] = {}
+        for b, l, *mismatch in self.phase_mismatches:
+            broken.setdefault((b, l), []).append(tuple(mismatch))
+        return [
+            PairRecord(
+                b=b,
+                l=l,
+                measured_classical=mc,
+                measured_improved=mi,
+                c_exact=ce,
+                d_exact=de,
+                correction=corr,
+                c_asym=Fraction(cs, l - 1),
+                d_asym=Fraction(ds, l - 1),
+                phase_mismatches=tuple(broken.get((b, l), ())),
+            )
+            for b, l, mc, mi, ce, de, corr, cs, ds in zip(
+                pairs.b.tolist(),
+                pairs.l.tolist(),
+                *pairs.measured.sum(axis=2).tolist(),
+                pairs.c_exact.tolist(),
+                pairs.d_exact.tolist(),
+                pairs.correction.tolist(),
+                *pairs.scaled_asymptotic.tolist(),
+            )
+        ]
+
 
 def verify_ledgers(
     classical: SieveOutcome, improved: SieveOutcome, f: SievePolynomial, u: int, y: int
 ) -> LedgerReport:
-    """Check both measured ledgers against the brute-force predictions,
-    pair by pair and phase by phase, and aggregate the totals."""
+    """Predict the attempts of every (b, l, phase) of both sieves from the
+    oracle's own set sizes and hold them next to the two measured ledgers."""
     if classical.algorithm != CLASSICAL:
         raise ValueError(f"first outcome must come from the classical sieve, got {classical.algorithm}")
     if improved.algorithm != IMPROVED:
         raise ValueError(f"second outcome must come from the improved sieve, got {improved.algorithm}")
+    primes = tuple(primes_up_to(y))
+    for outcome in (classical, improved):
+        ledger = outcome.ledger
+        if ledger.primes != primes or ledger.phases != PHASES or ledger.attempts.shape != (len(primes), len(PHASES), u):
+            raise ValueError(
+                f"{outcome.algorithm} ledger has shape {ledger.attempts.shape} over {len(ledger.primes)} primes, "
+                f"the report wants u={u} and the {len(primes)} primes up to y={y}"
+            )
 
-    primes = primes_up_to(y)
-    lookups = {l: _residue_lookup(f, l) for l in primes}
-    outcomes = (classical, improved)
-    rows: list[PairRecord] = []
-    step = max(1, _BLOCK_CELLS // (2 * u + 1))
-    for first in range(1, u + 1, step):
-        b_column = np.arange(first, min(first + step, u + 1), dtype=np.int64)[:, None]
-        factors = _factor_arrays(f, u, b_column)
-        for l in primes:
-            for sets in _set_families(f, u, b_column, l, factors, lookups[l]):
-                b = sets.b
-                c_exact, d_exact, correction = predict_exact(sets)
-                c_asym, d_asym = predict_asymptotic(sets, l)
-                measured = [outcome.ledger.counts.get((b, l), {}) for outcome in outcomes]
-                phase_mismatches = tuple(
-                    (outcome.algorithm, phase, want, got)
-                    for outcome, counts, wanted in zip(outcomes, measured, predict_phases(sets))
-                    for phase, want in zip(PHASES, wanted)
-                    if (got := counts.get(phase, 0)) != want
-                )
-                rows.append(
-                    PairRecord(
-                        b=b,
-                        l=l,
-                        measured_classical=sum(measured[0].values()),
-                        measured_improved=sum(measured[1].values()),
-                        c_exact=c_exact,
-                        d_exact=d_exact,
-                        correction=correction,
-                        c_asym=c_asym,
-                        d_asym=d_asym,
-                        phase_mismatches=phase_mismatches,
-                    )
-                )
-    rows.sort(key=lambda r: (r.b, r.l))
-
-    allowed = {(b, l) for b in range(1, u + 1) for l in primes if b % l}
-    recorded = set(classical.ledger.counts) | set(improved.ledger.counts)
-    stray = sorted(recorded - allowed)
+    sums = _level_sums(f, u, primes)
+    l = np.array(primes, dtype=np.int64)[:, None]
     return LedgerReport(
         u=u,
         y=y,
-        rows=rows,
-        stray_pairs=stray,
-        classical_total=classical.ledger.grand_total(),
-        improved_total=improved.ledger.grand_total(),
-        correction_total=sum(r.correction for r in rows),
+        primes=primes,
+        measured=np.stack([classical.ledger.attempts, improved.ledger.attempts]),
+        expected=np.array(_phases(sums)).transpose(0, 2, 1, 3),
+        correction=sums.m2,
+        scaled_asymptotic=np.array(_asymptotic(sums, l)),
+        checked=np.arange(1, u + 1) % l != 0,
     )

@@ -5,11 +5,12 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sievelab import cli
 from sievelab.arith import InvariantViolation
-from sievelab.cli import EXIT_GATE_FAILED, EXIT_OK, EXIT_VIOLATION, PAIR_COLUMNS, format_rational, main
+from sievelab.cli import EXIT_GATE_FAILED, EXIT_OK, EXIT_VIOLATION, PAIR_COLUMNS, _format_column, format_rational, main
 
 WORKED = ["--poly", "1,0,1", "--m", "4", "--u", "3", "--y", "5"]
 
@@ -27,6 +28,15 @@ def test_format_rational():
     assert format_rational(Fraction(0)) == "0.000000"
     assert format_rational(Fraction(1, 8), places=9) == "0.125000000"
     assert format_rational(Fraction(-45, 4)) == "-11.250000"
+
+
+def test_format_column_matches_format_rational():
+    # every remainder mod 8 and mod 10, including the halves that round up, and numerators past 2^63 / 10^6
+    numerators = [0, 1, 3, 4, 5, 7, 45, 10**6 + 5, 2**62, 3 * 2**61 + 1]
+    for denominator in (1, 2, 8, 10, 96):
+        column = _format_column(np.array(numerators, dtype=np.int64), np.full(len(numerators), denominator))
+        assert column == [format_rational(Fraction(n, denominator)) for n in numerators]
+    assert _format_column(np.array([5], dtype=np.int64), np.array([10**7]), places=6) == ["0.000001"]
 
 
 def test_compare_worked_instance(tmp_path, capsys):
@@ -157,9 +167,20 @@ def test_config_rejects_bad_json(tmp_path, capsys):
         ["enumerate", "--d", "2", "--l", "4"],
         ["montecarlo", "--d", "3", "--y", str(10**6), "--trials", "1"],  # over the work cap
         ["montecarlo", "--d", "3", "--y", "100", "--trials", str(10**8)],
+        ["enumerate", "--d", "1", "--l", "3137"],  # 3137^3 residue evaluations
+        ["montecarlo", "--d", str(10**8), "--y", "2", "--trials", "1"],  # 10^8 coefficient draws
     ],
 )
-def test_out_of_range_values_are_usage_errors(argv, capsys):
+def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
+    from sievelab import engine, experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    # every case is refused before any table, draw or enumeration block
+    for module, name in ((engine, "build_table"), (experiments, "build_table"),
+                         (experiments, "_draw"), (experiments, "lift_events")):
+        monkeypatch.setattr(module, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -180,6 +201,50 @@ def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""  # refused before any work
         assert "cannot create --out directory" in captured.err and "Traceback" not in captured.err
+    # a usage error the handler finds leaves no directory behind
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--d", "2", "--l", "97", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from sievelab import engine, experiments
+
+    # the README's, the tests' and the benchmark's sizes pass; u = 1023 is the largest
+    assert 1023 * 2047 <= cli.TABLE_CELL_CAP < 1024 * 2049
+    monkeypatch.setattr(cli, "TABLE_CELL_CAP", 3 * 7)  # u = 3 fits exactly, u = 4 does not
+    assert main(["compare", *WORKED]) == EXIT_OK
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(engine, "build_table", refuse)
+    monkeypatch.setattr(experiments, "build_table", refuse)
+    config = tmp_path / "compare.json"
+    config.write_text(json.dumps({"poly": [1, 0, 1], "m": 4, "u": 4, "y": 5}))
+    sweep_config = tmp_path / "sweep.json"
+    sweep_config.write_text(json.dumps({"sweep_instances": [
+        {"d": 2, "m": 6, "u": 3, "y": 7, "seed": 1},  # fits, but is not built either
+        {"d": 2, "m": 6, "u": 4, "y": 7, "seed": 1},
+    ]}))
+    for argv in (
+        ["compare", *WORKED[:4], "--u", "4", "--y", "5"],
+        ["sieve", *WORKED[:4], "--u", "4", "--y", "5"],
+        ["sweep", "--instances", "2", "--d", "2", "--m", "3", "--u", "4", "--y", "5"],
+        ["compare", "--config", str(config)],
+        ["sweep", "--config", str(sweep_config), "--out", str(tmp_path / "out")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "cells, over the cap of 21" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sieve_subcommand(tmp_path, capsys):
@@ -322,18 +387,13 @@ def test_invariant_violation_maps_to_exit_three(monkeypatch, capsys):
 
 
 def test_identity_mismatch_maps_to_exit_three(monkeypatch, capsys, caplog):
-    import dataclasses
-
     real = cli.run_comparison
 
     def doctored(*args, **kwargs):
         comp = real(*args, **kwargs)
-        record = comp.report.rows[0]
-        comp.report.rows[0] = dataclasses.replace(
-            record,
-            measured_classical=record.measured_classical + 1,
-            phase_mismatches=(("classical", "rational", 2, 3),),
-        )
+        # plant a classical rational mismatch at (b=1, l=2): expected 2, measured 3
+        comp.report.expected[0, 0, 0, 0] = 2
+        comp.report.measured[0, 0, 0, 0] = 3
         return comp
 
     monkeypatch.setattr(cli, "run_comparison", doctored)

@@ -13,6 +13,7 @@ from sievelab.arith import InvariantViolation, primes_up_to
 from sievelab.engine import (
     CLASSICAL,
     IMPROVED,
+    PHASES,
     TRIVIAL,
     CostLedger,
     build_table,
@@ -68,7 +69,8 @@ def test_trivial_sieve_hand_count():
     outcome = sieve_trivial(F_SQUARE_PLUS_ONE, 1, 3)
     # l = 2 pays 1 + 1 (norm 2), 2 + 1 (rational -4), 1 + 1 (norm 2);
     # l = 3 pays 1, 1 and 1 + 1 (rational -3)
-    assert outcome.ledger.counts == {(1, 2): {"total": 7}, (1, 3): {"total": 4}}
+    assert outcome.ledger.primes == (2, 3) and outcome.ledger.phases == ("total",)
+    assert outcome.ledger.attempts.tolist() == [[[7]], [[4]]]
     assert outcome.table.rational.tolist() == [[-5, -1, -1]]
     assert outcome.table.algebraic.tolist() == [[1, 1, 1]]
     assert outcome.table.entries == [[-5, -1, -1]]
@@ -111,8 +113,10 @@ def test_final_tables_agree_on_worked_instance():
 
 def test_no_attempts_recorded_when_prime_divides_b():
     for outcome in (sieve_classical(F_SQUARE_PLUS_ONE, 6, 5), sieve_improved(F_SQUARE_PLUS_ONE, 6, 5)):
-        for b, l in outcome.ledger.counts:
-            assert b % l != 0
+        attempts = outcome.ledger.attempts
+        assert attempts.any()
+        for k, l in enumerate(outcome.ledger.primes):
+            assert not attempts[k, :, l - 1 :: l].any()  # rows b = l, 2l, ...
 
 
 def test_rows_with_prime_dividing_b_lose_nothing():
@@ -164,22 +168,29 @@ def test_shared_tables_must_match_parameters():
 
 
 def test_ledger_arithmetic():
-    ledger = CostLedger(CLASSICAL)
-    ledger.add(1, 2, "rational", 3)
-    ledger.add(1, 2, "algebraic_simple", 4)
-    ledger.add(2, 3, "rational")
-    ledger.add(2, 3, "rational", 0)  # zero increments leave no key behind
+    attempts = np.zeros((2, len(PHASES), 2), dtype=np.int64)  # primes 2 and 3, u = 2
+    attempts[0, 0, 0] = 3  # (b=1, l=2) rational
+    attempts[0, 1, 0] = 4  # (b=1, l=2) algebraic_simple
+    attempts[1, 0, 1] = 1  # (b=2, l=3) rational
+    ledger = CostLedger(CLASSICAL, (2, 3), PHASES, attempts)
     assert ledger.pair_total(1, 2) == 7
+    assert ledger.pair_total(2, 3) == ledger.pair_phase(2, 3, "rational") == 1
     assert ledger.pair_phase(1, 2, "rational") == 3
     assert ledger.phase_total("rational") == 4
     assert ledger.grand_total() == 8
+    # pairs and phases outside the array have no attempts
     assert ledger.pair_total(9, 9) == 0
+    assert ledger.pair_total(3, 2) == ledger.pair_phase(1, 5, "rational") == 0
+    assert ledger.pair_phase(1, 2, "total") == ledger.phase_total("total") == 0
+    assert all(type(n) is int for n in (ledger.pair_total(1, 2), ledger.pair_phase(1, 2, "rational"),
+                                       ledger.phase_total("rational"), ledger.grand_total()))
 
 
 def test_repeated_runs_are_identical():
     first = sieve_improved(F_SQUARE_PLUS_ONE, 4, 7)
     second = sieve_improved(F_SQUARE_PLUS_ONE, 4, 7)
-    assert first.ledger.counts == second.ledger.counts
+    assert first.ledger.primes == second.ledger.primes
+    assert np.array_equal(first.ledger.attempts, second.ledger.attempts)
     assert first.table.entries == second.table.entries
 
 

@@ -140,10 +140,28 @@ def test_monte_carlo_work_cap(monkeypatch):
     with pytest.raises(ValueError, match="cap"):
         monte_carlo(RandomModel(degree=3, smooth_bound=10**12), 1)  # no sieve up to 10^12
     assert sum(primes_up_to(experiments._CAP_PRIME_SCAN)) > MONTE_CARLO_CAP
-    # the cap is trials * (sum of the primes <= y), exactly: 2 + 3 + 5 + 7 = 17
-    monkeypatch.setattr(experiments, "MONTE_CARLO_CAP", 17 * 5)
+    # the cap is trials * (d + 1) * (sum of the primes <= y), exactly: 2 + 3 + 5 + 7 = 17
+    monkeypatch.setattr(experiments, "MONTE_CARLO_CAP", 5 * 3 * 17)
     assert monte_carlo(RandomModel(degree=2, smooth_bound=10), 5).trials == 5
     with pytest.raises(ValueError, match="cap"):
+        monte_carlo(RandomModel(degree=2, smooth_bound=10), 6)
+
+
+def test_monte_carlo_draw_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew a polynomial")
+
+    monkeypatch.setattr(experiments, "_draw", refuse)
+    # 2 * (10^8 + 1) Horner steps pass MONTE_CARLO_CAP; 10^8 coefficients do not pass DRAW_CAP
+    with pytest.raises(ValueError, match="coefficient draws"):
+        monte_carlo(RandomModel(degree=10**8, smooth_bound=2), 1)
+    with pytest.raises(ValueError, match="coefficient draws"):
+        monte_carlo(RandomModel(degree=3, smooth_bound=2), 10**6)
+    monkeypatch.undo()
+    # the cap is trials * d, exactly
+    monkeypatch.setattr(experiments, "DRAW_CAP", 5 * 2)
+    assert monte_carlo(RandomModel(degree=2, smooth_bound=10), 5).trials == 5
+    with pytest.raises(ValueError, match="coefficient draws"):
         monte_carlo(RandomModel(degree=2, smooth_bound=10), 6)
 
 
@@ -285,11 +303,29 @@ def test_enumerate_exact_matches_nested_loop_recount(d, l):
     assert enumerate_exact(d, l) == (bad, l ** (2 * d), tuple(per_point))
 
 
-def test_enumerate_rejects_oversized_spaces():
+def test_enumerate_rejects_oversized_spaces(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(experiments, "lift_events", refuse)
+    monkeypatch.setattr(experiments, "primes_up_to", refuse)
     with pytest.raises(ValueError):
         enumerate_exact(4, 11)
     with pytest.raises(ValueError):
         enumerate_exact(2, 97)
+    # 3137^2 polynomials are few, but 3137^3 residue evaluations are not
+    with pytest.raises(ValueError, match="residue evaluations"):
+        enumerate_exact(1, 3137)
+    with pytest.raises(ValueError, match="residue evaluations"):
+        enumerate_exact(10**9, 2)  # refused without computing 2^(2*10^9 + 1)
+    # the cap is l^(2d+1), exactly
+    monkeypatch.undo()
+    assert 5**9 <= experiments.ENUMERATION_CAP < 3137**3  # the benchmark's (4, 5) passes
+    monkeypatch.setattr(experiments, "ENUMERATION_CAP", 7**5)
+    assert enumerate_exact(2, 7)[1] == 7**4
+    monkeypatch.setattr(experiments, "ENUMERATION_CAP", 7**5 - 1)
+    with pytest.raises(ValueError, match="residue evaluations"):
+        enumerate_exact(2, 7)
 
 
 @pytest.mark.parametrize("l", [4, 9, 25])

@@ -5,17 +5,29 @@ scans) against a plain per-entry recount written below, and both
 against the attempt counters the sieves actually produce.
 """
 
+import dataclasses
+import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.arith import InvariantViolation, max_exponent, mod_inverse, primes_up_to, valuation
-from sievelab.engine import PHASES, sieve_classical, sieve_improved
-from sievelab.oracle import SetFamily, compute_sets, predict_asymptotic, predict_exact, verify_ledgers
-from sievelab.poly import SievePolynomial, algebraic_bound, rational_bound
+from sievelab.engine import CLASSICAL, PHASES, CostLedger, sieve_classical, sieve_improved
+from sievelab.experiments import random_sieve_polynomial
+from sievelab.oracle import (
+    PairRecord,
+    SetFamily,
+    compute_sets,
+    predict_asymptotic,
+    predict_exact,
+    predict_phases,
+    verify_ledgers,
+)
+from sievelab.poly import SievePolynomial, algebraic_bound, exact_dtype, rational_bound
 from sievelab.roots import classify_roots
 
 F_SQUARE_PLUS_ONE = SievePolynomial((1, 0, 1), m=4)
@@ -205,7 +217,7 @@ def test_verify_ledgers_validates_algorithm_ids():
 def test_verify_ledgers_flags_stray_pairs():
     classical = sieve_classical(F_SQUARE_PLUS_ONE, 3, 5)
     improved = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5)
-    classical.ledger.counts[(2, 2)] = {"rational": 1}  # l divides b: impossible key
+    classical.ledger.attempts[0, 0, 1] = 1  # (b=2, l=2): l divides b, an impossible pair
     report = verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 5)
     assert report.stray_pairs == [(2, 2)]
     assert not report.ok
@@ -214,13 +226,14 @@ def test_verify_ledgers_flags_stray_pairs():
 def test_verify_ledgers_detects_tampered_counts():
     classical = sieve_classical(F_SQUARE_PLUS_ONE, 3, 5)
     improved = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5)
-    classical.ledger.add(1, 5, "rational", 1)
+    five = classical.ledger.primes.index(5)
+    classical.ledger.attempts[five, 0, 0] += 1  # (b=1, l=5) rational
     report = verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 5)
     assert (1, 5) in report.mismatches
     assert not report.ok
     # one attempt moved between phases keeps the pair total but breaks two phases
-    improved.ledger.add(1, 5, "rational", -1)
-    improved.ledger.add(1, 5, "algebraic_simple", 1)
+    improved.ledger.attempts[five, 0, 0] -= 1
+    improved.ledger.attempts[five, 1, 0] += 1
     report = verify_ledgers(sieve_classical(F_SQUARE_PLUS_ONE, 3, 5), improved, F_SQUARE_PLUS_ONE, 3, 5)
     assert report.mismatches == [(1, 5)]
     assert report.phase_mismatches == [
@@ -271,3 +284,82 @@ def test_oracle_invariants_raise(monkeypatch):
     monkeypatch.setattr(oracle, "max_exponent", lambda l, bound: 0)
     with pytest.raises(InvariantViolation, match="proven depth 0"):
         compute_sets(F_SQUARE_PLUS_ONE, 3, 1, 5)
+
+
+def per_pair_rows(classical, improved, f, u, y):
+    """The report's rows rebuilt pair by pair from compute_sets and the
+    predict_* functions, with the measured counts read off the ledgers."""
+    rows = []
+    for b in range(1, u + 1):
+        for l in primes_up_to(y):
+            if b % l == 0:
+                continue
+            sets = compute_sets(f, u, b, l)
+            c_exact, d_exact, correction = predict_exact(sets)
+            c_asym, d_asym = predict_asymptotic(sets, l)
+            mismatches = tuple(
+                (outcome.algorithm, phase, want, got)
+                for outcome, wanted in zip((classical, improved), predict_phases(sets))
+                for phase, want in zip(PHASES, wanted)
+                if (got := outcome.ledger.pair_phase(b, l, phase)) != want
+            )
+            rows.append(PairRecord(
+                b, l, classical.ledger.pair_total(b, l), improved.ledger.pair_total(b, l),
+                c_exact, d_exact, correction, c_asym, d_asym, mismatches,
+            ))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "f,u,y,dtypes",
+    [
+        # both sides int64
+        (random_sieve_polynomial(3, 20, random.Random("columns:int64")), 30, 29, (np.int64, np.int64)),
+        # both sides exact integers, and the primes up to 59 form two int64 groups
+        (random_sieve_polynomial(4, 10**18, random.Random("columns:object")), 12, 59, (object, object)),
+        # an int64 rational side next to an exact algebraic one
+        (random_sieve_polynomial(8, 10**12, random.Random("mixed:0")), 10, 11, (np.int64, object)),
+    ],
+    ids=["int64", "object", "mixed"],
+)
+def test_report_rows_match_per_pair_predictions(f, u, y, dtypes):
+    assert (exact_dtype(rational_bound(f, u)), exact_dtype(algebraic_bound(f, u))) == dtypes
+    classical, improved = sieve_classical(f, u, y), sieve_improved(f, u, y)
+    report = verify_ledgers(classical, improved, f, u, y)
+    assert report.ok
+    expected = per_pair_rows(classical, improved, f, u, y)
+    assert report.rows == expected
+    assert report.pair_count == len(expected)
+    assert report.correction_total == sum(r.correction for r in expected)
+    assert report.classical_total == classical.ledger.grand_total()
+    assert report.improved_total == improved.ledger.grand_total()
+    # tampered ledger entries show up in the rows exactly where a per-pair check puts them
+    k, b = len(report.primes) - 1, 1
+    classical.ledger.attempts[k, 2, b - 1] += 1
+    improved.ledger.attempts[k, 0, b - 1] += 1
+    tampered = verify_ledgers(classical, improved, f, u, y)
+    assert tampered.rows == per_pair_rows(classical, improved, f, u, y)
+    assert tampered.mismatches == [(b, report.primes[k])] and not tampered.ok
+    assert [m[2:4] for m in tampered.phase_mismatches] == [
+        ("classical", "algebraic_multiple"),
+        ("improved", "rational"),
+    ]
+
+
+def test_verify_ledgers_rejects_ledgers_of_other_parameters():
+    classical = sieve_classical(F_SQUARE_PLUS_ONE, 3, 5)
+    improved = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5)
+    with pytest.raises(ValueError, match="ledger"):
+        verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 4, 5)  # other u
+    with pytest.raises(ValueError, match="ledger"):
+        verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 7)  # other primes
+    with pytest.raises(ValueError, match="ledger"):
+        verify_ledgers(classical, sieve_improved(F_SQUARE_PLUS_ONE, 2, 5), F_SQUARE_PLUS_ONE, 3, 5)
+    with pytest.raises(ValueError, match="ledger"):
+        verify_ledgers(sieve_classical(F_SQUARE_PLUS_ONE, 3, 7), improved, F_SQUARE_PLUS_ONE, 3, 5)
+    # as many primes, but not the primes up to y
+    other = CostLedger(CLASSICAL, (2, 3, 7), PHASES, classical.ledger.attempts)
+    with pytest.raises(ValueError, match="ledger"):
+        verify_ledgers(dataclasses.replace(classical, ledger=other), improved, F_SQUARE_PLUS_ONE, 3, 5)
+    # y = 6 has the primes of y = 5
+    assert verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 6).ok
