@@ -17,9 +17,10 @@ Exit codes: 0 success, 1 statistical gate failed, 2 usage error,
 3 a verified identity or internal invariant was violated.  An --out
 path that can never be a directory and a request over a cap
 (experiments.ENUMERATION_CAP, MONTE_CARLO_CAP and DRAW_CAP, and
-TABLE_CELL_CAP here) are usage errors, found before any work starts.  The
---out directory itself is created only when the first result file is
-written, so a usage error leaves nothing behind.
+TABLE_CELL_CAP, PRIME_SCAN_CAP and SWEEP_INSTANCE_CAP here) are usage
+errors, found before any work starts.  The --out directory itself is
+created only when the first result file is written, so a usage error
+leaves nothing behind.
 """
 
 import argparse
@@ -28,12 +29,11 @@ import json
 import logging
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .arith import InvariantViolation
+from .arith import InvariantViolation, primes_up_to
 from .engine import CLASSICAL, IMPROVED, TRIVIAL, sieve_classical, sieve_improved, sieve_trivial
 from .experiments import (
     RandomModel,
@@ -56,6 +56,11 @@ EXIT_VIOLATION = 3
 # cells u * (2u+1) of one sieve table, so u <= 1023: compare, sieve and
 # sweep refuse a larger u before building anything
 TABLE_CELL_CAP = 2**21
+# residues the ladder precompute and the oracle's root lookup scan, one
+# per residue of every prime up to y: the sum of those primes, so y <= 3942
+PRIME_SCAN_CAP = 10**6
+# instances of one sweep, sampled or listed in sweep_instances
+SWEEP_INSTANCE_CAP = 1000
 
 PAIR_COLUMNS = [
     "instance_id",
@@ -88,20 +93,10 @@ SWEEP_COLUMNS = [
 ]
 
 
-def format_rational(x: Fraction, places: int = 6) -> str:
-    """Exact decimal rendering of a rational, no float detour."""
-    scaled = x.numerator * 10**places
-    quotient, remainder = divmod(scaled, x.denominator)
-    if remainder * 2 >= x.denominator:
-        quotient += 1
-    sign = "-" if quotient < 0 else ""
-    quotient = abs(quotient)
-    return f"{sign}{quotient // 10**places}.{quotient % 10**places:0{places}d}"
-
-
-def _format_column(numerator: np.ndarray, denominator: np.ndarray, places: int = 6) -> list[str]:
-    """format_rational of each numerator/denominator >= 0, by the same
-    exact rounding, without building a Fraction per entry."""
+def _format_column(numerator, denominator, places: int = 6) -> list[str]:
+    """Exact decimal rendering of each numerator/denominator >= 0, rounded
+    half up, with no float detour: ints, lists or arrays that broadcast."""
+    numerator = np.atleast_1d(numerator)
     scale = 10**places
     scaled = numerator.astype(exact_dtype(int(numerator.max(initial=0)) * scale)) * scale
     quotient, remainder = scaled // denominator, scaled % denominator
@@ -254,10 +249,15 @@ def _check_out(args: argparse.Namespace) -> None:
             return
 
 
-def _check_table(args: argparse.Namespace, u: int) -> None:
+def _check_work(args: argparse.Namespace, u: int, y: int) -> None:
+    """Refuse a table over TABLE_CELL_CAP or a prime bound over PRIME_SCAN_CAP."""
     cells = u * (2 * u + 1)
     if cells > TABLE_CELL_CAP:
         args.parser.error(f"u={u} asks for a table of {cells} cells, over the cap of {TABLE_CELL_CAP}")
+    # the primes up to PRIME_SCAN_CAP + 1 already sum past the cap
+    if sum(primes_up_to(min(y, PRIME_SCAN_CAP + 1))) > PRIME_SCAN_CAP:
+        args.parser.error(f"y={y} asks to scan the residues of every prime up to it, "
+                          f"over the cap of {PRIME_SCAN_CAP} residues")
 
 
 def _pair_rows(report: LedgerReport) -> list[list]:
@@ -276,14 +276,14 @@ def _pair_rows(report: LedgerReport) -> list[list]:
 def _cmd_compare(args: argparse.Namespace) -> int:
     _require(args, "u", "y")
     f = _resolve_polynomial(args)
-    _check_table(args, args.u)
+    _check_work(args, args.u, args.y)
     log.info("compare: poly=%s m=%d u=%d y=%d", f.coefficients, f.m, args.u, args.y)
     comp = run_comparison(f, args.u, args.y, include_trivial=True)
     report = comp.report
     if args.out is not None:
         _write_rows(args, "pairs", PAIR_COLUMNS, _pair_rows(report))
 
-    ratio = report.ratio
+    ratio = None if report.ratio is None else _format_column(report.improved_total, report.classical_total)[0]
     summary = {
         "command": "compare",
         "poly": list(f.coefficients),
@@ -298,7 +298,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             CLASSICAL: report.classical_total,
             IMPROVED: report.improved_total,
         },
-        "ratio_improved_over_classical": None if ratio is None else format_rational(ratio),
+        "ratio_improved_over_classical": ratio,
         "correction_total": report.correction_total,
         "pair_count": report.pair_count,
         "precompute": {
@@ -320,7 +320,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_sieve(args: argparse.Namespace) -> int:
     _require(args, "u", "y")
     f = _resolve_polynomial(args)
-    _check_table(args, args.u)
+    _check_work(args, args.u, args.y)
     runner = {TRIVIAL: sieve_trivial, CLASSICAL: sieve_classical, IMPROVED: sieve_improved}[args.alg]
     outcome = runner(f, args.u, args.y)
 
@@ -383,17 +383,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "count_bad": count_bad,
         "count_total": count_total,
         "per_point_counts": list(per_point),
-        "per_point_density": [format_rational(Fraction(n, count_total), 9) for n in per_point],
+        "per_point_density": _format_column(per_point, count_total, 9),
     }
     _emit_summary(summary, args)
     return EXIT_OK
 
 
 def _build_sweep_instances(args: argparse.Namespace) -> list[SweepInstance]:
+    count = args.instances if args.sweep_instances is None else len(args.sweep_instances)
+    if count is None:
+        args.parser.error("sweep needs --instances N or a config file with sweep_instances")
+    if count > SWEEP_INSTANCE_CAP:
+        args.parser.error(f"{count} sweep instances, over the cap of {SWEEP_INSTANCE_CAP}")
     if args.sweep_instances is not None:
         return args.sweep_instances
-    if args.instances is None:
-        args.parser.error("sweep needs --instances N or a config file with sweep_instances")
     instances = []
     for i in range(args.instances):
         rng = random.Random(f"{args.seed}:instance:{i}")
@@ -412,14 +415,14 @@ def _build_sweep_instances(args: argparse.Namespace) -> list[SweepInstance]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     instances = _build_sweep_instances(args)
     for inst in instances:
-        _check_table(args, inst.u)
+        _check_work(args, inst.u, inst.y)
     log.info("sweep over %d instances", len(instances))
     rows = ratio_sweep(instances)
 
     table = []
     for idx, row in enumerate(rows):
         inst = row.instance
-        ratio = "" if row.ratio is None else format_rational(row.ratio)
+        ratio = "" if row.ratio is None else _format_column(row.improved_total, row.classical_total)[0]
         table.append([idx, inst.degree, inst.m, inst.u, inst.y, inst.seed, ",".join(str(c) for c in row.coefficients),
                       row.classical_total, row.improved_total, ratio, row.correction_total, row.correction_free])
     if args.out is not None:
@@ -427,13 +430,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     classical_sum = sum(r.classical_total for r in rows)
     improved_sum = sum(r.improved_total for r in rows)
-    aggregate = None if classical_sum == 0 else Fraction(improved_sum, classical_sum)
     summary = {
         "command": "sweep",
         "instances": len(rows),
         "classical_total": classical_sum,
         "improved_total": improved_sum,
-        "aggregate_ratio": None if aggregate is None else format_rational(aggregate),
+        "aggregate_ratio": None if classical_sum == 0 else _format_column(improved_sum, classical_sum)[0],
         "correction_free_instances": sum(1 for r in rows if r.correction_free),
     }
     _emit_summary(summary, args)

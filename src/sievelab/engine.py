@@ -4,10 +4,11 @@ The table covers 1 <= b <= u, |a| <= u and keeps the two factors of each
 cell apart, as two-sided sievers do: a (u, 2u+1) array of rational
 factors a - b*m and one of algebraic factors F(a, b), each of dtype int64
 when its own proven bound stays below 2^62 and of exact Python integers
-above.  A cell is dead when gcd(a, b) > 1 or either factor vanishes; dead
-cells hold 0 on both sides and every pass below skips them, since
-repeatedly dividing 0 would never terminate.  The residual entry of a
-cell is the product of its two sides.
+above; build_table takes both from poly.table_factors.  A cell is dead
+when gcd(a, b) > 1 or either factor vanishes; dead cells hold 0 on both
+sides and every pass below skips them, since repeatedly dividing 0 would
+never terminate.  The residual entry of a cell is the product of its
+two sides.
 
 The cost unit is one fused test-and-divide on one side of a cell:
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import InvariantViolation, primes_up_to
-from .poly import SievePolynomial, algebraic_bound, eval_norm, exact_dtype, rational_bound
+from .poly import SievePolynomial, exact_dtype, table_factors
 from .roots import LiftTables, build_lift_tables
 
 TRIVIAL = "trivial"
@@ -129,14 +130,9 @@ def build_table(f: SievePolynomial, u: int) -> SieveTable:
     """Fresh two-sided table: a - b*m and F(a, b) on live cells, 0 elsewhere."""
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
-    a = np.arange(-u, u + 1, dtype=np.int64)
-    b = np.arange(1, u + 1, dtype=np.int64)[:, None]
-    rat_t, alg_t = exact_dtype(rational_bound(f, u)), exact_dtype(algebraic_bound(f, u))
-    rational = a.astype(rat_t) - b.astype(rat_t) * f.m
-    algebraic = eval_norm(f, a.astype(alg_t), b.astype(alg_t))
-    dead = (np.gcd(a, b) != 1) | (rational == 0) | (algebraic == 0)
-    rational[dead] = 0
-    algebraic[dead] = 0
+    rational, algebraic, live = table_factors(f, u, np.arange(1, u + 1, dtype=np.int64)[:, None])
+    rational[~live] = 0
+    algebraic[~live] = 0
     return SieveTable(u=u, rational=rational, algebraic=algebraic)
 
 

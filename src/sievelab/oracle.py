@@ -9,26 +9,26 @@ per level e >= 1:
                  a * b^(-1) mod l is a simple root of f
   multiple[e-1]  same with a multiple root
 
-The oracle recomputes both factors itself with poly.eval_norm (each side
-int64 when its proven bound stays below 2^62, exact integers above) and
-never reads the engine's tables or walks the ladders it uses.  It works
-on blocks of rows, one prime at a time: a test over the whole block finds
-the cells divisible by l, repeated division of the exact values of those
-cells gives their valuations, a lookup table built from classify_roots
-sorts the algebraic hits by the root class of a * b^(-1) mod l, and
-counting per row gives the sizes of every pair in the block at once.  An
-exact-integer side is reduced once per group of consecutive primes,
-modulo the group's product (below 2^62), and each prime's test then runs
-on those int64 residues: for y = 100 that is 2 passes over exact integers
-where one per prime would be 25.
+verify_ledgers is the one way in.  It builds both factors itself, block
+of rows by block, with poly.table_factors (each side int64 when its
+proven bound stays below 2^62, exact integers above) and never reads the
+engine's tables or walks the ladders it uses.  Per block it goes one
+prime at a time: a test over the whole block finds the cells divisible
+by l, repeated division of the exact values of those cells gives their
+valuations, a lookup table built from classify_roots sorts the algebraic
+hits by the root class of a * b^(-1) mod l, and counting per row gives
+the sizes of every pair in the block at once.  An exact-integer side is
+reduced once per group of consecutive primes, modulo the group's product
+(below 2^62), and each prime's test then runs on those int64 residues:
+for y = 100 that is 2 passes over exact integers where one per prime
+would be 25.
 
 Only the level-1 sizes, the level sums and multiple[1] enter the
-formulas, so verify_ledgers keeps just those, as (primes, u) arrays, and
-predicts the attempts of every (b, l, phase) of both sieves at once.  Its
-LedgerReport holds the predictions next to the two measured ledgers and
-compares them array against array; per-pair PairRecords are built only
-when its rows are read.  From the set sizes the exact attempt counts of
-both sieves follow, phase by phase:
+formulas, so the oracle keeps just those, as the (primes, u) arrays of a
+LevelSums.  The two public formulas, phase_attempts and
+scaled_asymptotic, read a LevelSums of arrays here and one of ints
+anywhere else.  From the set sizes the exact attempt counts of both
+sieves follow, phase by phase:
 
   classical  rational = rational[0] + sum(rational)
              simple   = simple[0] + sum(simple)
@@ -41,6 +41,10 @@ The trailing multiple[1] term prices the failed final test of each
 while-loop pass over a liftable multiple-root progression; the
 geometric-series forms reported alongside (c_asym, d_asym) drop exactly
 that term and replace the level sums by their l-adic limits.
+
+The LedgerReport holds the predictions of every (b, l, phase) of both
+sieves next to the two measured ledgers and compares them array against
+array; per-pair PairRecords are built only when its rows are read.
 """
 
 from dataclasses import dataclass
@@ -52,7 +56,7 @@ import numpy as np
 
 from .arith import InvariantViolation, max_exponent, mod_inverse, primes_up_to
 from .engine import CLASSICAL, IMPROVED, PHASES, SieveOutcome
-from .poly import SievePolynomial, algebraic_bound, eval_norm, exact_dtype, rational_bound
+from .poly import SievePolynomial, algebraic_bound, rational_bound, table_factors
 from .roots import classify_roots
 
 # rows per block of the oracle's own factor arrays: about this many cells,
@@ -63,17 +67,6 @@ _BLOCK_CELLS = 1 << 14
 _GROUP_BOUND = 2**62
 # the first axis of a LedgerReport's arrays
 ALGORITHMS = (CLASSICAL, IMPROVED)
-
-
-@dataclass(frozen=True)
-class SetFamily:
-    """Hit-set sizes for one (b, l); index e-1 holds the level-e size."""
-
-    b: int
-    l: int
-    rational: tuple[int, ...]
-    simple: tuple[int, ...]
-    multiple: tuple[int, ...]
 
 
 class LevelSums(NamedTuple):
@@ -89,21 +82,16 @@ class LevelSums(NamedTuple):
     m2: int | np.ndarray
     m_sum: int | np.ndarray
 
-    @classmethod
-    def of(cls, sets: SetFamily) -> "LevelSums":
-        r, s, m = sets.rational, sets.simple, sets.multiple
-        first = [sizes[0] if sizes else 0 for sizes in (r, s, m)]
-        return cls(first[0], sum(r), first[1], sum(s), first[2], m[1] if len(m) > 1 else 0, sum(m))
 
-
-def _phases(z: LevelSums) -> tuple[tuple, tuple]:
-    """Per-phase attempts of the classical and of the improved sieve."""
+def phase_attempts(z: LevelSums) -> tuple[tuple, tuple]:
+    """Attempts per phase (rational, algebraic_simple, algebraic_multiple)
+    of the classical and of the improved sieve."""
     classical = (z.r1 + z.r_sum, z.s1 + z.s_sum, z.m1 + z.m_sum)
     improved = (z.r_sum, z.s_sum, z.m_sum + z.m2)
     return classical, improved
 
 
-def _asymptotic(z: LevelSums, l) -> tuple:
+def scaled_asymptotic(z: LevelSums, l) -> tuple:
     """c_asym and d_asym times (l - 1): geometric-series cost forms from the
     level-1 sizes, with the exact higher multiple-root terms kept, since
     those do not telescope."""
@@ -113,37 +101,6 @@ def _asymptotic(z: LevelSums, l) -> tuple:
         (2 * l - 1) * level1 + (l - 1) * (2 * z.m1 + deep_multiple),
         l * level1 + (l - 1) * (z.m1 + deep_multiple),
     )
-
-
-def predict_phases(sets: SetFamily) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Per-phase attempts (rational, algebraic_simple, algebraic_multiple)
-    of the classical sieve and of the improved sieve."""
-    return _phases(LevelSums.of(sets))
-
-
-def predict_exact(sets: SetFamily) -> tuple[int, int, int]:
-    """(classical attempts, improved attempts less correction, correction)."""
-    z = LevelSums.of(sets)
-    classical, improved = _phases(z)
-    return sum(classical), sum(improved) - z.m2, z.m2
-
-
-def predict_asymptotic(sets: SetFamily, l: int) -> tuple[Fraction, Fraction]:
-    """Geometric-series cost forms from level-1 sizes (exact higher
-    multiple-root terms kept, since those do not telescope)."""
-    c_scaled, d_scaled = _asymptotic(LevelSums.of(sets), l)
-    return Fraction(c_scaled, l - 1), Fraction(d_scaled, l - 1)
-
-
-def _factor_arrays(f: SievePolynomial, u: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rational and algebraic factors of the rows b (a column) and their
-    live mask, each side in the dtype its proven bound allows."""
-    a = np.arange(-u, u + 1, dtype=np.int64)
-    rat_t, alg_t = exact_dtype(rational_bound(f, u)), exact_dtype(algebraic_bound(f, u))
-    rational = a.astype(rat_t) - b.astype(rat_t) * f.m
-    algebraic = eval_norm(f, a.astype(alg_t), b.astype(alg_t))
-    live = (np.gcd(a, b) == 1) & (rational != 0) & (algebraic != 0)
-    return rational, algebraic, live
 
 
 def _prime_groups(primes) -> list[list[int]]:
@@ -194,11 +151,6 @@ def _residue_lookup(f: SievePolynomial, l: int) -> tuple[np.ndarray, np.ndarray]
     kinds[list(rc.multiple_roots)] = 2
     inverse = np.array([0] + [mod_inverse(x, l) for x in range(1, l)], dtype=np.int64)
     return kinds, inverse
-
-
-def _depths(f: SievePolynomial, u: int, l: int) -> tuple[int, int]:
-    """Proven largest exponents of l on the rational and the algebraic side."""
-    return max_exponent(l, rational_bound(f, u)), max_exponent(l, algebraic_bound(f, u))
 
 
 def _hits(
@@ -259,34 +211,17 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
     sums = np.zeros((len(LevelSums._fields), len(primes), u), dtype=np.int64)
     groups = _prime_groups(primes)
     lookups = [_residue_lookup(f, l) for l in primes]
-    depths = [_depths(f, u, l) for l in primes]
+    # proven largest exponents of each l on the rational and the algebraic side
+    depths = [(max_exponent(l, rational_bound(f, u)), max_exponent(l, algebraic_bound(f, u))) for l in primes]
     step = max(1, _BLOCK_CELLS // (2 * u + 1))
     for first in range(1, u + 1, step):
         b = np.arange(first, min(first + step, u + 1), dtype=np.int64)[:, None]
-        factors = _factor_arrays(f, u, b)
+        factors = table_factors(f, u, b)
         sides = zip(_residues(factors[0], groups), _residues(factors[1], groups))
         for k, ((l, rational), (_, algebraic)) in enumerate(sides):
             hits = _hits(u, b, l, factors, (rational, algebraic), lookups[k], depths[k])
             sums[:, k, first - 1 : first - 1 + b.shape[0]] = _row_sums(hits, b.shape[0])
     return LevelSums(*sums)
-
-
-def compute_sets(f: SievePolynomial, u: int, b: int, l: int) -> SetFamily:
-    """Exhaustive hit-set sizes for one pair; l must be a prime not dividing b."""
-    if not 1 <= b <= u:
-        raise ValueError(f"b = {b} outside [1, {u}]")
-    if b % l == 0:
-        raise ValueError(f"set sizes are only defined for l not dividing b, got b={b}, l={l}")
-    row = np.array([[b]], dtype=np.int64)
-    factors = _factor_arrays(f, u, row)
-    depths = _depths(f, u, l)
-    hits = _hits(u, row, l, factors, (factors[0] % l, factors[1] % l), _residue_lookup(f, l), depths)
-    levels = []
-    for (_, valuation), depth in zip(hits, (depths[0], depths[1], depths[1])):
-        # level e holds the hits of valuation >= e
-        at_least = np.cumsum(np.bincount(valuation, minlength=depth + 1)[::-1])[::-1]
-        levels.append(tuple(int(n) for n in at_least[1:]))
-    return SetFamily(b=b, l=l, rational=levels[0], simple=levels[1], multiple=levels[2])
 
 
 @dataclass(frozen=True)
@@ -306,18 +241,6 @@ class PairRecord:
     c_asym: Fraction
     d_asym: Fraction
     phase_mismatches: tuple[tuple[str, str, int, int], ...] = ()
-
-    @property
-    def classical_ok(self) -> bool:
-        return self.measured_classical == self.c_exact
-
-    @property
-    def improved_ok(self) -> bool:
-        return self.measured_improved == self.d_exact + self.correction
-
-    @property
-    def ok(self) -> bool:
-        return self.classical_ok and self.improved_ok and not self.phase_mismatches
 
 
 class PairColumns(NamedTuple):
@@ -485,8 +408,8 @@ def verify_ledgers(
         y=y,
         primes=primes,
         measured=np.stack([classical.ledger.attempts, improved.ledger.attempts]),
-        expected=np.array(_phases(sums)).transpose(0, 2, 1, 3),
+        expected=np.array(phase_attempts(sums)).transpose(0, 2, 1, 3),
         correction=sums.m2,
-        scaled_asymptotic=np.array(_asymptotic(sums, l)),
+        scaled_asymptotic=np.array(scaled_asymptotic(sums, l)),
         checked=np.arange(1, u + 1) % l != 0,
     )

@@ -10,10 +10,16 @@ The algebraic side of a table entry is the binary form
 so F(a, 1) = f(a) and, for l not dividing b, the l-adic valuation of
 F(a, b) is controlled by the roots of f modulo powers of l.  F has the
 same coefficients as f, so eval_norm takes f itself; it is the one
-evaluator of F, used by the table builder and the oracle alike.
+evaluator of F.
 
 Arrays of table values take their dtype from a proven bound through
 exact_dtype: int64 below 2^62, exact Python integers (object) above.
+table_factors builds both factors of a block of table rows and their
+live mask that way; it is the one builder of cell factors, used by the
+engine for the whole table and by the oracle block by block.
+
+eval_poly and eval_derivative work modulo a given modulus: root
+classification and the ladders only ever need f and f' mod l^e.
 """
 
 from dataclasses import dataclass
@@ -58,33 +64,25 @@ class SievePolynomial(MonicPolynomial):
                 raise ValueError(f"|c_{i}| = {abs(c)} exceeds m = {self.m}")
 
 
-def eval_poly(f: MonicPolynomial, x: int, modulus: int | None = None) -> int:
-    """f(x), reduced mod modulus when one is given.  Horner scheme."""
+def eval_poly(f: MonicPolynomial, x: int, modulus: int) -> int:
+    """f(x) mod modulus, by Horner's rule."""
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
     acc = 0
-    if modulus is None:
-        for c in reversed(f.coefficients):
-            acc = acc * x + c
-    else:
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
-        x %= modulus
-        for c in reversed(f.coefficients):
-            acc = (acc * x + c) % modulus
+    x %= modulus
+    for c in reversed(f.coefficients):
+        acc = (acc * x + c) % modulus
     return acc
 
 
-def eval_derivative(f: MonicPolynomial, x: int, modulus: int | None = None) -> int:
-    """f'(x), reduced mod modulus when one is given."""
+def eval_derivative(f: MonicPolynomial, x: int, modulus: int) -> int:
+    """f'(x) mod modulus, by Horner's rule."""
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
     acc = 0
-    if modulus is None:
-        for i in range(f.degree, 0, -1):
-            acc = acc * x + i * f.coefficients[i]
-    else:
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
-        x %= modulus
-        for i in range(f.degree, 0, -1):
-            acc = (acc * x + i * f.coefficients[i]) % modulus
+    x %= modulus
+    for i in range(f.degree, 0, -1):
+        acc = (acc * x + i * f.coefficients[i]) % modulus
     return acc
 
 
@@ -122,3 +120,15 @@ def algebraic_bound(f: SievePolynomial, u: int) -> int:
 def exact_dtype(bound: int):
     """np.int64 when |values| <= bound < 2^62, else object (exact Python integers)."""
     return np.int64 if bound < 2**62 else object
+
+
+def table_factors(f: SievePolynomial, u: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a - b*m and F(a, b) for a in [-u, u] and the rows b (a column), with
+    the live mask: gcd(a, b) = 1 and both factors nonzero.  Each side has
+    the dtype its proven bound over the whole table allows."""
+    a = np.arange(-u, u + 1, dtype=np.int64)
+    rat_t, alg_t = exact_dtype(rational_bound(f, u)), exact_dtype(algebraic_bound(f, u))
+    rational = a.astype(rat_t) - b.astype(rat_t) * f.m
+    algebraic = eval_norm(f, a.astype(alg_t), b.astype(alg_t))
+    live = (np.gcd(a, b) == 1) & (rational != 0) & (algebraic != 0)
+    return rational, algebraic, live

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import re
+import shlex
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,10 +12,11 @@ import numpy as np
 import pytest
 
 from sievelab import cli
-from sievelab.arith import InvariantViolation
-from sievelab.cli import EXIT_GATE_FAILED, EXIT_OK, EXIT_VIOLATION, PAIR_COLUMNS, _format_column, format_rational, main
+from sievelab.arith import InvariantViolation, primes_up_to
+from sievelab.cli import EXIT_GATE_FAILED, EXIT_OK, EXIT_VIOLATION, PAIR_COLUMNS, _format_column, main
 
 WORKED = ["--poly", "1,0,1", "--m", "4", "--u", "3", "--y", "5"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -20,14 +24,22 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def format_rational(x: Fraction, places: int = 6) -> str:
+    """Reference rendering of one rational: the decimal module, half up."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return str((Decimal(x.numerator) / x.denominator).quantize(Decimal(1).scaleb(-places), ROUND_HALF_UP))
+
+
 def test_format_rational():
-    assert format_rational(Fraction(45, 4)) == "11.250000"
-    assert format_rational(Fraction(1, 3)) == "0.333333"
-    assert format_rational(Fraction(2, 3)) == "0.666667"
-    assert format_rational(Fraction(5, 10**7)) == "0.000001"  # half rounds up
-    assert format_rational(Fraction(0)) == "0.000000"
-    assert format_rational(Fraction(1, 8), places=9) == "0.125000000"
-    assert format_rational(Fraction(-45, 4)) == "-11.250000"
+    assert _format_column(45, 4) == ["11.250000"]
+    assert _format_column(1, 3) == ["0.333333"]
+    assert _format_column(2, 3) == ["0.666667"]
+    assert _format_column(5, 10**7) == ["0.000001"]  # half rounds up
+    assert _format_column(0, 1) == ["0.000000"]
+    assert _format_column(1, 8, places=9) == ["0.125000000"]
+    assert _format_column([1, 2, 3], 8, places=3) == ["0.125", "0.250", "0.375"]
+    assert _format_column(10**30 + 1, 2 * 10**30) == ["0.500000"]  # exact integers past int64
 
 
 def test_format_column_matches_format_rational():
@@ -48,7 +60,7 @@ def test_compare_worked_instance(tmp_path, capsys):
     assert summary["correction_total"] == 0
     assert summary["totals"]["classical"] == 52
     assert summary["totals"]["improved"] == 27
-    assert summary["ratio_improved_over_classical"] == format_rational(Fraction(27, 52))
+    assert summary["ratio_improved_over_classical"] == "0.519231"  # 27/52
     assert capsys.readouterr().out.strip() == json.dumps(summary, indent=2, sort_keys=True)
 
     rows = read_csv(out / "pairs.csv")
@@ -245,6 +257,79 @@ def test_table_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and "Traceback" not in captured.err
         assert "cells, over the cap of 21" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_prime_scan_and_sweep_instance_caps_are_usage_errors(tmp_path, capsys, monkeypatch):
+    from sievelab import engine, experiments, oracle
+
+    # the README's, the tests' and the benchmark's prime bounds pass; y = 3942 is the largest
+    assert sum(primes_up_to(3942)) <= cli.PRIME_SCAN_CAP < sum(primes_up_to(3943))
+    monkeypatch.setattr(cli, "PRIME_SCAN_CAP", 10)  # 2 + 3 + 5 fits, so y = 5 and 6 do and y = 7 does not
+    monkeypatch.setattr(cli, "SWEEP_INSTANCE_CAP", 2)
+    assert main(["compare", *WORKED]) == EXIT_OK
+    assert main(["sweep", "--instances", "2", "--d", "2", "--m", "3", "--u", "3", "--y", "6"]) == EXIT_OK
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in ((engine, "build_table"), (experiments, "build_table"), (engine, "build_lift_tables"),
+                         (experiments, "build_lift_tables"), (oracle, "_residue_lookup")):
+        monkeypatch.setattr(module, name, refuse)
+
+    def config(name, values):
+        path = tmp_path / name
+        path.write_text(json.dumps(values))
+        return str(path)
+
+    entry = {"d": 2, "m": 6, "u": 3, "y": 5, "seed": 1}
+    over_y = [
+        ["compare", *WORKED[:6], "--y", "7"],
+        ["compare", *WORKED[:6], "--y", str(10**12)],
+        ["sieve", *WORKED[:6], "--y", "7", "--alg", "trivial"],
+        ["sweep", "--instances", "1", "--d", "2", "--m", "3", "--u", "3", "--y", "7"],
+        ["compare", "--config", config("compare.json", {"poly": [1, 0, 1], "m": 4, "u": 3, "y": 7})],
+        # the first entry fits, but is not built either
+        ["sweep", "--config", config("sweep.json", {"sweep_instances": [entry, {**entry, "y": 7}]}),
+         "--out", str(tmp_path / "out")],
+    ]
+    over_count = [
+        ["sweep", "--instances", "3"],
+        ["sweep", "--instances", str(10**12), "--out", str(tmp_path / "out")],
+        ["sweep", "--config", config("count.json", {"instances": 3})],
+        ["sweep", "--config", config("entries.json", {"sweep_instances": [entry] * 3})],
+    ]
+    for argv in over_y + over_count:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        wanted = "over the cap of 10 residues" if argv in over_y else "sweep instances, over the cap of 2"
+        assert wanted in captured.err, argv
+    assert not (tmp_path / "out").exists()
+
+
+def readme_commands() -> list[list[str]]:
+    """The sievelab lines of the README's sh blocks, as argument lists."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines() if line.startswith("sievelab ")]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["compare", "sieve", "montecarlo", "enumerate", "sweep"]
+    for k, argv in enumerate(commands):
+        out = tmp_path / f"run{k}"
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(out)
+        else:
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_OK, argv
+        printed = capsys.readouterr().out
+        summary = json.loads(printed[printed.index("{"):])
+        assert summary["command"] == argv[0]
+        assert json.loads((out / "summary.json").read_text()) == summary
 
 
 def test_sieve_subcommand(tmp_path, capsys):

@@ -1,32 +1,27 @@
 """Hit-set counting and the two cost identities.
 
-Two independent routes are kept in tension here: compute_sets (whole-table
-scans) against a plain per-entry recount written below, and both
-against the attempt counters the sieves actually produce.
+verify_ledgers, the oracle's one path, is checked against a plain
+per-entry recount written below: for every (b, l, phase), the paper's
+formulas applied to the recounted set sizes must give the report's
+expected attempts, correction and asymptotic forms.  The report in turn
+is checked against the attempt counters the sieves actually produce.
 """
 
 import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sievelab.arith import InvariantViolation, max_exponent, mod_inverse, primes_up_to, valuation
 from sievelab.engine import CLASSICAL, PHASES, CostLedger, sieve_classical, sieve_improved
 from sievelab.experiments import random_sieve_polynomial
-from sievelab.oracle import (
-    PairRecord,
-    SetFamily,
-    compute_sets,
-    predict_asymptotic,
-    predict_exact,
-    predict_phases,
-    verify_ledgers,
-)
+from sievelab.oracle import LevelSums, PairRecord, phase_attempts, scaled_asymptotic, verify_ledgers
 from sievelab.poly import SievePolynomial, algebraic_bound, exact_dtype, rational_bound
 from sievelab.roots import classify_roots
 
@@ -47,6 +42,14 @@ def small_instances(draw, max_u=12):
 def direct_norm(f, a, b):
     """F(a, b) as the direct sum of c_i a^i b^(d-i), not by Horner's rule."""
     return sum(c * a**i * b ** (f.degree - i) for i, c in enumerate(f.coefficients))
+
+
+class Sets(NamedTuple):
+    """Hit-set sizes of one (b, l); index e-1 holds the level-e size."""
+
+    rational: tuple[int, ...]
+    simple: tuple[int, ...]
+    multiple: tuple[int, ...]
 
 
 def recount_sets(f, u, b, l):
@@ -73,101 +76,127 @@ def recount_sets(f, u, b, l):
             assert x in rc.simple_roots or x in rc.multiple_roots
             for e in range(1, min(valuation(nrm, l), alg_depth) + 1):
                 bucket[e - 1] += 1
-    return SetFamily(b=b, l=l, rational=tuple(rational), simple=tuple(simple), multiple=tuple(multiple))
+    return Sets(tuple(rational), tuple(simple), tuple(multiple))
+
+
+def paper_formulas(sets, l):
+    """The paper's per-phase attempts of the classical and of the improved
+    sieve, the improved sieve's correction, and (l - 1) times c_asym and
+    d_asym, written out from the level sizes of one pair."""
+    r, s, m = sets
+    r1, s1, m1 = (sizes[0] if sizes else 0 for sizes in sets)
+    m2 = m[1] if len(m) > 1 else 0
+    classical = (r1 + sum(r), s1 + sum(s), m1 + sum(m))
+    improved = (sum(r), sum(s), sum(m) + m2)
+    deep = sum(m) - m1
+    scaled = ((2 * l - 1) * (r1 + s1) + (l - 1) * (2 * m1 + deep), l * (r1 + s1) + (l - 1) * (m1 + deep))
+    return classical, improved, m2, scaled
+
+
+def assert_report_matches_recount(report, f, u, y):
+    """Every (b, l, phase) of the report against the formulas applied to
+    the plain recount; l dividing b must be unchecked."""
+    assert report.primes == primes_up_to(y)
+    for k, l in enumerate(report.primes):
+        for b in range(1, u + 1):
+            if b % l == 0:
+                assert not report.checked[k, b - 1]
+                continue
+            assert report.checked[k, b - 1]
+            classical, improved, correction, scaled = paper_formulas(recount_sets(f, u, b, l), l)
+            assert report.expected[:, k, :, b - 1].tolist() == [list(classical), list(improved)], (b, l)
+            assert report.correction[k, b - 1] == correction, (b, l)
+            assert report.scaled_asymptotic[:, k, b - 1].tolist() == list(scaled), (b, l)
+
+
+def report_for(f, u, y):
+    return verify_ledgers(sieve_classical(f, u, y), sieve_improved(f, u, y), f, u, y)
 
 
 def test_worked_instance_sets():
-    sets = compute_sets(F_SQUARE_PLUS_ONE, 3, 1, 5)
-    assert sets.rational == (1,)
-    assert sets.simple == (4, 0)
-    assert sets.multiple == (0, 0)
-    assert sets == recount_sets(F_SQUARE_PLUS_ONE, 3, 1, 5)
+    assert recount_sets(F_SQUARE_PLUS_ONE, 3, 1, 5) == ((1,), (4, 0), (0, 0))
+    assert_report_matches_recount(report_for(F_SQUARE_PLUS_ONE, 3, 5), F_SQUARE_PLUS_ONE, 3, 5)
 
 
 def test_sets_skip_zero_entries():
     # f = x^2 has F(0, 1) = 0, so a = 0 never enters any count
     f = SievePolynomial((0, 0, 1), m=3)
-    sets = compute_sets(f, 2, 1, 2)
+    sets = recount_sets(f, 2, 1, 2)
     assert sets.multiple[0] == 2  # a = -2 and a = 2 only
     assert sets.multiple[1] == 2
     assert sets.simple == (0,) * len(sets.simple)
-    assert sets == recount_sets(f, 2, 1, 2)
+    report = report_for(f, 2, 2)
+    assert report.ok
+    assert_report_matches_recount(report, f, 2, 2)
 
 
-def test_compute_sets_rejects_misuse():
-    with pytest.raises(ValueError):
-        compute_sets(F_SQUARE_PLUS_ONE, 3, 4, 5)
-    with pytest.raises(ValueError):
-        compute_sets(F_SQUARE_PLUS_ONE, 3, 5, 5)
+def test_phase_formula_examples():
+    # the worked pair (b, l) = (1, 5) of x^2 + 1 at u = 3: rational (1,), simple (4, 0)
+    assert phase_attempts(LevelSums(1, 1, 4, 4, 0, 0, 0)) == ((2, 8, 0), (1, 4, 0))
+    assert phase_attempts(LevelSums(0, 0, 0, 0, 0, 0, 0)) == ((0, 0, 0), (0, 0, 0))
+    # multiple (1,): one while-loop stop, no second level
+    assert phase_attempts(LevelSums(0, 0, 0, 0, 1, 0, 1)) == ((0, 0, 2), (0, 0, 1))
+    # multiple (2, 1): the level-2 cell prices one failed retry in the improved sieve
+    assert phase_attempts(LevelSums(0, 0, 0, 0, 2, 1, 3)) == ((0, 0, 5), (0, 0, 4))
 
 
-def test_predict_exact_examples():
-    sets = compute_sets(F_SQUARE_PLUS_ONE, 3, 1, 5)
-    assert predict_exact(sets) == (10, 5, 0)
-    empty = SetFamily(b=1, l=5, rational=(), simple=(), multiple=())
-    assert predict_exact(empty) == (0, 0, 0)
-    one_multiple = SetFamily(b=1, l=3, rational=(0,), simple=(0,), multiple=(1,))
-    assert predict_exact(one_multiple) == (2, 1, 0)
-
-
-def test_predict_asymptotic_examples():
-    sets = SetFamily(b=1, l=5, rational=(1,), simple=(4, 0), multiple=(0, 0))
-    c_asym, d_asym = predict_asymptotic(sets, 5)
-    assert c_asym == Fraction(45, 4)
-    assert d_asym == Fraction(25, 4)
-    empty = SetFamily(b=1, l=5, rational=(), simple=(), multiple=())
-    assert predict_asymptotic(empty, 5) == (0, 0)
+def test_asymptotic_formula_examples():
+    # c_asym = 45/4 and d_asym = 25/4 for the worked pair, times l - 1 = 4
+    assert scaled_asymptotic(LevelSums(1, 1, 4, 4, 0, 0, 0), 5) == (45, 25)
+    assert scaled_asymptotic(LevelSums(0, 0, 0, 0, 0, 0, 0), 5) == (0, 0)
 
 
 @given(st.sampled_from(primes_up_to(50)), st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
 def test_asymptotic_ratio_without_multiple_roots(l, b1, s1):
-    sets = SetFamily(b=1, l=l, rational=(b1,), simple=(s1,), multiple=(0,))
-    c_asym, d_asym = predict_asymptotic(sets, l)
+    c_scaled, d_scaled = scaled_asymptotic(LevelSums(b1, b1, s1, s1, 0, 0, 0), l)
     if b1 + s1:
-        assert d_asym / c_asym == Fraction(l, 2 * l - 1)
-        assert d_asym <= Fraction(2, 3) * c_asym
+        assert Fraction(d_scaled, c_scaled) == Fraction(l, 2 * l - 1)
+        assert d_scaled <= Fraction(2, 3) * c_scaled
 
 
 @settings(deadline=None, max_examples=60)
 @given(small_instances())
-def test_compute_sets_matches_plain_recount(instance):
+def test_verify_ledgers_matches_plain_recount(instance):
     f, u, y = instance
-    for l in primes_up_to(y):
-        for b in range(1, u + 1):
-            if b % l:
-                assert compute_sets(f, u, b, l) == recount_sets(f, u, b, l)
+    report = report_for(f, u, y)
+    assert report.ok
+    assert_report_matches_recount(report, f, u, y)
 
 
 def test_python_fallback_path_matches_recount():
     # m large enough to push the norm bound past the int64 guard, so the
-    # scanner runs on exact (object) integers
+    # oracle runs on exact (object) integers
     m = 10**12
     f = SievePolynomial((7, -m + 3, 1, 0, 0, 1), m=m)
     assert algebraic_bound(f, 20) > 2**62
-    for b, l in ((1, 3), (2, 5), (7, 2)):
-        assert compute_sets(f, 20, b, l) == recount_sets(f, 20, b, l)
+    report = report_for(f, 20, 7)
+    assert report.ok
+    assert_report_matches_recount(report, f, 20, 7)
 
 
 @settings(deadline=None, max_examples=40)
 @given(small_instances())
 def test_level_sizes_are_monotone_and_sum_to_valuations(instance):
     f, u, y = instance
-    for l in primes_up_to(y):
+    report = report_for(f, u, y)
+    for k, l in enumerate(report.primes):
         for b in range(1, u + 1):
             if b % l == 0:
                 continue
-            sets = compute_sets(f, u, b, l)
-            for tup in (sets.rational, sets.simple, sets.multiple):
-                assert all(hi >= lo for hi, lo in zip(tup, tup[1:]))
-            total_rational_valuation = 0
+            for sizes in recount_sets(f, u, b, l):
+                assert all(hi >= lo for hi, lo in zip(sizes, sizes[1:]))
+            rational_valuation = algebraic_valuation = 0
             for a in range(-u, u + 1):
-                if gcd(a, b) != 1:
+                rat, nrm = a - b * f.m, direct_norm(f, a, b)
+                if gcd(a, b) != 1 or rat == 0 or nrm == 0:
                     continue
-                rat = a - b * f.m
-                if rat == 0 or direct_norm(f, a, b) == 0 or rat % l:
-                    continue
-                total_rational_valuation += valuation(rat, l)
-            assert sum(sets.rational) == total_rational_valuation
+                rational_valuation += valuation(rat, l)
+                algebraic_valuation += valuation(nrm, l)
+            # the improved sieve divides every factor of l out exactly once,
+            # plus one failed retry per correction
+            improved = report.expected[1, k, :, b - 1]
+            assert improved[0] == rational_valuation
+            assert improved[1] + improved[2] - report.correction[k, b - 1] == algebraic_valuation
 
 
 def test_verify_ledgers_worked_instance():
@@ -253,19 +282,24 @@ def test_classical_phases_match_per_side_set_sizes():
     assert report.ok and report.phase_mismatches == []
     for row in report.rows:
         sets = recount_sets(f, u, row.b, row.l)
-        for phase, sizes in zip(PHASES, (sets.rational, sets.simple, sets.multiple)):
+        for phase, sizes in zip(PHASES, sets):
             expected = (sizes[0] if sizes else 0) + sum(sizes)
             assert classical.ledger.pair_phase(row.b, row.l, phase) == expected
 
 
 @settings(deadline=None, max_examples=30)
 @given(small_instances(max_u=10))
+# every level-1 hit is a multiple-root hit whose class lifts, so both totals are 6
+@example((SievePolynomial((0, 0, 1, 1), m=1), 2, 2))
 def test_identities_hold_on_random_instances(instance):
     f, u, y = instance
-    report = verify_ledgers(sieve_classical(f, u, y), sieve_improved(f, u, y), f, u, y)
+    report = report_for(f, u, y)
     assert report.ok
-    if report.classical_total:
-        assert report.improved_total < report.classical_total
+    # classical - improved = sum over pairs of (c_exact - d_exact) - correction
+    # = r1 + s1 + m1 - m2 per pair, and m2 <= m1
+    gap = sum(row.c_exact - row.d_exact for row in report.rows)
+    assert report.improved_total <= report.classical_total
+    assert (report.improved_total < report.classical_total) == (gap > report.correction_total)
     for row in report.rows:
         if row.correction == 0:
             assert row.d_asym <= Fraction(2, 3) * row.c_asym
@@ -275,37 +309,40 @@ def test_oracle_invariants_raise(monkeypatch):
     import sievelab.oracle as oracle
     from sievelab.roots import RootClassification
 
+    classical = sieve_classical(F_SQUARE_PLUS_ONE, 3, 5)
+    improved = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5)
     # a root classification that misses the roots of x^2 + 1 mod 5
     monkeypatch.setattr(oracle, "classify_roots", lambda f, l: RootClassification(l, frozenset(), frozenset()))
     with pytest.raises(InvariantViolation, match="non-root residue"):
-        compute_sets(F_SQUARE_PLUS_ONE, 3, 1, 5)
+        verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 5)
     monkeypatch.undo()
     # a proven depth of 0, which every hit exceeds
     monkeypatch.setattr(oracle, "max_exponent", lambda l, bound: 0)
     with pytest.raises(InvariantViolation, match="proven depth 0"):
-        compute_sets(F_SQUARE_PLUS_ONE, 3, 1, 5)
+        verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 5)
 
 
 def per_pair_rows(classical, improved, f, u, y):
-    """The report's rows rebuilt pair by pair from compute_sets and the
-    predict_* functions, with the measured counts read off the ledgers."""
+    """The report's rows rebuilt pair by pair from the plain recount and the
+    paper's formulas, with the measured counts read off the ledgers."""
     rows = []
     for b in range(1, u + 1):
         for l in primes_up_to(y):
             if b % l == 0:
                 continue
-            sets = compute_sets(f, u, b, l)
-            c_exact, d_exact, correction = predict_exact(sets)
-            c_asym, d_asym = predict_asymptotic(sets, l)
+            wanted_classical, wanted_improved, correction, (c_scaled, d_scaled) = paper_formulas(
+                recount_sets(f, u, b, l), l
+            )
             mismatches = tuple(
                 (outcome.algorithm, phase, want, got)
-                for outcome, wanted in zip((classical, improved), predict_phases(sets))
+                for outcome, wanted in zip((classical, improved), (wanted_classical, wanted_improved))
                 for phase, want in zip(PHASES, wanted)
                 if (got := outcome.ledger.pair_phase(b, l, phase)) != want
             )
             rows.append(PairRecord(
                 b, l, classical.ledger.pair_total(b, l), improved.ledger.pair_total(b, l),
-                c_exact, d_exact, correction, c_asym, d_asym, mismatches,
+                sum(wanted_classical), sum(wanted_improved) - correction, correction,
+                Fraction(c_scaled, l - 1), Fraction(d_scaled, l - 1), mismatches,
             ))
     return rows
 
@@ -327,6 +364,7 @@ def test_report_rows_match_per_pair_predictions(f, u, y, dtypes):
     classical, improved = sieve_classical(f, u, y), sieve_improved(f, u, y)
     report = verify_ledgers(classical, improved, f, u, y)
     assert report.ok
+    assert_report_matches_recount(report, f, u, y)
     expected = per_pair_rows(classical, improved, f, u, y)
     assert report.rows == expected
     assert report.pair_count == len(expected)

@@ -5,6 +5,7 @@ fraction arithmetic on b^d * f(a/b).
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sievelab.poly import (
     eval_norm,
     eval_poly,
     rational_bound,
+    table_factors,
 )
 
 
@@ -86,7 +88,7 @@ def test_eval_norm_on_arrays(dtype):
 
 @given(sieve_polys(), st.integers(min_value=-50, max_value=50))
 def test_norm_at_b_one_is_plain_evaluation(f, a):
-    assert eval_norm(f, a, 1) == eval_poly(f, a)
+    assert eval_norm(f, a, 1) == sum(c * a**i for i, c in enumerate(f.coefficients))
 
 
 @given(
@@ -110,10 +112,10 @@ def test_eval_derivative_examples():
     assert eval_derivative(SievePolynomial((-1, 2, 0, 1), m=2), 1, 7) == 5
 
 
-@given(sieve_polys(), st.integers(min_value=-100, max_value=100))
-def test_eval_against_direct_sums(f, x):
-    assert eval_poly(f, x) == sum(c * x**i for i, c in enumerate(f.coefficients))
-    assert eval_derivative(f, x) == sum(i * c * x ** (i - 1) for i, c in enumerate(f.coefficients) if i)
+@given(sieve_polys(), st.integers(min_value=-100, max_value=100), st.integers(min_value=1, max_value=10**6))
+def test_eval_against_direct_sums(f, x, modulus):
+    assert eval_poly(f, x, modulus) == sum(c * x**i for i, c in enumerate(f.coefficients)) % modulus
+    assert eval_derivative(f, x, modulus) == sum(i * c * x ** (i - 1) for i, c in enumerate(f.coefficients) if i) % modulus
 
 
 @given(
@@ -124,7 +126,7 @@ def test_eval_against_direct_sums(f, x):
 )
 def test_eval_poly_reduction_chain(f, x, l, e):
     assert eval_poly(f, x, l**e) % l ** (e - 1) == eval_poly(f, x, l ** (e - 1))
-    assert eval_poly(f, x, l**e) == eval_poly(f, x) % l**e
+    assert eval_poly(f, x, l**e) == sum(c * x**i for i, c in enumerate(f.coefficients)) % l**e
 
 
 def test_bound_examples():
@@ -143,3 +145,19 @@ def test_bounds_hold_over_the_whole_region(f, u):
         for a in range(-u, u + 1):
             assert abs(a - b * f.m) <= rat
             assert abs(eval_norm(f, a, b)) <= alg
+
+
+@pytest.mark.parametrize("m,dtypes", [(3, (np.int64, np.int64)), (10**17, (np.int64, object))], ids=["int64", "mixed"])
+def test_table_factors_of_a_block_of_rows(m, dtypes):
+    f = SievePolynomial((1, -m, 0, 1), m=m)
+    u = 6
+    whole = table_factors(f, u, np.arange(1, u + 1, dtype=np.int64)[:, None])
+    block = table_factors(f, u, np.array([[4], [5]], dtype=np.int64))
+    assert (whole[0].dtype, whole[1].dtype) == dtypes
+    for side_of_block, side in zip(block, whole):
+        assert side_of_block.tolist() == side[3:5].tolist()
+    for row, b in enumerate(range(1, u + 1)):
+        for i, a in enumerate(range(-u, u + 1)):
+            rational, algebraic = a - b * m, fraction_norm(f, a, b)
+            assert whole[0][row, i] == rational and whole[1][row, i] == algebraic
+            assert whole[2][row, i] == (gcd(a, b) == 1 and rational != 0 and algebraic != 0)
