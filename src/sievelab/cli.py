@@ -11,16 +11,21 @@ Subcommands:
   sweep       measured classical/improved ratios over many instances
 
 A --config JSON file supplies flags by name ({"u": 3} reads as --u=3);
-its values go through the same parsing, and explicit flags win.
+its values, and those of sweep's sweep_instances entries, go through the
+same parsing, and explicit flags win.
+
+The rules of a single flag, caps included, live in its type alone: --u <=
+MAX_U, --y <= MAX_Y and --instances <= MAX_SWEEP_INSTANCES bound the table,
+the root scans and the sweep.  Rules that join flags stay where they are
+used: the polynomial flags in _resolve_polynomial, and the work caps of
+montecarlo and enumerate (ENUMERATION_CAP, MONTE_CARLO_CAP, DRAW_CAP) in
+experiments, which checks them before any work.
 
 Exit codes: 0 success, 1 statistical gate failed, 2 usage error,
 3 a verified identity or internal invariant was violated.  An --out
-path that can never be a directory and a request over a cap
-(experiments.ENUMERATION_CAP, MONTE_CARLO_CAP and DRAW_CAP, and
-TABLE_CELL_CAP, PRIME_SCAN_CAP and SWEEP_INSTANCE_CAP here) are usage
-errors, found before any work starts.  The --out directory itself is
-created only when the first result file is written, so a usage error
-leaves nothing behind.
+path that can never be a directory is a usage error found before any
+work starts, and the --out directory itself is created only when the
+first result file is written, so a usage error leaves nothing behind.
 """
 
 import argparse
@@ -33,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import InvariantViolation, primes_up_to
-from .engine import CLASSICAL, IMPROVED, TRIVIAL, sieve_classical, sieve_improved, sieve_trivial
+from .arith import InvariantViolation
+from .engine import CLASSICAL, IMPROVED, TRIVIAL, SieveTable, sieve_classical, sieve_improved, sieve_trivial
 from .experiments import (
     RandomModel,
     SweepInstance,
@@ -53,14 +58,9 @@ EXIT_OK = 0
 EXIT_GATE_FAILED = 1
 EXIT_VIOLATION = 3
 
-# cells u * (2u+1) of one sieve table, so u <= 1023: compare, sieve and
-# sweep refuse a larger u before building anything
-TABLE_CELL_CAP = 2**21
-# residues the ladder precompute and the oracle's root lookup scan, one
-# per residue of every prime up to y: the sum of those primes, so y <= 3942
-PRIME_SCAN_CAP = 10**6
-# instances of one sweep, sampled or listed in sweep_instances
-SWEEP_INSTANCE_CAP = 1000
+MAX_U = 1023  # largest u whose table of u·(2u+1) cells fits in 2^21: 1023·2047 <= 2^21 < 1024·2049
+MAX_Y = 3942  # largest y whose primes sum to <= 10^6, the residues the ladders and the oracle scan for roots
+MAX_SWEEP_INSTANCES = 1000  # instances of one sweep, sampled or listed in sweep_instances
 
 PAIR_COLUMNS = [
     "instance_id",
@@ -111,8 +111,8 @@ def _parse_poly_text(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"polynomial must be comma-separated integers, got {text!r}") from None
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer from `low` up to `high` (no upper end if None)."""
 
     def parse(text: str) -> int:
         try:
@@ -121,6 +121,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -140,21 +142,26 @@ def _config_tokens(values: dict) -> list[str]:
     return tokens
 
 
-def _sweep_instance(entry: dict) -> SweepInstance:
-    """One sweep_instances entry, each value parsed like the flag it pins."""
-    fields = {}
-    for key, name, parse in (
-        ("d", "degree", _int_at_least(2)),
-        ("m", "m", _int_at_least(1)),
-        ("u", "u", _int_at_least(1)),
-        ("y", "y", _int_at_least(2)),
-        ("seed", "seed", int),
-    ):
-        try:
-            fields[name] = parse(str(entry[key]))
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-    return SweepInstance(**fields)
+ENTRY_KEYS = ("d", "m", "u", "y", "seed")
+
+
+def _sweep_instances(parser: argparse.ArgumentParser, entries) -> list[SweepInstance]:
+    """The sweep_instances config key, read by the sweep parser itself: its
+    length as --instances, each entry as the flags --d, --m, --u, --y, --seed."""
+    if not isinstance(entries, list):
+        parser.error("sweep_instances must be a list of objects")
+    parser.parse_args([f"--instances={len(entries)}"])
+    instances = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            parser.error(f"sweep_instances entry {entry!r} is not an object")
+        unknown = sorted(set(entry) - set(ENTRY_KEYS))
+        missing = [key for key in ENTRY_KEYS if key not in entry]
+        if unknown or missing:
+            parser.error(f"sweep_instances entry {entry!r}: unknown keys {unknown}, missing keys {missing}")
+        pinned = parser.parse_args([f"--{key}={entry[key]}" for key in ENTRY_KEYS])
+        instances.append(SweepInstance(degree=pinned.d, m=pinned.m, u=pinned.u, y=pinned.y, seed=pinned.seed))
+    return instances
 
 
 def _install_config(args: argparse.Namespace) -> None:
@@ -169,11 +176,7 @@ def _install_config(args: argparse.Namespace) -> None:
         parser.error("config file must hold a JSON object")
 
     if args.command == "sweep" and values.get("sweep_instances") is not None:
-        try:
-            instances = [_sweep_instance(r) for r in values.pop("sweep_instances")]
-        except (KeyError, TypeError, ValueError) as exc:
-            parser.error(f"bad sweep_instances entry in config: {exc}")
-        parser.set_defaults(sweep_instances=instances)
+        parser.set_defaults(sweep_instances=_sweep_instances(parser, values.pop("sweep_instances")))
 
     parser.allow_abbrev = False  # a key must spell out its flag
     file_args = parser.parse_args(_config_tokens(values))
@@ -188,10 +191,6 @@ def _resolve_polynomial(args: argparse.Namespace) -> SievePolynomial:
     if args.m is None:
         parser.error("this command needs --m")
     if args.poly is not None:
-        if len(args.poly) < 3:
-            parser.error("polynomial must have degree >= 2 (at least three coefficients c_0,...,c_d)")
-        if args.poly[-1] != 1:
-            parser.error("polynomial must be monic: the last coefficient c_d must be 1")
         try:
             return SievePolynomial(coefficients=args.poly, m=args.m)
         except ValueError as exc:
@@ -249,17 +248,6 @@ def _check_out(args: argparse.Namespace) -> None:
             return
 
 
-def _check_work(args: argparse.Namespace, u: int, y: int) -> None:
-    """Refuse a table over TABLE_CELL_CAP or a prime bound over PRIME_SCAN_CAP."""
-    cells = u * (2 * u + 1)
-    if cells > TABLE_CELL_CAP:
-        args.parser.error(f"u={u} asks for a table of {cells} cells, over the cap of {TABLE_CELL_CAP}")
-    # the primes up to PRIME_SCAN_CAP + 1 already sum past the cap
-    if sum(primes_up_to(min(y, PRIME_SCAN_CAP + 1))) > PRIME_SCAN_CAP:
-        args.parser.error(f"y={y} asks to scan the residues of every prime up to it, "
-                          f"over the cap of {PRIME_SCAN_CAP} residues")
-
-
 def _pair_rows(report: LedgerReport) -> list[list]:
     """pairs rows in PAIR_COLUMNS order: per pair, classical then improved."""
     pairs = report.pair_columns()
@@ -276,7 +264,6 @@ def _pair_rows(report: LedgerReport) -> list[list]:
 def _cmd_compare(args: argparse.Namespace) -> int:
     _require(args, "u", "y")
     f = _resolve_polynomial(args)
-    _check_work(args, args.u, args.y)
     log.info("compare: poly=%s m=%d u=%d y=%d", f.coefficients, f.m, args.u, args.y)
     comp = run_comparison(f, args.u, args.y, include_trivial=True)
     report = comp.report
@@ -317,19 +304,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _smooth_rows(table: SieveTable) -> list[list[int]]:
+    """[b, a, residual] of every cell whose residual is +-1, in row-major
+    order: both sides are +-1 there, and only those cells are multiplied."""
+    cells = np.flatnonzero((abs(table.rational) == 1) & (abs(table.algebraic) == 1))
+    rows, columns = np.divmod(cells, 2 * table.u + 1)
+    residuals = table.rational.ravel()[cells] * table.algebraic.ravel()[cells]
+    return [[row + 1, column - table.u, residual]
+            for row, column, residual in zip(rows.tolist(), columns.tolist(), residuals.tolist())]
+
+
 def _cmd_sieve(args: argparse.Namespace) -> int:
     _require(args, "u", "y")
     f = _resolve_polynomial(args)
-    _check_work(args, args.u, args.y)
     runner = {TRIVIAL: sieve_trivial, CLASSICAL: sieve_classical, IMPROVED: sieve_improved}[args.alg]
     outcome = runner(f, args.u, args.y)
 
-    smooth = [
-        [b, i - args.u, val]
-        for b, row in enumerate(outcome.table.entries, start=1)
-        for i, val in enumerate(row)
-        if val == 1 or val == -1
-    ]
+    smooth = _smooth_rows(outcome.table)
     if args.out is not None:
         _write_rows(args, "smooth", ["b", "a", "residual"], smooth)
 
@@ -390,13 +381,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _build_sweep_instances(args: argparse.Namespace) -> list[SweepInstance]:
-    count = args.instances if args.sweep_instances is None else len(args.sweep_instances)
-    if count is None:
-        args.parser.error("sweep needs --instances N or a config file with sweep_instances")
-    if count > SWEEP_INSTANCE_CAP:
-        args.parser.error(f"{count} sweep instances, over the cap of {SWEEP_INSTANCE_CAP}")
     if args.sweep_instances is not None:
         return args.sweep_instances
+    if args.instances is None:
+        args.parser.error("sweep needs --instances N or a config file with sweep_instances")
     instances = []
     for i in range(args.instances):
         rng = random.Random(f"{args.seed}:instance:{i}")
@@ -414,8 +402,6 @@ def _build_sweep_instances(args: argparse.Namespace) -> list[SweepInstance]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     instances = _build_sweep_instances(args)
-    for inst in instances:
-        _check_work(args, inst.u, inst.y)
     log.info("sweep over %d instances", len(instances))
     rows = ratio_sweep(instances)
 
@@ -450,47 +436,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, handler, summary: str, *, poly: bool = False) -> argparse.ArgumentParser:
+    def add_command(name: str, handler, summary: str, *, seed: bool = True, rows: bool = False,
+                    poly: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler, parser=p)
         p.add_argument("--config", help="JSON file whose keys are flag names; explicit flags win")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", type=Path, help="directory for result files (created when they are written)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", help="row file format (default csv)")
+        if rows:
+            p.add_argument("--format", choices=("csv", "json"), default="csv", help="row file format (default csv)")
         if poly:
             p.add_argument("--poly", type=_parse_poly_text,
                            help="comma-separated coefficients c_0,...,c_d with c_d = 1")
             p.add_argument("--random", action="store_true", help="draw a random polynomial instead")
-            p.add_argument("--d", type=_int_at_least(2), help="degree for --random")
-            p.add_argument("--m", type=_int_at_least(1), help="coefficient bound and rational-side root")
+            p.add_argument("--d", type=_int_in(2), help="degree for --random")
+            p.add_argument("--m", type=_int_in(1), help="coefficient bound and rational-side root")
+            p.add_argument("--u", type=_int_in(1, MAX_U), help=f"table half-width (at most {MAX_U})")
+            p.add_argument("--y", type=_int_in(2, MAX_Y), help=f"prime bound (at most {MAX_Y})")
         return p
 
-    p = add_command("compare", _cmd_compare, "run all sieves, verify the cost identities", poly=True)
-    p.add_argument("--u", type=_int_at_least(1), help="table half-width")
-    p.add_argument("--y", type=_int_at_least(2), help="prime bound")
+    add_command("compare", _cmd_compare, "run all sieves, verify the cost identities", rows=True, poly=True)
 
-    p = add_command("sieve", _cmd_sieve, "run one sieve and report smooth entries", poly=True)
-    p.add_argument("--u", type=_int_at_least(1))
-    p.add_argument("--y", type=_int_at_least(2))
+    p = add_command("sieve", _cmd_sieve, "run one sieve and report smooth entries", rows=True, poly=True)
     p.add_argument("--alg", choices=(TRIVIAL, CLASSICAL, IMPROVED), default=IMPROVED)
 
     p = add_command("montecarlo", _cmd_montecarlo,
                     "sampled probability that every prime is free of liftable multiple roots")
-    p.add_argument("--d", type=_int_at_least(1), help="polynomial degree")
-    p.add_argument("--y", type=_int_at_least(2), help="prime bound")
-    p.add_argument("--trials", type=_int_at_least(1))
+    p.add_argument("--d", type=_int_in(1), help="polynomial degree")
+    p.add_argument("--y", type=_int_in(2), help="prime bound")
+    p.add_argument("--trials", type=_int_in(1))
 
-    p = add_command("enumerate", _cmd_enumerate, "exact lift-event counts over all monic polynomials mod l^2")
-    p.add_argument("--d", type=_int_at_least(1), help="polynomial degree")
-    p.add_argument("--l", type=_int_at_least(2), help="prime")
+    p = add_command("enumerate", _cmd_enumerate, "exact lift-event counts over all monic polynomials mod l^2",
+                    seed=False)
+    p.add_argument("--d", type=_int_in(1), help="polynomial degree")
+    p.add_argument("--l", type=_int_in(2), help="prime")
 
-    p = add_command("sweep", _cmd_sweep, "classical/improved ratio across random instances")
+    p = add_command("sweep", _cmd_sweep, "classical/improved ratio across random instances", rows=True)
     p.set_defaults(sweep_instances=None)
-    p.add_argument("--instances", type=_int_at_least(1))
-    p.add_argument("--d", type=_int_at_least(2), help="pin the degree (otherwise sampled)")
-    p.add_argument("--m", type=_int_at_least(1), help="pin m (otherwise sampled)")
-    p.add_argument("--u", type=_int_at_least(1), help="pin u (otherwise sampled)")
-    p.add_argument("--y", type=_int_at_least(2), help="pin y (otherwise sampled)")
+    p.add_argument("--instances", type=_int_in(1, MAX_SWEEP_INSTANCES),
+                   help=f"number of instances (at most {MAX_SWEEP_INSTANCES})")
+    p.add_argument("--d", type=_int_in(2), help="pin the degree (otherwise sampled)")
+    p.add_argument("--m", type=_int_in(1), help="pin m (otherwise sampled)")
+    p.add_argument("--u", type=_int_in(1, MAX_U), help="pin u (otherwise sampled)")
+    p.add_argument("--y", type=_int_in(2, MAX_Y), help="pin y (otherwise sampled)")
     return parser
 
 

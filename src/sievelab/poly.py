@@ -39,7 +39,7 @@ class MonicPolynomial:
         if len(coeffs) < 2:
             raise ValueError("polynomial must have degree >= 1")
         if coeffs[-1] != 1:
-            raise ValueError(f"leading coefficient must be 1, got {coeffs[-1]}")
+            raise ValueError(f"polynomial must be monic: leading coefficient c_d must be 1, got {coeffs[-1]}")
 
     @property
     def degree(self) -> int:

@@ -4,16 +4,21 @@ import csv
 import json
 import re
 import shlex
+import tempfile
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from sievelab import cli
 from sievelab.arith import InvariantViolation, primes_up_to
 from sievelab.cli import EXIT_GATE_FAILED, EXIT_OK, EXIT_VIOLATION, PAIR_COLUMNS, _format_column, main
+from sievelab.engine import sieve_improved
+from sievelab.poly import SievePolynomial
 
 WORKED = ["--poly", "1,0,1", "--m", "4", "--u", "3", "--y", "5"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -222,12 +227,25 @@ def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def parses(argv: list[str]) -> bool:
+    """Whether the parser alone accepts argv; no handler runs."""
+    try:
+        cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return False
+    return True
+
+
 def test_table_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     from sievelab import engine, experiments
 
-    # the README's, the tests' and the benchmark's sizes pass; u = 1023 is the largest
-    assert 1023 * 2047 <= cli.TABLE_CELL_CAP < 1024 * 2049
-    monkeypatch.setattr(cli, "TABLE_CELL_CAP", 3 * 7)  # u = 3 fits exactly, u = 4 does not
+    # the README's, the tests' and the benchmark's sizes pass; u = 1023 is the largest table of at most 2^21 cells
+    assert 1023 * 2047 <= 2**21 < 1024 * 2049
+    for command in ("compare", "sieve", "sweep"):
+        assert parses([command, "--u", "1023"]) and not parses([command, "--u", "1024"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_U", 3)  # u = 3 fits exactly, u = 4 does not
     assert main(["compare", *WORKED]) == EXIT_OK
     capsys.readouterr()
 
@@ -255,7 +273,7 @@ def test_table_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
         assert exc.value.code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        assert "cells, over the cap of 21" in captured.err
+        assert "must be <= 3, got 4" in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -263,9 +281,19 @@ def test_prime_scan_and_sweep_instance_caps_are_usage_errors(tmp_path, capsys, m
     from sievelab import engine, experiments, oracle
 
     # the README's, the tests' and the benchmark's prime bounds pass; y = 3942 is the largest
-    assert sum(primes_up_to(3942)) <= cli.PRIME_SCAN_CAP < sum(primes_up_to(3943))
-    monkeypatch.setattr(cli, "PRIME_SCAN_CAP", 10)  # 2 + 3 + 5 fits, so y = 5 and 6 do and y = 7 does not
-    monkeypatch.setattr(cli, "SWEEP_INSTANCE_CAP", 2)
+    # whose primes sum to at most 10^6 residues scanned for roots
+    assert sum(primes_up_to(3942)) <= 10**6 < sum(primes_up_to(3943))
+    for command in ("compare", "sieve", "sweep"):
+        assert parses([command, "--y", "3942"]) and not parses([command, "--y", "3943"])
+    assert parses(["sweep", "--instances", "1000"]) and not parses(["sweep", "--instances", "1001"])
+    entry = {"d": 2, "m": 6, "u": 3, "y": 5, "seed": 1}
+    sweep_parser = cli.build_parser().parse_args(["sweep"]).parser
+    assert len(cli._sweep_instances(sweep_parser, [entry] * 1000)) == 1000
+    with pytest.raises(SystemExit):
+        cli._sweep_instances(sweep_parser, [entry] * 1001)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_Y", 6)  # 2 + 3 + 5 fits, so y = 5 and 6 do and y = 7 does not
+    monkeypatch.setattr(cli, "MAX_SWEEP_INSTANCES", 2)
     assert main(["compare", *WORKED]) == EXIT_OK
     assert main(["sweep", "--instances", "2", "--d", "2", "--m", "3", "--u", "3", "--y", "6"]) == EXIT_OK
     capsys.readouterr()
@@ -282,7 +310,6 @@ def test_prime_scan_and_sweep_instance_caps_are_usage_errors(tmp_path, capsys, m
         path.write_text(json.dumps(values))
         return str(path)
 
-    entry = {"d": 2, "m": 6, "u": 3, "y": 5, "seed": 1}
     over_y = [
         ["compare", *WORKED[:6], "--y", "7"],
         ["compare", *WORKED[:6], "--y", str(10**12)],
@@ -305,7 +332,7 @@ def test_prime_scan_and_sweep_instance_caps_are_usage_errors(tmp_path, capsys, m
         assert exc.value.code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        wanted = "over the cap of 10 residues" if argv in over_y else "sweep instances, over the cap of 2"
+        wanted = "must be <= 6, got" if argv in over_y else "must be <= 2, got"
         assert wanted in captured.err, argv
     assert not (tmp_path / "out").exists()
 
@@ -318,7 +345,8 @@ def readme_commands() -> list[list[str]]:
 
 def test_readme_examples_run(tmp_path, capsys):
     commands = readme_commands()
-    assert [argv[0] for argv in commands] == ["compare", "sieve", "montecarlo", "enumerate", "sweep"]
+    assert [argv[0] for argv in commands] == ["compare", "sieve", "montecarlo", "enumerate", "sweep",
+                                               "sweep", "montecarlo"]
     for k, argv in enumerate(commands):
         out = tmp_path / f"run{k}"
         if "--out" in argv:
@@ -343,6 +371,33 @@ def test_sieve_subcommand(tmp_path, capsys):
     assert summary["smooth_entries"] == len(smooth)
     for row in smooth:
         assert row["residual"] in ("1", "-1")
+
+
+@pytest.mark.parametrize("coefficients, m, u, y, algebraic_dtype", [
+    ((1, 0, 1), 4, 60, 30, np.int64),
+    ((1,) * 9, 1, 170, 400, object),  # 9·170^8 >= 2^62: an int64 rational side, an exact algebraic side
+])
+def test_smooth_rows_match_the_entries_scan(coefficients, m, u, y, algebraic_dtype):
+    table = sieve_improved(SievePolynomial(coefficients, m), u, y).table
+    assert table.rational.dtype == np.int64 and table.algebraic.dtype == algebraic_dtype
+    scanned = [[b, i - u, value] for b, row in enumerate(table.entries, start=1)
+               for i, value in enumerate(row) if value in (1, -1)]
+    assert scanned and cli._smooth_rows(table) == scanned
+    assert all(type(value) is int for row in cli._smooth_rows(table) for value in row)
+
+
+def test_flags_exist_only_where_they_are_read(capsys):
+    # montecarlo and enumerate write no row file, and enumerate draws nothing
+    for argv in (
+        ["montecarlo", "--d", "2", "--y", "2", "--trials", "5", "--format", "json"],
+        ["enumerate", "--d", "2", "--l", "2", "--format", "csv"],
+        ["enumerate", "--d", "2", "--l", "2", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_sieve_trivial_reports_single_phase(capsys):
@@ -454,6 +509,18 @@ def test_sweep_instances_from_config(tmp_path, capsys):
         assert exc.value.code == 2, bad
         err = capsys.readouterr().err
         assert "usage:" in err and "Traceback" not in err
+    # an empty list is refused like --instances 0, and a key outside d, m, u, y, seed is named
+    for entries, wanted in (
+        ([], "must be >= 1, got 0"),
+        ([{"d": 2, "m": 3, "u": 3, "y": 5, "seed": 1, "extra": 9}], "unknown keys ['extra']"),
+        ([{"d": 2, "m": 3, "u": 3, "y": 5}], "missing keys ['seed']"),
+    ):
+        config.write_text(json.dumps({"sweep_instances": entries}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(config)])
+        assert exc.value.code == 2, entries
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err and wanted in captured.err
 
 
 def test_sweep_requires_instance_count():
@@ -500,3 +567,138 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "9/81"
+
+
+# bounds the contract test patches in, small enough that every accepted input is cheap
+SMALL_BOUNDS = {"MAX_U": 4, "MAX_Y": 13, "MAX_SWEEP_INSTANCES": 3}
+SMALL_CAPS = {"ENUMERATION_CAP": 10**4, "MONTE_CARLO_CAP": 3000, "DRAW_CAP": 100}
+# flag: (lowest accepted value or None, highest value drawn in range, highest accepted value or None)
+INT_FLAGS = {
+    "compare": {"d": (2, 6, None), "m": (1, 10**20, None), "u": (1, 4, 4), "y": (2, 13, 13), "seed": (None, 9, None)},
+    "montecarlo": {"d": (1, 6, None), "y": (2, 13, None), "trials": (1, 20, None), "seed": (None, 9, None)},
+    "enumerate": {"d": (1, 3, None), "l": (2, 7, None)},
+    "sweep": {"instances": (1, 3, 3), "d": (2, 6, None), "m": (1, 30, None), "u": (1, 4, 4), "y": (2, 13, 13),
+              "seed": (None, 9, None)},
+}
+INT_FLAGS["sieve"] = INT_FLAGS["compare"]
+FORMATS = ("csv", "json")
+CHOICE_FLAGS = {"compare": {"format": FORMATS}, "sweep": {"format": FORMATS},
+                "sieve": {"format": FORMATS, "alg": ("trivial", "classical", "improved")}}
+
+
+def draw_int(data, low, top, high):
+    """A value for an integer flag, and whether its type refuses it."""
+    kind = data.draw(st.sampled_from([*["in"] * 15, "low", "high", "junk"]))
+    if kind == "low" and low is not None:
+        return data.draw(st.integers(low - 10**12, low - 1)), True
+    if kind == "high" and high is not None:
+        return data.draw(st.integers(high + 1, high + 10**12)), True
+    if kind != "in":
+        return data.draw(st.sampled_from(["", "x", "1.5", "0x10", "1e3", "true"])), True
+    value = data.draw(st.integers(-top if low is None else low, top))
+    return (str(value) if data.draw(st.booleans()) else value), False
+
+
+def draw_value(data, command: str, flag: str):
+    """A value for one flag of `command`, and whether it breaks a rule."""
+    if flag == "random":
+        return True, False
+    if flag == "poly":  # monic with small coefficients, or not a sieve polynomial
+        kind = data.draw(st.sampled_from([*["monic"] * 10, "not monic", "too short", "junk"]))
+        if kind == "junk":
+            return "1,x,1", True
+        short = kind == "too short"
+        lower = data.draw(st.lists(st.integers(-3, 3), min_size=1 if short else 2, max_size=1 if short else 5))
+        lead = data.draw(st.sampled_from([0, 2, -1])) if kind == "not monic" else 1
+        return ",".join(map(str, [*lower, lead])), kind != "monic"
+    choices = CHOICE_FLAGS.get(command, {}).get(flag)
+    if choices:
+        value = data.draw(st.sampled_from([*choices * 5, "xml"]))
+        return value, value not in choices
+    return draw_int(data, *INT_FLAGS[command][flag])
+
+
+def draw_entries(data):
+    """A sweep_instances list, and whether it breaks a rule."""
+    bad = False
+    entries = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        entry = {}
+        for key in cli.ENTRY_KEYS:
+            if data.draw(st.integers(0, 9)) == 9:
+                bad = True  # a missing key
+                continue
+            entry[key], refused = draw_int(data, *INT_FLAGS["sweep"][key])
+            bad |= refused
+        if data.draw(st.integers(0, 9)) == 9:
+            entry["extra"], bad = 1, True
+        entries.append(entry)
+    return entries, bad or not 1 <= len(entries) <= SMALL_BOUNDS["MAX_SWEEP_INSTANCES"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_random_invocations_keep_the_exit_code_contract(data, tmp_path, monkeypatch, capsys):
+    """Random subcommands, with each flag missing, in argv, in a config file
+    or in both, and each value in range or not: the exit code is one of
+    0-3, no traceback, and a refused value is exit 2 with no stdout and no
+    --out directory."""
+    from sievelab import experiments
+
+    for name, value in SMALL_BOUNDS.items():
+        monkeypatch.setattr(cli, name, value)
+    for name, value in SMALL_CAPS.items():
+        monkeypatch.setattr(experiments, name, value)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    command = data.draw(st.sampled_from(sorted(INT_FLAGS)))
+    flags = [*INT_FLAGS[command], *CHOICE_FLAGS.get(command, {})]
+    if command in ("compare", "sieve"):  # mostly one of the two, as the command needs
+        flags += data.draw(st.sampled_from([["poly"], ["random"]] * 3 + [["poly", "random"], []]))
+
+    argv, config, placed, bad = [command], {}, set(), False
+    for flag in flags:
+        place = data.draw(st.sampled_from(["argv", "argv", "argv", "config", "config", "both", "missing"]))
+        if place in ("config", "both"):  # a config value is parsed even when a flag overrides it
+            config[flag], refused = draw_value(data, command, flag)
+            bad |= refused
+        if place in ("argv", "both"):
+            value, refused = draw_value(data, command, flag)
+            argv.append(f"--{flag}" if flag == "random" else f"--{flag}={value}")
+            bad |= refused
+        if place != "missing":
+            placed.add(flag)
+    if command == "sweep" and data.draw(st.booleans()):
+        config["sweep_instances"], refused = draw_entries(data)
+        bad |= refused
+    elif command == "sweep":  # a sampled u and y are real work, so pin them
+        argv += [f"--{flag}={INT_FLAGS['sweep'][flag][1]}" for flag in ("u", "y") if flag not in placed]
+    if data.draw(st.integers(0, 9)) == 9:
+        config["bogus"], bad = 1, True
+    if config or data.draw(st.integers(0, 9)) == 9:
+        path = work / "config.json"
+        path.write_text(json.dumps(config) if config else "{not json")
+        argv += ["--config", str(path)]
+        bad |= not config
+    out = work / "out"
+    where = data.draw(st.sampled_from(["fresh", "fresh", "fresh", "none", "file", "below file"]))
+    if where != "none":
+        (work / "file").write_text("")
+        argv += ["--out", str({"fresh": out, "file": work / "file", "below file": work / "file" / "out"}[where])]
+        bad |= where != "fresh"
+    if data.draw(st.booleans()):
+        argv.insert(0, "-v")
+
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in captured.err, argv
+    if bad:
+        assert code == 2, argv
+    if code == 2:
+        assert captured.out == "", argv
+        assert not out.exists(), argv
