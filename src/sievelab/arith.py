@@ -1,8 +1,13 @@
-"""Exact integer helpers shared by the sieve engines and their oracles.
+"""Integer helpers shared by the sieve engines and their oracles.
 
-Everything here works on native Python integers, so values may exceed
-machine word size without any special handling.
+The scalar helpers work on native Python integers, so values may exceed
+machine word size without any special handling.  fused_divide is the one
+test-and-divide of a numpy array by a prime: on int64 arrays it spends
+one wrapping multiply per entry, on object arrays (exact Python integers)
+it falls back to exact % and //.
 """
+
+import numpy as np
 
 
 class InvariantViolation(RuntimeError):
@@ -61,3 +66,42 @@ def max_exponent(l: int, bound: int) -> int:
         power *= l
     return e
 
+
+def fused_divide(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(divisible, quotients): the mask of the entries of `values` that l
+    divides, and those entries divided by l, in order.
+
+    Object arrays use exact % and //.  On int64 arrays no division runs:
+
+      * l = 2: the low bit decides, and an arithmetic shift divides.
+      * odd l: let q be the product of the entry with l^(-1) mod 2^64,
+        wrapped to 64 bits and read as int64.  The entry x is divisible
+        exactly when -floor(2^63/l) <= q <= floor((2^63-1)/l), and then q
+        is the quotient (Granlund and Montgomery, "Division by Invariant
+        Integers using Multiplication", PLDI 1994, section 9).
+        Proof: if x = l*k, then k*l = x lies in [-2^63, 2^63), so k lies
+        in that interval (l is odd, so -2^63/l is not an integer and k >=
+        -floor(2^63/l)); k is congruent to x * l^(-1) mod 2^64 and lies in
+        the int64 range, so the int64 reading q is k.  Conversely, if q
+        lies in the interval, then l*q lies in [-2^63, 2^63) and is
+        congruent to x mod 2^64; two int64 values congruent mod 2^64 are
+        equal, so x = l*q.
+
+    Any other even l is a ValueError on int64 arrays, any other dtype a
+    TypeError.
+    """
+    if l < 2:
+        raise ValueError(f"divisor must be >= 2, got {l}")
+    if values.dtype == object:
+        divisible = values % l == 0
+        return divisible, values[divisible] // l
+    if values.dtype != np.int64:
+        raise TypeError(f"test-and-divide needs an int64 or object array, got {values.dtype}")
+    if l == 2:
+        divisible = (values & 1) == 0
+        return divisible, values[divisible] >> 1
+    if l % 2 == 0:
+        raise ValueError(f"int64 test-and-divide needs l = 2 or an odd l, got {l}")
+    q = (values.view(np.uint64) * np.uint64(pow(l, -1, 2**64))).view(np.int64)
+    divisible = (q >= -(2**63 // l)) & (q <= (2**63 - 1) // l)
+    return divisible, q[divisible]

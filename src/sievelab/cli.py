@@ -15,8 +15,9 @@ its values, and those of sweep's sweep_instances entries, go through the
 same parsing, and explicit flags win.
 
 The rules of a single flag, caps included, live in its type alone: --u <=
-MAX_U, --y <= MAX_Y and --instances <= MAX_SWEEP_INSTANCES bound the table,
-the root scans and the sweep.  Rules that join flags stay where they are
+MAX_U, --y <= MAX_Y, --d <= MAX_D (and at most MAX_D + 1 coefficients in
+--poly) and --instances <= MAX_SWEEP_INSTANCES bound the table, the root
+scans, the degree and the sweep.  Rules that join flags stay where they are
 used: the polynomial flags in _resolve_polynomial, and the work caps of
 montecarlo and enumerate (ENUMERATION_CAP, MONTE_CARLO_CAP, DRAW_CAP) in
 experiments, which checks them before any work.
@@ -60,6 +61,9 @@ EXIT_VIOLATION = 3
 
 MAX_U = 1023  # largest u whose table of u·(2u+1) cells fits in 2^21: 1023·2047 <= 2^21 < 1024·2049
 MAX_Y = 3942  # largest y whose primes sum to <= 10^6, the residues the ladders and the oracle scan for roots
+# largest sieve degree: at u = MAX_U, y = MAX_Y and m = 1, compare --random takes 219 s CPU and 475 MB
+# at d = 16, within 10x of d = 2 (25 s, 273 MB); d = 32 did not finish in 300 s
+MAX_D = 16
 MAX_SWEEP_INSTANCES = 1000  # instances of one sweep, sampled or listed in sweep_instances
 
 PAIR_COLUMNS = [
@@ -105,8 +109,11 @@ def _format_column(numerator, denominator, places: int = 6) -> list[str]:
 
 
 def _parse_poly_text(text: str) -> tuple[int, ...]:
+    parts = text.split(",")
+    if len(parts) > MAX_D + 1:
+        raise argparse.ArgumentTypeError(f"polynomial has {len(parts)} coefficients, at most {MAX_D + 1} (degree {MAX_D})")
     try:
-        return tuple(int(part.strip()) for part in text.split(","))
+        return tuple(int(part.strip()) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"polynomial must be comma-separated integers, got {text!r}") from None
 
@@ -382,6 +389,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _build_sweep_instances(args: argparse.Namespace) -> list[SweepInstance]:
     if args.sweep_instances is not None:
+        if args.instances is not None:
+            args.parser.error("instances (--instances or its config key) and sweep_instances cannot be given together")
         return args.sweep_instances
     if args.instances is None:
         args.parser.error("sweep needs --instances N or a config file with sweep_instances")
@@ -450,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--poly", type=_parse_poly_text,
                            help="comma-separated coefficients c_0,...,c_d with c_d = 1")
             p.add_argument("--random", action="store_true", help="draw a random polynomial instead")
-            p.add_argument("--d", type=_int_in(2), help="degree for --random")
+            p.add_argument("--d", type=_int_in(2, MAX_D), help=f"degree for --random (at most {MAX_D})")
             p.add_argument("--m", type=_int_in(1), help="coefficient bound and rational-side root")
             p.add_argument("--u", type=_int_in(1, MAX_U), help=f"table half-width (at most {MAX_U})")
             p.add_argument("--y", type=_int_in(2, MAX_Y), help=f"prime bound (at most {MAX_Y})")
@@ -476,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(sweep_instances=None)
     p.add_argument("--instances", type=_int_in(1, MAX_SWEEP_INSTANCES),
                    help=f"number of instances (at most {MAX_SWEEP_INSTANCES})")
-    p.add_argument("--d", type=_int_in(2), help="pin the degree (otherwise sampled)")
+    p.add_argument("--d", type=_int_in(2, MAX_D), help="pin the degree (otherwise sampled)")
     p.add_argument("--m", type=_int_in(1), help="pin m (otherwise sampled)")
     p.add_argument("--u", type=_int_in(1, MAX_U), help="pin u (otherwise sampled)")
     p.add_argument("--y", type=_int_in(2, MAX_Y), help="pin y (otherwise sampled)")

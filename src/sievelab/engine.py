@@ -4,11 +4,13 @@ The table covers 1 <= b <= u, |a| <= u and keeps the two factors of each
 cell apart, as two-sided sievers do: a (u, 2u+1) array of rational
 factors a - b*m and one of algebraic factors F(a, b), each of dtype int64
 when its own proven bound stays below 2^62 and of exact Python integers
-above; build_table takes both from poly.table_factors.  A cell is dead
-when gcd(a, b) > 1 or either factor vanishes; dead cells hold 0 on both
-sides and every pass below skips them, since repeatedly dividing 0 would
-never terminate.  The residual entry of a cell is the product of its
-two sides.
+above; build_table takes both from poly.table_factors.  Every test and
+division by a prime goes through arith.fused_divide: one wrapping
+multiply per cell on an int64 side, exact % and // on an object side.
+A cell is dead when gcd(a, b) > 1 or either factor vanishes; dead cells
+hold 0 on both sides and every pass below skips them, since repeatedly
+dividing 0 would never terminate.  The residual entry of a cell is the
+product of its two sides.
 
 The cost unit is one fused test-and-divide on one side of a cell:
 
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import InvariantViolation, primes_up_to
+from .arith import InvariantViolation, fused_divide, primes_up_to
 from .poly import SievePolynomial, exact_dtype, table_factors
 from .roots import LiftTables, build_lift_tables
 
@@ -161,8 +163,8 @@ def _divide_out(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarr
     done = np.zeros(u, dtype=np.int64)
     values = side[cells]
     while True:
-        keep = values % l == 0
-        cells, values = cells[keep], values[keep] // l
+        keep, values = fused_divide(values, l)
+        cells = cells[keep]
         if not cells.size:
             return done
         side[cells] = values
@@ -182,13 +184,13 @@ def _divide_once(side: np.ndarray, cells: np.ndarray, l: int, u: int, what: str,
     values = side[cells]
     live = values != 0
     cells, values = cells[live], values[live]
-    missed = np.flatnonzero(values % l != 0)
-    if missed.size:
-        b, i = divmod(int(cells[missed[0]]), 2 * u + 1)
+    divisible, quotients = fused_divide(values, l)
+    if quotients.size < cells.size:
+        b, i = divmod(int(cells[np.argmin(divisible)]), 2 * u + 1)
         raise InvariantViolation(
             f"{what} division missed at b={b + 1}, a={i - u}, l={l}, level modulus {modulus}"
         )
-    side[cells] = values // l
+    side[cells] = quotients
     return _per_row(cells, u)
 
 

@@ -24,9 +24,12 @@ enumerate_exact feeds it blocks of the flat index range [0, l^(2d)),
 whose base-l^2 digits are the coefficients.  A block holds
 max(1, _BLOCK_CELLS // l) rows (Monte Carlo sizes it for its largest
 prime), so a pass touches at most 2^14 cells, or a single row for a
-prime above 2^14.  Every Horner intermediate stays below l^3, so int64
-is exact while l^3 < 2^62; the kernel raises ValueError for larger
-primes, and the work caps keep every accepted input far below that.
+prime above 2^14.  The coefficients lie in [0, l^2) and each Horner
+step multiplies the kernel's bound on its accumulators by l, so it
+reduces them mod l^2 only when that bound would reach 2^62: at y = 100
+and degree 3, never.  A reduced step stays below l^3, so int64 is exact
+while l^3 < 2^62; the kernel raises ValueError for larger primes, and
+the work caps keep every accepted input far below that.
 
 Work caps, each checked before any work starts (an input over a cap is
 a ValueError):
@@ -119,14 +122,21 @@ def lift_events(coeffs: np.ndarray, l: int) -> np.ndarray:
     x = np.arange(l, dtype=np.int64)
     value = np.repeat(coeffs[:, -1:], l, axis=1)  # Horner's first step: f = c_d, f' = 0
     deriv = np.zeros_like(value)
-    for c in coeffs.T[-2::-1]:  # fused Horner: value -> f(x), deriv -> f'(x); each step < l^3
+    bound = l2 - 1  # bounds both accumulators, which stay >= 0
+    for c in coeffs.T[-2::-1]:  # fused Horner: value -> f(x), deriv -> f'(x)
+        if exact_dtype(bound * l) is object:
+            value %= l2
+            deriv %= l2
+            bound = l2 - 1
+        # deriv*x + value and value*x + c are both at most bound*(l-1) + bound
+        bound *= l
         deriv *= x
         deriv += value
-        deriv %= l2
         value *= x
         value += c[:, None]
-        value %= l2
-    return (value == 0) & (deriv % l == 0)
+    value %= l2
+    deriv %= l
+    return (value == 0) & (deriv == 0)
 
 
 def _block_rows(l: int) -> int:

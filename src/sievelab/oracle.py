@@ -11,17 +11,19 @@ per level e >= 1:
 
 verify_ledgers is the one way in.  It builds both factors itself, block
 of rows by block, with poly.table_factors (each side int64 when its
-proven bound stays below 2^62, exact integers above) and never reads the
-engine's tables or walks the ladders it uses.  Per block it goes one
-prime at a time: a test over the whole block finds the cells divisible
-by l, repeated division of the exact values of those cells gives their
-valuations, a lookup table built from classify_roots sorts the algebraic
-hits by the root class of a * b^(-1) mod l, and counting per row gives
-the sizes of every pair in the block at once.  An exact-integer side is
-reduced once per group of consecutive primes, modulo the group's product
-(below 2^62), and each prime's test then runs on those int64 residues:
-for y = 100 that is 2 passes over exact integers where one per prime
-would be 25.
+proven bound stays below 2^62, exact integers above, and F evaluated in
+int64 up to the Horner step whose partial bound reaches 2^62) and never
+reads the engine's tables or walks the ladders it uses.  Per block it
+goes one prime at a time: a test over the whole block finds the cells
+divisible by l, repeated division of the exact values of those cells
+gives their valuations, a lookup table built from classify_roots sorts
+the algebraic hits by the root class of a * b^(-1) mod l, and counting
+per row gives the sizes of every pair in the block at once.  Tests and
+divisions go through arith.fused_divide, one wrapping multiply per int64
+value.  An exact-integer side is reduced once per group of consecutive
+primes, modulo the group's product (below 2^62), and each prime's test
+then runs on those int64 residues: for y = 100 that is 2 passes over
+exact integers where one per prime would be 25.
 
 Only the level-1 sizes, the level sums and multiple[1] enter the
 formulas, so the oracle keeps just those, as the (primes, u) arrays of a
@@ -54,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import InvariantViolation, max_exponent, mod_inverse, primes_up_to
+from .arith import InvariantViolation, fused_divide, max_exponent, mod_inverse, primes_up_to
 from .engine import CLASSICAL, IMPROVED, PHASES, SieveOutcome
 from .poly import SievePolynomial, algebraic_bound, rational_bound, table_factors
 from .roots import classify_roots
@@ -115,31 +117,29 @@ def _prime_groups(primes) -> list[list[int]]:
     return groups
 
 
-def _residues(side: np.ndarray, groups: list[list[int]]):
-    """(l, side mod l) as int64 for every prime of the groups, in order; an
-    exact-integer side is reduced once per group, modulo its product."""
+def _divisible(side: np.ndarray, groups: list[list[int]]):
+    """(l, mask of the entries l divides) for every prime of the groups, in
+    order; an exact-integer side is reduced once per group, modulo its
+    product, and each prime tests those int64 residues."""
     for group in groups:
         reduced = (side % prod(group)).astype(np.int64) if side.dtype == object else side
         for l in group:
-            yield l, reduced % l
+            yield l, fused_divide(reduced, l)[0]
 
 
 def _valuations(side: np.ndarray, cells: np.ndarray, l: int, depth: int) -> np.ndarray:
-    """v_l of the exact values at the cells, which must all be divisible by
-    l; a valuation above the proven depth is an invariant violation."""
+    """v_l of the exact values at the cells; a valuation above the proven
+    depth is an invariant violation."""
     values = side.reshape(-1)[cells]
     valuation = np.zeros(cells.size, dtype=np.int64)
     index = np.arange(cells.size)
-    level = 0
-    while index.size:
-        if level == depth:
-            raise InvariantViolation(f"valuation exceeds proven depth {depth} for prime {l}")
+    for level in range(depth + 1):
+        divisible, values = fused_divide(values, l)
+        index = index[divisible]
+        if not index.size:
+            return valuation
         valuation[index] += 1
-        values = values // l
-        keep = values % l == 0
-        index, values = index[keep], values[keep]
-        level += 1
-    return valuation
+    raise InvariantViolation(f"valuation exceeds proven depth {depth} for prime {l}")
 
 
 def _residue_lookup(f: SievePolynomial, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,18 +158,19 @@ def _hits(
     b: np.ndarray,
     l: int,
     factors: tuple[np.ndarray, np.ndarray, np.ndarray],
-    residues: tuple[np.ndarray, np.ndarray],
+    divisible: tuple[np.ndarray, np.ndarray],
     lookup: tuple[np.ndarray, np.ndarray],
     depths: tuple[int, int],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(row, v_l) of every rational, simple-root and multiple-root hit of the
-    rows b (a column) that l does not divide; residues are the two sides mod l."""
+    rows b (a column) that l does not divide; divisible masks the cells of
+    each side that l divides."""
     rational, algebraic, live = factors
     kinds, inverse = lookup
     width = 2 * u + 1
     live = live & (b % l != 0)
-    rational_hits = np.flatnonzero(live & (residues[0] == 0))
-    norm_hits = np.flatnonzero(live & (residues[1] == 0))
+    rational_hits = np.flatnonzero(live & divisible[0])
+    norm_hits = np.flatnonzero(live & divisible[1])
 
     hit_b = b[norm_hits // width, 0]
     hit_a = norm_hits % width - u
@@ -217,7 +218,7 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
     for first in range(1, u + 1, step):
         b = np.arange(first, min(first + step, u + 1), dtype=np.int64)[:, None]
         factors = table_factors(f, u, b)
-        sides = zip(_residues(factors[0], groups), _residues(factors[1], groups))
+        sides = zip(_divisible(factors[0], groups), _divisible(factors[1], groups))
         for k, ((l, rational), (_, algebraic)) in enumerate(sides):
             hits = _hits(u, b, l, factors, (rational, algebraic), lookups[k], depths[k])
             sums[:, k, first - 1 : first - 1 + b.shape[0]] = _row_sums(hits, b.shape[0])

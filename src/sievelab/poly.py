@@ -14,6 +14,9 @@ evaluator of F.
 
 Arrays of table values take their dtype from a proven bound through
 exact_dtype: int64 below 2^62, exact Python integers (object) above.
+eval_norm applies that rule step by step: each Horner step has its own
+partial bound, so an evaluation runs in int64 up to the first step whose
+bound reaches 2^62 and in exact integers only from there on.
 table_factors builds both factors of a block of table rows and their
 live mask that way; it is the one builder of cell factors, used by the
 engine for the whole table and by the oracle block by block.
@@ -86,20 +89,34 @@ def eval_derivative(f: MonicPolynomial, x: int, modulus: int) -> int:
     return acc
 
 
-def eval_norm(f: MonicPolynomial, a, b):
+def eval_norm(f: SievePolynomial, a, b):
     """F(a, b) by Horner in a with ascending powers of b folded in.
 
     `a` and `b` are ints or numpy arrays that broadcast against each other
-    (a row of a values and a column of b values give the whole table); the
-    result has their dtype, so object arrays keep exact integers.
+    (a row of a values and a column of b values give the whole table).
+    Step k = 0..d-1 multiplies by a and adds c_(d-1-k) * b^(k+1), leaving
+    the k+2 leading terms of F, so with u the largest |a| or |b| every
+    intermediate of step k is bounded by m*(k+2)*u^(k+1).  On int64 arrays
+    the steps run in int64 while that partial bound stays below 2^62, and
+    from the first step past it in exact Python integers (object).  The
+    last step's bound is algebraic_bound(f, u), so the result dtype is
+    exact_dtype(algebraic_bound(f, u)).  Ints and object arrays stay exact
+    throughout.
     """
+    switch = f.degree  # the first step that runs in exact integers
+    if any(isinstance(x, np.ndarray) and x.dtype == np.int64 for x in (a, b)):
+        u = int(max(np.max(np.abs(a), initial=0), np.max(np.abs(b), initial=0)))
+        switch = next((k for k in range(f.degree) if exact_dtype(f.m * (k + 2) * u ** (k + 1)) is object), switch)
     coeffs = f.coefficients
-    acc = coeffs[-1] * a + coeffs[-2] * b  # a fresh array, updated in place below
-    bp = b
-    for c in reversed(coeffs[:-2]):
+    if switch == 0:
+        a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    acc, bp = coeffs[-1] * a + coeffs[-2] * b, b  # step 0; a fresh array, updated in place below
+    for k in range(1, f.degree):
+        if k == switch:
+            a, b, acc, bp = (np.asarray(x, dtype=object) for x in (a, b, acc, bp))
         bp = bp * b
         acc *= a
-        acc += c * bp
+        acc += coeffs[-2 - k] * bp
     return acc
 
 
@@ -125,10 +142,12 @@ def exact_dtype(bound: int):
 def table_factors(f: SievePolynomial, u: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """a - b*m and F(a, b) for a in [-u, u] and the rows b (a column), with
     the live mask: gcd(a, b) = 1 and both factors nonzero.  Each side has
-    the dtype its proven bound over the whole table allows."""
+    the dtype its proven bound over the whole table allows; eval_norm runs
+    in int64 up to the Horner step where the algebraic side's partial
+    bound reaches 2^62."""
     a = np.arange(-u, u + 1, dtype=np.int64)
-    rat_t, alg_t = exact_dtype(rational_bound(f, u)), exact_dtype(algebraic_bound(f, u))
+    rat_t = exact_dtype(rational_bound(f, u))
     rational = a.astype(rat_t) - b.astype(rat_t) * f.m
-    algebraic = eval_norm(f, a.astype(alg_t), b.astype(alg_t))
+    algebraic = eval_norm(f, a, b)
     live = (np.gcd(a, b) == 1) & (rational != 0) & (algebraic != 0)
     return rational, algebraic, live

@@ -2,11 +2,16 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sievelab.arith import max_exponent, mod_inverse, primes_up_to, valuation
+from sievelab.arith import fused_divide, max_exponent, mod_inverse, primes_up_to, valuation
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# 3931 is the largest prime <= cli.MAX_Y
+DIVISORS = (2, 3, 3931)
 
 
 def trial_division_primes(bound):
@@ -124,3 +129,56 @@ def test_max_exponent_rejects_bad_arguments():
 def test_max_exponent_sandwich(l, bound):
     e = max_exponent(l, bound)
     assert l**e <= bound < l ** (e + 1)
+
+
+def reference_divide(values: list[int], l: int) -> tuple[list[bool], list[int]]:
+    divisible = [x % l == 0 for x in values]
+    return divisible, [x // l for x, keep in zip(values, divisible) if keep]
+
+
+def check_fused_divide(values: list[int], l: int, dtype) -> None:
+    divisible, quotients = fused_divide(np.array(values, dtype=dtype), l)
+    assert quotients.dtype == dtype
+    assert (divisible.tolist(), quotients.tolist()) == reference_divide(values, l)
+
+
+def edge_values(l: int) -> list[int]:
+    """About 2l values at each end of the int64 range and around 0: they
+    hold the extreme multiples of l and the values whose wrapped product
+    with l^(-1) lands just outside the quotient range."""
+    return [
+        *range(INT64_MIN, INT64_MIN + 2 * l + 2),
+        *range(-l - 1, l + 2),
+        *range(INT64_MAX - 2 * l - 1, INT64_MAX + 1),
+    ]
+
+
+@pytest.mark.parametrize("l", DIVISORS)
+def test_fused_divide_at_the_ends_of_the_int64_range(l):
+    values = edge_values(l)
+    assert l * (INT64_MAX // l) in values and -l * (2**63 // l) in values
+    check_fused_divide(values, l, np.int64)
+
+
+@pytest.mark.parametrize("l", DIVISORS)
+@given(data=st.data())
+def test_fused_divide_matches_python_division(l, data):
+    int64 = st.integers(INT64_MIN, INT64_MAX)
+    multiples = st.integers(INT64_MIN // l + 1, INT64_MAX // l).map(lambda q: q * l)
+    values = data.draw(st.lists(st.one_of(int64, multiples, st.sampled_from([0, INT64_MIN, INT64_MAX, -INT64_MAX])),
+                                max_size=40))
+    check_fused_divide(values, l, np.int64)
+    big = data.draw(st.lists(st.one_of(int64, st.integers(-(10**40), 10**40), multiples.map(lambda x: x * 10**30)),
+                             max_size=20))
+    check_fused_divide(big, l, object)
+
+
+def test_fused_divide_rejects_unsupported_inputs():
+    with pytest.raises(ValueError):
+        fused_divide(np.arange(4, dtype=np.int64), 1)
+    with pytest.raises(ValueError):
+        fused_divide(np.arange(4, dtype=np.int64), 4)
+    with pytest.raises(TypeError):
+        fused_divide(np.arange(4, dtype=np.int32), 3)
+    divisible, quotients = fused_divide(np.arange(8, dtype=object), 4)  # exact division takes any l
+    assert divisible.tolist() == [x % 4 == 0 for x in range(8)] and quotients.tolist() == [0, 1]

@@ -186,6 +186,7 @@ def test_config_rejects_bad_json(tmp_path, capsys):
         ["montecarlo", "--d", "3", "--y", "100", "--trials", str(10**8)],
         ["enumerate", "--d", "1", "--l", "3137"],  # 3137^3 residue evaluations
         ["montecarlo", "--d", str(10**8), "--y", "2", "--trials", "1"],  # 10^8 coefficient draws
+        ["compare", "--random", "--d", "1000", "--m", "1", "--u", "3", "--y", "5"],  # over MAX_D
     ],
 )
 def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
@@ -275,6 +276,22 @@ def test_table_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and "Traceback" not in captured.err
         assert "must be <= 3, got 4" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_degree_cap_is_a_usage_error(capsys):
+    # the README's, the tests' and the benchmark's degrees (at most 8) pass
+    d = cli.MAX_D
+    assert d >= 8
+    for command in ("compare", "sieve", "sweep"):
+        assert parses([command, "--d", str(d)]) and not parses([command, "--d", str(d + 1)])
+    for command in ("compare", "sieve"):
+        assert parses([command, "--poly=" + ",".join(["0"] * d + ["1"])])
+        assert not parses([command, "--poly=" + ",".join(["0"] * (d + 1) + ["1"])])
+    assert f"at most {d + 1} (degree {d})" in capsys.readouterr().err
+    sweep_parser = cli.build_parser().parse_args(["sweep"]).parser
+    with pytest.raises(SystemExit):
+        cli._sweep_instances(sweep_parser, [{"d": d + 1, "m": 6, "u": 3, "y": 5, "seed": 1}])
+    assert f"must be <= {d}, got {d + 1}" in capsys.readouterr().err
 
 
 def test_prime_scan_and_sweep_instance_caps_are_usage_errors(tmp_path, capsys, monkeypatch):
@@ -521,6 +538,15 @@ def test_sweep_instances_from_config(tmp_path, capsys):
         assert exc.value.code == 2, entries
         captured = capsys.readouterr()
         assert captured.out == "" and "usage:" in captured.err and wanted in captured.err
+    # instances, from the file or the flag, says something else than sweep_instances, so both is refused
+    entries = [{"d": 2, "m": 6, "u": 20, "y": 7, "seed": 1}]
+    for extra, flags in (({"instances": 3}, []), ({}, ["--instances", "2"]), ({"instances": 3}, ["--instances", "2"])):
+        config.write_text(json.dumps({"sweep_instances": entries, **extra}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(config), *flags])
+        assert exc.value.code == 2, (extra, flags)
+        captured = capsys.readouterr()
+        assert captured.out == "" and "instances" in captured.err and "sweep_instances" in captured.err
 
 
 def test_sweep_requires_instance_count():
@@ -570,14 +596,14 @@ def test_console_entry_point_runs():
 
 
 # bounds the contract test patches in, small enough that every accepted input is cheap
-SMALL_BOUNDS = {"MAX_U": 4, "MAX_Y": 13, "MAX_SWEEP_INSTANCES": 3}
+SMALL_BOUNDS = {"MAX_U": 4, "MAX_Y": 13, "MAX_SWEEP_INSTANCES": 3, "MAX_D": 5}
 SMALL_CAPS = {"ENUMERATION_CAP": 10**4, "MONTE_CARLO_CAP": 3000, "DRAW_CAP": 100}
 # flag: (lowest accepted value or None, highest value drawn in range, highest accepted value or None)
 INT_FLAGS = {
-    "compare": {"d": (2, 6, None), "m": (1, 10**20, None), "u": (1, 4, 4), "y": (2, 13, 13), "seed": (None, 9, None)},
+    "compare": {"d": (2, 5, 5), "m": (1, 10**20, None), "u": (1, 4, 4), "y": (2, 13, 13), "seed": (None, 9, None)},
     "montecarlo": {"d": (1, 6, None), "y": (2, 13, None), "trials": (1, 20, None), "seed": (None, 9, None)},
     "enumerate": {"d": (1, 3, None), "l": (2, 7, None)},
-    "sweep": {"instances": (1, 3, 3), "d": (2, 6, None), "m": (1, 30, None), "u": (1, 4, 4), "y": (2, 13, 13),
+    "sweep": {"instances": (1, 3, 3), "d": (2, 5, 5), "m": (1, 30, None), "u": (1, 4, 4), "y": (2, 13, 13),
               "seed": (None, 9, None)},
 }
 INT_FLAGS["sieve"] = INT_FLAGS["compare"]
@@ -604,11 +630,11 @@ def draw_value(data, command: str, flag: str):
     if flag == "random":
         return True, False
     if flag == "poly":  # monic with small coefficients, or not a sieve polynomial
-        kind = data.draw(st.sampled_from([*["monic"] * 10, "not monic", "too short", "junk"]))
+        kind = data.draw(st.sampled_from([*["monic"] * 10, "not monic", "too short", "too long", "junk"]))
         if kind == "junk":
             return "1,x,1", True
-        short = kind == "too short"
-        lower = data.draw(st.lists(st.integers(-3, 3), min_size=1 if short else 2, max_size=1 if short else 5))
+        size = {"too short": (1, 1), "too long": (6, 8)}.get(kind, (2, 5))  # degree 5 is SMALL_BOUNDS' MAX_D
+        lower = data.draw(st.lists(st.integers(-3, 3), min_size=size[0], max_size=size[1]))
         lead = data.draw(st.sampled_from([0, 2, -1])) if kind == "not monic" else 1
         return ",".join(map(str, [*lower, lead])), kind != "monic"
     choices = CHOICE_FLAGS.get(command, {}).get(flag)
@@ -669,7 +695,7 @@ def test_random_invocations_keep_the_exit_code_contract(data, tmp_path, monkeypa
             placed.add(flag)
     if command == "sweep" and data.draw(st.booleans()):
         config["sweep_instances"], refused = draw_entries(data)
-        bad |= refused
+        bad |= refused or "instances" in placed
     elif command == "sweep":  # a sampled u and y are real work, so pin them
         argv += [f"--{flag}={INT_FLAGS['sweep'][flag][1]}" for flag in ("u", "y") if flag not in placed]
     if data.draw(st.integers(0, 9)) == 9:

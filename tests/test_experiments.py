@@ -92,6 +92,25 @@ def test_lift_events_near_the_int64_bound():
     assert not hits[1].any()
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_lift_events_at_high_degree(l, data):
+    # degree 80 with coefficients below l^2: the kernel's bound on its
+    # accumulators, l^2 - 1 times l per step, first reaches 2^62 after about
+    # 60 (l = 2), 36 (l = 3) and 24 (l = 5) unreduced steps
+    d, l2 = 80, l * l
+    if data.draw(st.booleans()):  # (x - r)^2 g(x): its multiple root r lifts mod l^2
+        r = data.draw(st.integers(0, l - 1))
+        coeffs = data.draw(st.lists(st.integers(0, l2 - 1), min_size=d - 2, max_size=d - 2)) + [1]
+        for _ in range(2):
+            coeffs = [(low - r * high) % l2 for low, high in zip([0, *coeffs], [*coeffs, 0])]
+    else:
+        coeffs = data.draw(st.lists(st.integers(0, l2 - 1), min_size=d, max_size=d)) + [1]
+    f = MonicPolynomial(tuple(coeffs))
+    multiple = classify_roots(f, l).multiple_roots
+    assert kernel_row(f, l) == [x in multiple and lift_multiple_test(f, l, x) for x in range(l)]
+
+
 @pytest.mark.parametrize("l", [1664511, 2**21])
 def test_lift_events_refuse_primes_past_the_int64_bound(l):
     # l^3 >= 2^62 is refused before any array of l residues is built

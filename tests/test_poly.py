@@ -19,6 +19,7 @@ from sievelab.poly import (
     eval_derivative,
     eval_norm,
     eval_poly,
+    exact_dtype,
     rational_bound,
     table_factors,
 )
@@ -161,3 +162,34 @@ def test_table_factors_of_a_block_of_rows(m, dtypes):
             rational, algebraic = a - b * m, fraction_norm(f, a, b)
             assert whole[0][row, i] == rational and whole[1][row, i] == algebraic
             assert whole[2][row, i] == (gcd(a, b) == 1 and rational != 0 and algebraic != 0)
+
+
+# name: (d, m, u, first Horner step whose partial bound m*(k+2)*u^(k+1) reaches 2^62, d for none)
+SWITCH_CASES = {
+    "first step": (3, 2**61, 3, 0),  # 2m*u = 3 * 2^62
+    "coefficients past int64": (3, 2**70, 2, 0),
+    "middle step, bound exactly 2^62": (5, 2**57, 2, 2),  # 3m*u^2 = 3 * 2^59, 4m*u^3 = 2^62
+    "middle step after exactly 2^62 - 1": (4, (2**62 - 1) // 3, 1, 2),  # 3m = 2^62 - 1, 4m > 2^62
+    "last step, bound exactly 2^62": (3, 2**57, 2, 2),
+    "never, final bound exactly 2^62 - 1": (2, (2**62 - 1) // 3, 1, 2),
+    "never": (5, 20, 40, 5),
+}
+
+
+@pytest.mark.parametrize("d,m,u,switch", SWITCH_CASES.values(), ids=SWITCH_CASES.keys())
+def test_eval_norm_leaves_int64_at_the_proven_step(d, m, u, switch):
+    # c_i = +-m, so the values come close to the partial bounds, and an int64
+    # step past 2^62 would wrap
+    f = SievePolynomial(tuple((-1) ** i * m for i in range(d)) + (1,), m=m)
+    assert next((k for k in range(d) if m * (k + 2) * u ** (k + 1) >= 2**62), d) == switch
+    dtype = exact_dtype(algebraic_bound(f, u))
+    assert dtype == (np.int64 if switch == d else object)
+    direct = [
+        [sum(c * a**i * b ** (d - i) for i, c in enumerate(f.coefficients)) for a in range(-u, u + 1)]
+        for b in range(1, u + 1)
+    ]
+    rows = np.arange(1, u + 1, dtype=np.int64)[:, None]
+    values = eval_norm(f, np.arange(-u, u + 1, dtype=np.int64), rows)
+    algebraic = table_factors(f, u, rows)[1]
+    assert values.dtype == algebraic.dtype == dtype
+    assert values.tolist() == algebraic.tolist() == direct
