@@ -16,11 +16,12 @@ same parsing, and explicit flags win.
 
 The rules of a single flag, caps included, live in its type alone: --u <=
 MAX_U, --y <= MAX_Y, --d <= MAX_D (and at most MAX_D + 1 coefficients in
---poly) and --instances <= MAX_SWEEP_INSTANCES bound the table, the root
-scans, the degree and the sweep.  Rules that join flags stay where they are
-used: the polynomial flags in _resolve_polynomial, and the work caps of
-montecarlo and enumerate (ENUMERATION_CAP, MONTE_CARLO_CAP, DRAW_CAP) in
-experiments, which checks them before any work.
+--poly), --m <= MAX_M and --instances <= MAX_SWEEP_INSTANCES bound the
+table, the root scans, the degree, the size of the exact integers and the
+sweep.  Rules that join flags stay where they are used: the polynomial
+flags in _resolve_polynomial, and the work caps of montecarlo and
+enumerate (ENUMERATION_CAP, MONTE_CARLO_CAP, DRAW_CAP) in experiments,
+which checks them before any work.
 
 Exit codes: 0 success, 1 statistical gate failed, 2 usage error,
 3 a verified identity or internal invariant was violated.  An --out
@@ -64,6 +65,9 @@ MAX_Y = 3942  # largest y whose primes sum to <= 10^6, the residues the ladders 
 # largest sieve degree: at u = MAX_U, y = MAX_Y and m = 1, compare --random takes 219 s CPU and 475 MB
 # at d = 16, within 10x of d = 2 (25 s, 273 MB); d = 32 did not finish in 300 s
 MAX_D = 16
+# largest m: at u = MAX_U, y = MAX_Y and d = 2, compare --random takes 215 s CPU and 480 MB at
+# m = 10^15, within 10x of m = 1 (26 s, 273 MB); m = 10^18 takes 448 s and 647 MB
+MAX_M = 10**15
 MAX_SWEEP_INSTANCES = 1000  # instances of one sweep, sampled or listed in sweep_instances
 
 PAIR_COLUMNS = [
@@ -460,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated coefficients c_0,...,c_d with c_d = 1")
             p.add_argument("--random", action="store_true", help="draw a random polynomial instead")
             p.add_argument("--d", type=_int_in(2, MAX_D), help=f"degree for --random (at most {MAX_D})")
-            p.add_argument("--m", type=_int_in(1), help="coefficient bound and rational-side root")
+            p.add_argument("--m", type=_int_in(1, MAX_M), help=f"coefficient bound and rational root (at most {MAX_M})")
             p.add_argument("--u", type=_int_in(1, MAX_U), help=f"table half-width (at most {MAX_U})")
             p.add_argument("--y", type=_int_in(2, MAX_Y), help=f"prime bound (at most {MAX_Y})")
         return p
@@ -486,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=_int_in(1, MAX_SWEEP_INSTANCES),
                    help=f"number of instances (at most {MAX_SWEEP_INSTANCES})")
     p.add_argument("--d", type=_int_in(2, MAX_D), help="pin the degree (otherwise sampled)")
-    p.add_argument("--m", type=_int_in(1), help="pin m (otherwise sampled)")
+    p.add_argument("--m", type=_int_in(1, MAX_M), help=f"pin m (otherwise sampled, at most {MAX_M})")
     p.add_argument("--u", type=_int_in(1, MAX_U), help="pin u (otherwise sampled)")
     p.add_argument("--y", type=_int_in(2, MAX_Y), help="pin y (otherwise sampled)")
     return parser

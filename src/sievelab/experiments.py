@@ -14,22 +14,13 @@ Two questions get an empirical treatment here:
    attempt count does the improved sieve land?  Per prime the
    asymptotic quotient is l/(2l - 1), so aggregates settle shy of 2/3.
 
-Both lift-event counts run on one numpy kernel, lift_events: for a block
-of polynomials, as an int64 (n, d+1) array of coefficients mod l^2, one
-fused Horner pass over every row and every residue x in [0, l) marks where
-f(x) == 0 mod l^2 and f'(x) == 0 mod l, which is exactly when x is a
-multiple root mod l whose class lifts to a root mod l^2.  Monte Carlo
-feeds it blocks of trials, each reduced mod l^2 once per prime;
-enumerate_exact feeds it blocks of the flat index range [0, l^(2d)),
-whose base-l^2 digits are the coefficients.  A block holds
-max(1, _BLOCK_CELLS // l) rows (Monte Carlo sizes it for its largest
-prime), so a pass touches at most 2^14 cells, or a single row for a
-prime above 2^14.  The coefficients lie in [0, l^2) and each Horner
-step multiplies the kernel's bound on its accumulators by l, so it
-reduces them mod l^2 only when that bound would reach 2^62: at y = 100
-and degree 3, never.  A reduced step stays below l^3, so int64 is exact
-while l^3 < 2^62; the kernel raises ValueError for larger primes, and
-the work caps keep every accepted input far below that.
+Both lift-event counts run on roots.lift_events, read off the ladders'
+residue kernel.  Monte Carlo feeds it blocks of trials, each reduced mod
+l^2 once per prime; enumerate_exact feeds it blocks of the flat index
+range [0, l^(2d)), whose base-l^2 digits are the coefficients.  A block
+holds max(1, _BLOCK_CELLS // l) rows (Monte Carlo sizes it for its
+largest prime), so a pass touches at most 2^14 cells, or a single row
+for a prime above 2^14.
 
 Work caps, each checked before any work starts (an input over a cap is
 a ValueError):
@@ -39,7 +30,7 @@ a ValueError):
   MONTE_CARLO_CAP   Horner steps of monte_carlo, trials * (d+1) * (sum of the
                     primes l <= y); already one trial of degree 1 needs
                     y < 349,927 to stay under it, so every prime is below
-                    2^19 and its cube below 2^57
+                    2^19 and its cube below 2^57, where the kernel is exact
   DRAW_CAP          coefficients monte_carlo draws, trials * d; it bounds the
                     degree, and with it the memory a single draw holds
 
@@ -50,15 +41,15 @@ across workers reproduces the same draws.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import pi, sqrt
+from math import pi, prod, sqrt
 
 import numpy as np
 
 from .arith import InvariantViolation, primes_up_to
 from .engine import SieveOutcome, build_table, sieve_classical, sieve_improved, sieve_trivial
 from .oracle import LedgerReport, verify_ledgers
-from .poly import MonicPolynomial, SievePolynomial, exact_dtype
-from .roots import LiftTables, build_lift_tables
+from .poly import MonicPolynomial, SievePolynomial
+from .roots import LiftTables, build_lift_tables, lift_events
 
 ENUMERATION_CAP = 10**8  # residue evaluations of enumerate_exact: l^(2d+1)
 MONTE_CARLO_CAP = 10**10  # Horner steps of monte_carlo: trials * (d+1) * sum of primes <= y
@@ -105,38 +96,6 @@ def _draw(model: RandomModel, modulus: int, index: int) -> tuple[int, ...]:
 def sample_poly(model: RandomModel, index: int = 0) -> MonicPolynomial:
     """Draw the index-th polynomial of the model's stream."""
     return MonicPolynomial(coefficients=_draw(model, model.modulus, index))
-
-
-def lift_events(coeffs: np.ndarray, l: int) -> np.ndarray:
-    """Lift events of a block of polynomials at one prime l.
-
-    coeffs is an int64 (n, d+1) array, row k holding c_0..c_d of one
-    polynomial reduced mod l^2.  Entry [k, x] of the (n, l) result is true
-    when f_k(x) == 0 mod l^2 and f_k'(x) == 0 mod l: x is a multiple root
-    mod l whose class contains a root mod l^2 (f is constant mod l^2 on
-    the class, so this one residue decides it).
-    """
-    if exact_dtype(l**3) is not np.int64:
-        raise ValueError(f"prime {l} too large for int64 lift tests (l^3 >= 2^62)")
-    l2 = l * l
-    x = np.arange(l, dtype=np.int64)
-    value = np.repeat(coeffs[:, -1:], l, axis=1)  # Horner's first step: f = c_d, f' = 0
-    deriv = np.zeros_like(value)
-    bound = l2 - 1  # bounds both accumulators, which stay >= 0
-    for c in coeffs.T[-2::-1]:  # fused Horner: value -> f(x), deriv -> f'(x)
-        if exact_dtype(bound * l) is object:
-            value %= l2
-            deriv %= l2
-            bound = l2 - 1
-        # deriv*x + value and value*x + c are both at most bound*(l-1) + bound
-        bound *= l
-        deriv *= x
-        deriv += value
-        value *= x
-        value += c[:, None]
-    value %= l2
-    deriv %= l
-    return (value == 0) & (deriv == 0)
 
 
 def _block_rows(l: int) -> int:
@@ -193,11 +152,9 @@ class LiftEventReport:
 
 
 def reference_success_product(smooth_bound: int) -> Fraction:
-    """prod over primes l <= bound of (1 - 1/l^2), exactly."""
-    acc = Fraction(1)
-    for l in primes_up_to(smooth_bound):
-        acc *= Fraction(l * l - 1, l * l)
-    return acc
+    """prod over primes l <= bound of (1 - 1/l^2), exactly, as one quotient."""
+    squares = [l * l for l in primes_up_to(smooth_bound)]
+    return Fraction(prod(s - 1 for s in squares), prod(squares))
 
 
 def monte_carlo(model: RandomModel, trials: int) -> LiftEventReport:

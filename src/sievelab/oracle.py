@@ -16,7 +16,8 @@ int64 up to the Horner step whose partial bound reaches 2^62) and never
 reads the engine's tables or walks the ladders it uses.  Per block it
 goes one prime at a time: a test over the whole block finds the cells
 divisible by l, repeated division of the exact values of those cells
-gives their valuations, a lookup table built from classify_roots sorts
+gives their valuations, a lookup table built from classify_roots (one
+row of the residue kernel of roots, the same one the ladders read) sorts
 the algebraic hits by the root class of a * b^(-1) mod l, and counting
 per row gives the sizes of every pair in the block at once.  Tests and
 divisions go through arith.fused_divide, one wrapping multiply per int64

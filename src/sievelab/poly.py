@@ -21,8 +21,8 @@ table_factors builds both factors of a block of table rows and their
 live mask that way; it is the one builder of cell factors, used by the
 engine for the whole table and by the oracle block by block.
 
-eval_poly and eval_derivative work modulo a given modulus: root
-classification and the ladders only ever need f and f' mod l^e.
+eval_poly works modulo a given modulus, for the ladders' Newton steps;
+roots mod l and their lifts mod l^2 come from the residue kernel in roots.
 """
 
 from dataclasses import dataclass
@@ -75,17 +75,6 @@ def eval_poly(f: MonicPolynomial, x: int, modulus: int) -> int:
     x %= modulus
     for c in reversed(f.coefficients):
         acc = (acc * x + c) % modulus
-    return acc
-
-
-def eval_derivative(f: MonicPolynomial, x: int, modulus: int) -> int:
-    """f'(x) mod modulus, by Horner's rule."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    acc = 0
-    x %= modulus
-    for i in range(f.degree, 0, -1):
-        acc = (acc * x + i * f.coefficients[i]) % modulus
     return acc
 
 

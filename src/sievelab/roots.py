@@ -6,19 +6,34 @@ by the Newton step x <- x - f(x) * f'(x)^(-1) applied one level at a
 time.  Whether a multiple root admits any lift to mod l^2 depends only
 on its residue class mod l: f is constant mod l^2 on that class, so a
 single evaluation decides for the whole class.
+
+One numpy kernel, residue_scan, answers both questions for the ladders,
+the oracle's root lookup (through classify_roots), Monte Carlo and exact
+enumeration (through lift_events): a fused Horner pass over a block of
+polynomials, with coefficients mod l^2, gives f(x) mod l^2 and f'(x) mod l
+at every x mod l.
+It is exact in int64 while l^3 < 2^62, so residue_scan, classify_roots and
+build_lift_tables raise ValueError for l >= 1,664,511; the command line's
+prime bounds and work caps keep every prime below 2^19.
 """
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .arith import max_exponent, mod_inverse, primes_up_to
-from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_derivative, eval_poly, rational_bound
+from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_poly, exact_dtype, rational_bound
 
 
 @dataclass(frozen=True)
 class RootClassification:
-    prime: int
+    """The roots of f mod l by class; slopes[x] = f'(x) mod l at each
+    simple root x, the divisor of its Newton steps."""
+
     simple_roots: frozenset[int]
     multiple_roots: frozenset[int]
+    liftable_multiple: frozenset[int]  # the multiple roots whose class holds a root mod l^2
+    slopes: dict[int, int] = field(compare=False)
 
 
 @dataclass
@@ -41,7 +56,6 @@ class PrimeLadder:
     liftable_multiple     = the subset whose class also satisfies f == 0 mod l^2
     """
 
-    prime: int
     rational_targets: tuple[int, ...]
     simple_levels: tuple[tuple[int, ...], ...]
     multiple_roots: tuple[int, ...]
@@ -56,35 +70,71 @@ class LiftTables:
     stats: PrecomputeStats = field(compare=False)
 
 
+def _require_int64_prime(l: int) -> None:
+    if exact_dtype(l**3) is not np.int64:
+        raise ValueError(f"prime {l} too large for int64 residue scans (l^3 >= 2^62)")
+
+
+def residue_scan(coeffs, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """f(x) mod l^2 and f'(x) mod l for a block of polynomials at every x mod l.
+
+    coeffs is an (n, d+1) array of int64 values in [0, l^2), row k holding
+    c_0..c_d of one polynomial; the results are two int64 (n, l) arrays.
+    Each Horner step multiplies the bound on the accumulators by l, and they
+    are reduced mod l^2 only when it would reach 2^62 (for primes below 100
+    and degree 3, never); a reduced step stays below l^3.
+    """
+    _require_int64_prime(l)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    l2 = l * l
+    x = np.arange(l, dtype=np.int64)
+    value = np.repeat(coeffs[:, -1:], l, axis=1)  # Horner's first step: f = c_d, f' = 0
+    slope = np.zeros_like(value)
+    bound = l2 - 1  # bounds both accumulators, which stay >= 0
+    for c in coeffs.T[-2::-1]:  # fused Horner: value -> f(x), slope -> f'(x)
+        if exact_dtype(bound * l) is object:
+            value %= l2
+            slope %= l2
+            bound = l2 - 1
+        # slope*x + value and value*x + c are both at most bound*(l-1) + bound
+        bound *= l
+        slope *= x
+        slope += value
+        value *= x
+        value += c[:, None]
+    value %= l2
+    slope %= l
+    return value, slope
+
+
+def lift_events(coeffs, l: int) -> np.ndarray:
+    """residue_scan's (n, l) mask of f(x) == 0 mod l^2 and f'(x) == 0 mod l:
+    x is a multiple root mod l whose class holds a root mod l^2."""
+    value, slope = residue_scan(coeffs, l)
+    return (value == 0) & (slope == 0)
+
+
 def classify_roots(f: MonicPolynomial, l: int, stats: PrecomputeStats | None = None) -> RootClassification:
-    """Scan all residues mod l and split the roots by derivative vanishing."""
+    """Split the roots of f mod l by derivative vanishing, and the multiple
+    ones by whether their class lifts, from one residue_scan row (the
+    coefficients are reduced mod l^2 first: they have no int64 bound)."""
     if l < 2:
         raise ValueError(f"modulus must be a prime >= 2, got {l}")
-    simple = set()
-    multiple = set()
-    for x in range(l):
-        if eval_poly(f, x, l) == 0:
-            if eval_derivative(f, x, l) == 0:
-                multiple.add(x)
-            else:
-                simple.add(x)
+    values, slopes = (row[0] for row in residue_scan([[c % (l * l) for c in f.coefficients]], l))
+    found = np.flatnonzero(values % l == 0)
+    roots = list(zip(found.tolist(), values[found].tolist(), slopes[found].tolist()))
+    simple = {x: slope for x, _, slope in roots if slope}  # f'(x) mod l at each simple root
+    multiple = {x: value for x, value, slope in roots if not slope}  # f(x) mod l^2 at each multiple root
     if stats is not None:
-        # one f scan always; f' only evaluated on the roots found
-        stats.root_scan_evaluations += l + len(simple) + len(multiple)
-    return RootClassification(prime=l, simple_roots=frozenset(simple), multiple_roots=frozenset(multiple))
-
-
-def lift_multiple_test(f: MonicPolynomial, l: int, root: int, stats: PrecomputeStats | None = None) -> bool:
-    """Does the class of a multiple root mod l contain a root of f mod l^2?
-
-    Constant on the class, so testing the given representative suffices.
-    """
-    x = root % l
-    if eval_poly(f, x, l) != 0 or eval_derivative(f, x, l) != 0:
-        raise ValueError(f"{root} is not a multiple root of f modulo {l}")
-    if stats is not None:
-        stats.multiple_lift_tests += 1
-    return eval_poly(f, x, l * l) == 0
+        # the precompute cost model: f at every residue, f' at each root, one lift test per multiple root
+        stats.root_scan_evaluations += l + len(roots)
+        stats.multiple_lift_tests += len(multiple)
+    return RootClassification(
+        simple_roots=frozenset(simple),
+        multiple_roots=frozenset(multiple),
+        liftable_multiple=frozenset(x for x, value in multiple.items() if value == 0),
+        slopes=simple,
+    )
 
 
 def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
@@ -99,7 +149,9 @@ def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
     ladders: dict[int, PrimeLadder] = {}
     rat_cap_bound = rational_bound(f, u)
     alg_cap_bound = algebraic_bound(f, u)
-    for l in primes_up_to(y):
+    primes = primes_up_to(y)
+    _require_int64_prime(max(primes, default=2))  # before any prime is scanned
+    for l in primes:
         classification = classify_roots(f, l, stats)
         cap_rational = max_exponent(l, rat_cap_bound)
         cap_algebraic = max_exponent(l, alg_cap_bound)
@@ -114,7 +166,7 @@ def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
         if cap_algebraic >= 1:
             level = sorted(classification.simple_roots)
             simple_levels.append(tuple(level))
-            steps = {x: mod_inverse(eval_derivative(f, x, l), l) for x in level}
+            steps = {x: mod_inverse(classification.slopes[x], l) for x in level}
             modulus = l
             current = {x: x for x in level}
             for _ in range(cap_algebraic - 1):
@@ -124,14 +176,10 @@ def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
                     stats.newton_lift_steps += 1
                 simple_levels.append(tuple(sorted(current.values())))
 
-        multiple = tuple(sorted(classification.multiple_roots))
-        liftable = tuple(x for x in multiple if lift_multiple_test(f, l, x, stats))
-
         ladders[l] = PrimeLadder(
-            prime=l,
             rational_targets=tuple(targets),
             simple_levels=tuple(simple_levels),
-            multiple_roots=multiple,
-            liftable_multiple=liftable,
+            multiple_roots=tuple(sorted(classification.multiple_roots)),
+            liftable_multiple=tuple(sorted(classification.liftable_multiple)),
         )
     return LiftTables(u=u, y=y, ladders=ladders, stats=stats)

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: flags, files, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -22,6 +23,7 @@ from sievelab.poly import SievePolynomial
 
 WORKED = ["--poly", "1,0,1", "--m", "4", "--u", "3", "--y", "5"]
 README = Path(__file__).resolve().parents[1] / "README.md"
+README_OUTPUTS = Path(__file__).resolve().parent / "data" / "readme_outputs.json"
 
 
 def read_csv(path):
@@ -294,6 +296,45 @@ def test_degree_cap_is_a_usage_error(capsys):
     assert f"must be <= {d}, got {d + 1}" in capsys.readouterr().err
 
 
+def test_coefficient_bound_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from sievelab import engine, experiments
+
+    # the README's, the tests' and the benchmark's m (at most 10^15, in the tiny sweep grid) pass
+    top = cli.MAX_M
+    assert top >= 10**15
+    for command in ("compare", "sieve", "sweep"):
+        assert parses([command, "--m", str(10**15)]) and parses([command, "--m", str(top)])
+        assert not parses([command, "--m", str(top + 1)])
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in ((engine, "build_table"), (experiments, "build_table"), (experiments, "build_lift_tables")):
+        monkeypatch.setattr(module, name, refuse)
+    entry = {"d": 2, "m": 6, "u": 3, "y": 5, "seed": 1}
+    configs = {
+        "compare.json": {"poly": [1, 0, 1], "m": top + 1, "u": 3, "y": 5},
+        "sweep.json": {"sweep_instances": [entry, {**entry, "m": top + 1}]},  # the first entry fits, but is not built
+    }
+    for name, values in configs.items():
+        (tmp_path / name).write_text(json.dumps(values))
+    for argv in (
+        ["compare", "--poly", "1,0,1", "--m", str(top + 1), "--u", "3", "--y", "5"],
+        ["sieve", "--random", "--d", "2", "--m", str(top + 1), "--u", "3", "--y", "5"],
+        ["sweep", "--instances", "1", "--d", "2", "--m", str(top + 1), "--u", "3", "--y", "5"],
+        ["compare", "--config", str(tmp_path / "compare.json")],
+        ["sweep", "--config", str(tmp_path / "sweep.json"), "--out", str(tmp_path / "out")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"must be <= {top}, got {top + 1}" in captured.err, argv
+    assert not (tmp_path / "out").exists()
+
+
 def test_prime_scan_and_sweep_instance_caps_are_usage_errors(tmp_path, capsys, monkeypatch):
     from sievelab import engine, experiments, oracle
 
@@ -361,10 +402,13 @@ def readme_commands() -> list[list[str]]:
 
 
 def test_readme_examples_run(tmp_path, capsys):
+    # each README example's stdout and the sha256 of each row file it writes, pinned byte for byte
+    pinned = json.loads(README_OUTPUTS.read_text())
     commands = readme_commands()
     assert [argv[0] for argv in commands] == ["compare", "sieve", "montecarlo", "enumerate", "sweep",
                                                "sweep", "montecarlo"]
-    for k, argv in enumerate(commands):
+    assert commands == [entry["argv"] for entry in pinned]
+    for k, (argv, entry) in enumerate(zip(commands, pinned)):
         out = tmp_path / f"run{k}"
         if "--out" in argv:
             argv[argv.index("--out") + 1] = str(out)
@@ -372,9 +416,13 @@ def test_readme_examples_run(tmp_path, capsys):
             argv += ["--out", str(out)]
         assert main(argv) == EXIT_OK, argv
         printed = capsys.readouterr().out
+        assert printed == entry["stdout"], argv
         summary = json.loads(printed[printed.index("{"):])
         assert summary["command"] == argv[0]
         assert json.loads((out / "summary.json").read_text()) == summary
+        rows = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.iterdir()) if path.name != "summary.json"}
+        assert rows == entry["row_files"], argv
 
 
 def test_sieve_subcommand(tmp_path, capsys):
@@ -596,14 +644,15 @@ def test_console_entry_point_runs():
 
 
 # bounds the contract test patches in, small enough that every accepted input is cheap
-SMALL_BOUNDS = {"MAX_U": 4, "MAX_Y": 13, "MAX_SWEEP_INSTANCES": 3, "MAX_D": 5}
+# m up to 10^15 still gives exact-integer algebraic sides at u = 4 and d = 5: 10^15 * 6 * 4^5 >= 2^62
+SMALL_BOUNDS = {"MAX_U": 4, "MAX_Y": 13, "MAX_SWEEP_INSTANCES": 3, "MAX_D": 5, "MAX_M": 10**15}
 SMALL_CAPS = {"ENUMERATION_CAP": 10**4, "MONTE_CARLO_CAP": 3000, "DRAW_CAP": 100}
 # flag: (lowest accepted value or None, highest value drawn in range, highest accepted value or None)
 INT_FLAGS = {
-    "compare": {"d": (2, 5, 5), "m": (1, 10**20, None), "u": (1, 4, 4), "y": (2, 13, 13), "seed": (None, 9, None)},
+    "compare": {"d": (2, 5, 5), "m": (1, 10**15, 10**15), "u": (1, 4, 4), "y": (2, 13, 13), "seed": (None, 9, None)},
     "montecarlo": {"d": (1, 6, None), "y": (2, 13, None), "trials": (1, 20, None), "seed": (None, 9, None)},
     "enumerate": {"d": (1, 3, None), "l": (2, 7, None)},
-    "sweep": {"instances": (1, 3, 3), "d": (2, 5, 5), "m": (1, 30, None), "u": (1, 4, 4), "y": (2, 13, 13),
+    "sweep": {"instances": (1, 3, 3), "d": (2, 5, 5), "m": (1, 30, 10**15), "u": (1, 4, 4), "y": (2, 13, 13),
               "seed": (None, 9, None)},
 }
 INT_FLAGS["sieve"] = INT_FLAGS["compare"]

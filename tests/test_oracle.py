@@ -312,7 +312,7 @@ def test_oracle_invariants_raise(monkeypatch):
     classical = sieve_classical(F_SQUARE_PLUS_ONE, 3, 5)
     improved = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5)
     # a root classification that misses the roots of x^2 + 1 mod 5
-    monkeypatch.setattr(oracle, "classify_roots", lambda f, l: RootClassification(l, frozenset(), frozenset()))
+    monkeypatch.setattr(oracle, "classify_roots", lambda f, l: RootClassification(frozenset(), frozenset(), frozenset(), {}))
     with pytest.raises(InvariantViolation, match="non-root residue"):
         verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 5)
     monkeypatch.undo()

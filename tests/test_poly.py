@@ -16,7 +16,6 @@ from sievelab.poly import (
     MonicPolynomial,
     SievePolynomial,
     algebraic_bound,
-    eval_derivative,
     eval_norm,
     eval_poly,
     exact_dtype,
@@ -107,16 +106,9 @@ def test_eval_poly_examples():
     assert eval_poly(SievePolynomial((-1, 2, 0, 1), m=2), 0, 9) == 8
 
 
-def test_eval_derivative_examples():
-    assert eval_derivative(SievePolynomial((0, 0, 1), m=3), 0, 3) == 0
-    assert eval_derivative(SievePolynomial((1, 0, 1), m=4), 2, 5) == 4
-    assert eval_derivative(SievePolynomial((-1, 2, 0, 1), m=2), 1, 7) == 5
-
-
 @given(sieve_polys(), st.integers(min_value=-100, max_value=100), st.integers(min_value=1, max_value=10**6))
 def test_eval_against_direct_sums(f, x, modulus):
     assert eval_poly(f, x, modulus) == sum(c * x**i for i, c in enumerate(f.coefficients)) % modulus
-    assert eval_derivative(f, x, modulus) == sum(i * c * x ** (i - 1) for i, c in enumerate(f.coefficients) if i) % modulus
 
 
 @given(

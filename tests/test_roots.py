@@ -1,7 +1,8 @@
 """Root classification, Hensel ladders, and the multiple-root lift test.
 
 Every ladder claim is rechecked by exhaustive enumeration of roots
-modulo l^e, which stays cheap for l^e up to 10^4.
+modulo l^e, which stays cheap for l^e up to 10^4.  Root classes are
+rechecked against plain sums over Python ints, not the residue kernel.
 """
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.arith import max_exponent, primes_up_to
-from sievelab.poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_derivative, eval_norm, eval_poly, rational_bound
-from sievelab.roots import build_lift_tables, classify_roots, lift_multiple_test
+from sievelab import roots
+from sievelab.poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_norm, eval_poly, rational_bound
+from sievelab.roots import build_lift_tables, classify_roots
 
 ENUM_LIMIT = 10**4
 # u^2 >= ENUM_LIMIT, so every ladder reaches l^e = ENUM_LIMIT
@@ -29,6 +31,30 @@ def brute_roots(f, modulus):
     return {x for x in range(modulus) if eval_poly(f, x, modulus) == 0}
 
 
+def value_at(f, x, modulus):
+    """f(x) mod modulus as the plain sum of c_i x^i."""
+    return sum(c * x**i for i, c in enumerate(f.coefficients)) % modulus
+
+
+def slope_at(f, x, modulus):
+    """f'(x) mod modulus as the plain sum of i c_i x^(i-1)."""
+    return sum(i * c * x ** (i - 1) for i, c in enumerate(f.coefficients) if i) % modulus
+
+
+def reference_classes(f, l):
+    """(simple, multiple, liftable multiple) roots of f mod l, residue by residue."""
+    found = [x for x in range(l) if value_at(f, x, l) == 0]
+    simple = {x for x in found if slope_at(f, x, l) != 0}
+    multiple = set(found) - simple
+    return simple, multiple, {x for x in multiple if value_at(f, x, l * l) == 0}
+
+
+def assert_matches_reference(f, l):
+    rc = classify_roots(f, l)
+    assert (rc.simple_roots, rc.multiple_roots, rc.liftable_multiple) == reference_classes(f, l)
+    assert rc.slopes == {x: slope_at(f, x, l) for x in rc.simple_roots}
+
+
 def test_classify_examples():
     rc = classify_roots(SievePolynomial((1, 0, 1), m=4), 5)
     assert rc.simple_roots == {2, 3} and rc.multiple_roots == frozenset()
@@ -42,13 +68,56 @@ def test_classify_examples():
 def test_classify_matches_definition(f, l):
     rc = classify_roots(f, l)
     assert rc.simple_roots.isdisjoint(rc.multiple_roots)
+    assert rc.liftable_multiple <= rc.multiple_roots
     assert len(rc.simple_roots | rc.multiple_roots) <= f.degree
-    for x in range(l):
-        if eval_poly(f, x, l) == 0:
-            expected = rc.multiple_roots if eval_derivative(f, x, l) == 0 else rc.simple_roots
-            assert x in expected
-        else:
-            assert x not in rc.simple_roots and x not in rc.multiple_roots
+    assert_matches_reference(f, l)
+
+
+# past +-2^63 in either direction, and just inside it
+HUGE = st.one_of(st.integers(-(2**100), 2**100), st.integers(2**63 - 2**10, 2**63 + 2**10).map(lambda c: c * (-1) ** (c % 2)))
+
+
+@settings(deadline=None)
+@given(st.lists(HUGE, min_size=1, max_size=6), st.sampled_from([2, 3, 5, 7, 31, 97, 3931]))
+def test_classify_reduces_huge_coefficients_first(lower, l):
+    f = MonicPolynomial((*lower, 1))
+    assert_matches_reference(f, l)
+    # the same classes as the polynomial reduced mod l^2
+    reduced = classify_roots(MonicPolynomial(tuple(c % (l * l) for c in lower) + (1,)), l)
+    assert reduced == classify_roots(f, l)
+
+
+def test_classify_at_the_largest_prime_of_the_command_line():
+    from sievelab.cli import MAX_Y
+
+    l = primes_up_to(MAX_Y)[-1]
+    assert l == 3931
+    r, s = 1234, 3000
+    square = MonicPolynomial(((r * r * -s), r * r + 2 * r * s, -2 * r - s, 1))  # (x - r)^2 (x - s)
+    blocked = MonicPolynomial((r * r + l, -2 * r, 1))  # (x - r)^2 + l: r is multiple and does not lift
+    for f in (square, blocked, MonicPolynomial((5, -(2**70), 17, 1))):
+        assert_matches_reference(f, l)
+    assert classify_roots(square, l).liftable_multiple == {r}
+    assert classify_roots(blocked, l).multiple_roots == {r}
+    assert classify_roots(blocked, l).liftable_multiple == frozenset()
+
+
+def test_classify_and_tables_refuse_primes_past_the_int64_bound(monkeypatch):
+    # l^3 >= 2^62 exactly from l = 1,664,511 on; the largest prime below it still scans
+    assert 1664510**3 < 2**62 <= 1664511**3
+    f = SievePolynomial((-4, 0, 1), m=4)
+    assert classify_roots(f, 1664501).simple_roots == {2, 1664499}
+    with pytest.raises(ValueError, match="int64"):
+        classify_roots(f, 1664511)
+    with pytest.raises(ValueError, match="int64"):
+        classify_roots(f, 2**40)
+
+    def refuse(*args):
+        raise AssertionError("scanned a prime")
+
+    monkeypatch.setattr(roots, "classify_roots", refuse)
+    with pytest.raises(ValueError, match="int64"):
+        build_lift_tables(f, 1, 1664543)  # the first prime past the bound
 
 
 def test_hensel_examples():
@@ -78,19 +147,25 @@ def test_hensel_agrees_with_exhaustive_enumeration(f, l):
 
 
 def test_lift_multiple_examples():
-    assert lift_multiple_test(SievePolynomial((0, 0, 1), m=3), 2, 0) is True
-    assert lift_multiple_test(MonicPolynomial((2, 0, 1)), 2, 0) is False
+    assert classify_roots(SievePolynomial((0, 0, 1), m=3), 2).liftable_multiple == {0}
+    two = classify_roots(MonicPolynomial((2, 0, 1)), 2)  # x^2 + 2: f(0) = 2 mod 4
+    assert two.multiple_roots == {0} and two.liftable_multiple == frozenset()
     f = SievePolynomial((1, 2, 1), m=2)
-    assert lift_multiple_test(f, 3, 2) is True
+    assert classify_roots(f, 3).liftable_multiple == {2}
     assert eval_poly(f, 5, 9) == 0  # any class member decides alike
 
 
 def test_lift_multiple_rejects_simple_roots():
-    f = SievePolynomial((1, 0, 1), m=4)
-    with pytest.raises(ValueError):
-        lift_multiple_test(f, 5, 2)
-    with pytest.raises(ValueError):
-        lift_multiple_test(f, 5, 0)
+    # x^2 + 1 = (x - 7)(x - 18) mod 25: its roots mod 5 lift, but they are simple
+    rc = classify_roots(SievePolynomial((1, 0, 1), m=4), 5)
+    assert rc.simple_roots == {2, 3}
+    assert rc.multiple_roots == rc.liftable_multiple == frozenset()
+
+
+def test_classify_slopes_examples():
+    assert classify_roots(SievePolynomial((0, 0, 1), m=3), 3).multiple_roots == {0}  # f'(0) = 0
+    assert classify_roots(SievePolynomial((1, 0, 1), m=4), 5).slopes == {2: 4, 3: 1}
+    assert classify_roots(SievePolynomial((-1, 2, 0, 1), m=2), 2).slopes == {1: 1}  # f'(1) = 5
 
 
 @given(sieve_polys(), st.sampled_from(primes_up_to(30)))
@@ -100,7 +175,7 @@ def test_lift_decision_is_constant_on_the_class(f, l):
         base = eval_poly(f, x, l * l)
         for k in range(l):
             assert eval_poly(f, x + k * l, l * l) == base
-        assert lift_multiple_test(f, l, x) == (base == 0)
+        assert (x in rc.liftable_multiple) == (base == 0)
 
 
 def test_build_tables_worked_instance():
