@@ -25,9 +25,13 @@ which checks them before any work.
 
 Exit codes: 0 success, 1 statistical gate failed, 2 usage error,
 3 a verified identity or internal invariant was violated.  An --out
-path that can never be a directory is a usage error found before any
+path that can never be a directory, or an empty one, which would put the
+result files in the current directory, is a usage error found before any
 work starts, and the --out directory itself is created only when the
-first result file is written, so a usage error leaves nothing behind.
+first result file is written, so a usage error leaves nothing behind.  A
+result file that cannot be written (a directory in its place, say) is a
+usage error too, and names the file; summary.json is written before the
+summary is printed.
 """
 
 import argparse
@@ -221,32 +225,40 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _write_rows(args: argparse.Namespace, name: str, columns: list[str], rows: list[list]) -> None:
-    out = _out_dir(args)
     if args.format == "json":
         payload = [dict(zip(columns, r)) for r in rows]
-        (out / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_out(args, f"{name}.json", lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
     else:
-        with open(out / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(rows)
+        _write_out(args, f"{name}.csv", lambda fh: csv.writer(fh).writerows([columns, *rows]))
 
 
-def _emit_summary(summary: dict, args: argparse.Namespace) -> None:
+def _emit_summary(summary: dict, args: argparse.Namespace, *lines: str) -> None:
+    """Write summary.json when --out is given, then print the lines and the
+    summary, so a file that cannot be written leaves stdout empty."""
     text = json.dumps(summary, indent=2, sort_keys=True)
-    print(text)
     if args.out is not None:
-        (_out_dir(args) / "summary.json").write_text(text + "\n")
+        _write_out(args, "summary.json", lambda fh: fh.write(text + "\n"))
+    print(*lines, text, sep="\n")
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    """The --out directory, created on the first write, once the handler
-    has validated its inputs."""
+def _write_out(args: argparse.Namespace, name: str, write) -> None:
+    """write(fh) into the file name of the --out directory, which is created
+    on the first write, once the handler has validated its inputs; a
+    directory or file that cannot be written is a usage error."""
+    path = args.out / name
     try:
         args.out.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            write(fh)
     except OSError as exc:
-        args.parser.error(f"cannot create --out directory {args.out}: {exc}")
-    return args.out
+        args.parser.error(f"cannot write {path}: {exc}")
+
+
+def _out_path(text: str) -> Path:
+    """argparse type of --out: a path, but not the empty one (the current directory)."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got an empty path")
+    return Path(text)
 
 
 def _check_out(args: argparse.Namespace) -> None:
@@ -362,8 +374,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         report = monte_carlo(model, args.trials)
     except ValueError as exc:
         args.parser.error(str(exc))
-    summary = {"command": "montecarlo", **report.to_dict()}
-    _emit_summary(summary, args)
+    _emit_summary({"command": "montecarlo", **report.to_dict()}, args)
     log.info(
         "estimate %.4f +/- %.4f, reference product %.4f, limit %.4f",
         report.estimate, report.stderr, report.reference_product, report.zeta2_reciprocal,
@@ -377,7 +388,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         count_bad, count_total, per_point = enumerate_exact(args.d, args.l)
     except ValueError as exc:
         args.parser.error(str(exc))
-    print(f"{count_bad}/{count_total}")
     summary = {
         "command": "enumerate",
         "d": args.d,
@@ -387,7 +397,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "per_point_counts": list(per_point),
         "per_point_density": _format_column(per_point, count_total, 9),
     }
-    _emit_summary(summary, args)
+    _emit_summary(summary, args, f"{count_bad}/{count_total}")
     return EXIT_OK
 
 
@@ -456,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file whose keys are flag names; explicit flags win")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--out", type=Path, help="directory for result files (created when they are written)")
+        p.add_argument("--out", type=_out_path, help="directory for result files (created when they are written)")
         if rows:
             p.add_argument("--format", choices=("csv", "json"), default="csv", help="row file format (default csv)")
         if poly:

@@ -29,8 +29,9 @@ The three strategies differ only in how they find cells to divide:
     single unconditional divisions; only the multiple roots whose class
     lifts mod l^2 keep a while-loop pass.
 
-Each sieve runs prime by prime, and for each (level, residue) makes one
-numpy pass over the cells of every row at once; per-(b, l) attempts come
+Each sieve runs prime by prime and makes one numpy pass per (phase,
+level) over every row and every residue of the level at once, whose
+progressions are disjoint for l not dividing b; per-(b, l) attempts come
 from counting the touched cells per row.  The ledger is that count array
 itself: attempts[k, p, b-1], int64 of shape (primes, phases, u), for
 prime k and phase p; nothing is kept per pair.  A sieve given a prebuilt
@@ -138,19 +139,21 @@ def build_table(f: SievePolynomial, u: int) -> SieveTable:
     return SieveTable(u=u, rational=rational, algebraic=algebraic)
 
 
-def _cells(rows: np.ndarray, x: int, modulus: int, u: int) -> np.ndarray:
+def _cells(rows: np.ndarray, residues: tuple[int, ...], modulus: int, u: int) -> np.ndarray:
     """Flat indices of the cells (b, a) with b in rows and a = b*x (mod
-    modulus), row by row in ascending a."""
+    modulus) for some x in residues: residue by residue, each row by row in
+    ascending a.  For residues distinct modulo a power of l and rows l does
+    not divide, no cell appears twice."""
     width = 2 * u + 1
+    dtype = exact_dtype((u + 1) * modulus)  # b*x can pass 2^63 on the deep levels
+    start = ((rows.astype(dtype) * np.array(residues, dtype=dtype)[:, None] + u) % modulus).ravel()
+    first = np.tile((rows - 1) * width, len(residues))
     if modulus < width:
-        start = (rows * x + u) % modulus
         counts = (width - 1 - start) // modulus + 1
         steps = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        return np.repeat((rows - 1) * width + start, counts) + modulus * steps
-    # at most one cell per row; b*x can pass 2^63 on the deep levels
-    start = (rows.astype(exact_dtype((u + 1) * modulus)) * x + u) % modulus
-    hit = start < width
-    return (rows[hit] - 1) * width + start[hit].astype(np.int64)
+        return np.repeat(first + start, counts) + modulus * steps
+    hit = start < width  # at most one cell per row and residue
+    return first[hit] + start[hit].astype(np.int64)
 
 
 def _per_row(cells: np.ndarray, u: int) -> np.ndarray:
@@ -231,8 +234,8 @@ def sieve_classical(
             (1, algebraic, simple),
             (2, algebraic, ladder.multiple_roots),
         ):
-            for x in residues:
-                counts[k, phase] += _while_loop(side, _cells(rows, x, l, u), l, u)
+            if residues:
+                counts[k, phase] += _while_loop(side, _cells(rows, residues, l, u), l, u)
     return SieveOutcome(CLASSICAL, table, CostLedger(CLASSICAL, tuple(tables.ladders), PHASES, counts))
 
 
@@ -247,19 +250,19 @@ def sieve_improved(
     counts = np.zeros((len(tables.ladders), len(PHASES), u), dtype=np.int64)
     for k, (l, ladder) in enumerate(tables.ladders.items()):
         rows = _rows_without(l, u)
-        modulus = 1
-        for target in ladder.rational_targets:
-            modulus *= l
-            counts[k, 0] += _divide_once(rational, _cells(rows, target, modulus, u), l, u, "rational", modulus)
-        modulus = 1
-        for level in ladder.simple_levels:
-            modulus *= l
-            for x in level:
-                counts[k, 1] += _divide_once(algebraic, _cells(rows, x, modulus, u), l, u, "simple-root", modulus)
-        for x in ladder.multiple_roots:
-            counts[k, 2] += _divide_once(algebraic, _cells(rows, x, l, u), l, u, "multiple-root", l)
-        for x in ladder.liftable_multiple:
-            counts[k, 2] += _while_loop(algebraic, _cells(rows, x, l, u), l, u)
+        # the multiple roots are a ladder of one level
+        for phase, side, what, levels in (
+            (0, rational, "rational", [(target,) for target in ladder.rational_targets]),
+            (1, algebraic, "simple-root", ladder.simple_levels),
+            (2, algebraic, "multiple-root", (ladder.multiple_roots,)),
+        ):
+            modulus = 1
+            for level in levels:
+                modulus *= l
+                if level:
+                    counts[k, phase] += _divide_once(side, _cells(rows, level, modulus, u), l, u, what, modulus)
+        if ladder.liftable_multiple:
+            counts[k, 2] += _while_loop(algebraic, _cells(rows, ladder.liftable_multiple, l, u), l, u)
     return SieveOutcome(IMPROVED, table, CostLedger(IMPROVED, tuple(tables.ladders), PHASES, counts))
 
 

@@ -16,15 +16,16 @@ int64 up to the Horner step whose partial bound reaches 2^62) and never
 reads the engine's tables or walks the ladders it uses.  Per block it
 goes one prime at a time: a test over the whole block finds the cells
 divisible by l, repeated division of the exact values of those cells
-gives their valuations, a lookup table built from classify_roots (one
-row of the residue kernel of roots, the same one the ladders read) sorts
-the algebraic hits by the root class of a * b^(-1) mod l, and counting
-per row gives the sizes of every pair in the block at once.  Tests and
-divisions go through arith.fused_divide, one wrapping multiply per int64
-value.  An exact-integer side is reduced once per group of consecutive
-primes, modulo the group's product (below 2^62), and each prime's test
-then runs on those int64 residues: for y = 100 that is 2 passes over
-exact integers where one per prime would be 25.
+gives their valuations, a test of a = b*x (mod l) against each of the at
+most d roots x that classify_roots returns (one row of the residue
+kernel of roots, the same one the ladders read) sorts the algebraic hits
+by root class, and counting per row gives the sizes of every pair in
+the block at once.  Tests and divisions go through arith.fused_divide,
+one wrapping multiply per int64 value.  An exact-integer side is reduced
+once per group of consecutive primes, modulo the group's product (below
+2^62), and each prime's test then runs on those int64 residues: for
+y = 100 that is 2 passes over exact integers where one per prime would
+be 25.
 
 Only the level-1 sizes, the level sums and multiple[1] enter the
 formulas, so the oracle keeps just those, as the (primes, u) arrays of a
@@ -57,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import InvariantViolation, fused_divide, max_exponent, mod_inverse, primes_up_to
+from .arith import InvariantViolation, fused_divide, max_exponent, primes_up_to
 from .engine import CLASSICAL, IMPROVED, PHASES, SieveOutcome
 from .poly import SievePolynomial, algebraic_bound, rational_bound, table_factors
 from .roots import classify_roots
@@ -143,31 +144,20 @@ def _valuations(side: np.ndarray, cells: np.ndarray, l: int, depth: int) -> np.n
     raise InvariantViolation(f"valuation exceeds proven depth {depth} for prime {l}")
 
 
-def _residue_lookup(f: SievePolynomial, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """kinds[x] for x mod l (0 no root of f, 1 simple root, 2 multiple
-    root) and inverse[x] = x^(-1) mod l (inverse[0] unused)."""
-    rc = classify_roots(f, l)
-    kinds = np.zeros(l, dtype=np.int8)
-    kinds[list(rc.simple_roots)] = 1
-    kinds[list(rc.multiple_roots)] = 2
-    inverse = np.array([0] + [mod_inverse(x, l) for x in range(1, l)], dtype=np.int64)
-    return kinds, inverse
-
-
 def _hits(
     u: int,
     b: np.ndarray,
     l: int,
     factors: tuple[np.ndarray, np.ndarray, np.ndarray],
     divisible: tuple[np.ndarray, np.ndarray],
-    lookup: tuple[np.ndarray, np.ndarray],
+    roots: list[np.ndarray],
     depths: tuple[int, int],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(row, v_l) of every rational, simple-root and multiple-root hit of the
     rows b (a column) that l does not divide; divisible masks the cells of
-    each side that l divides."""
+    each side that l divides, and roots holds the simple and the multiple
+    roots of f mod l, each as a column."""
     rational, algebraic, live = factors
-    kinds, inverse = lookup
     width = 2 * u + 1
     live = live & (b % l != 0)
     rational_hits = np.flatnonzero(live & divisible[0])
@@ -175,20 +165,21 @@ def _hits(
 
     hit_b = b[norm_hits // width, 0]
     hit_a = norm_hits % width - u
-    residue = hit_a % l * inverse[hit_b % l] % l
-    kind = kinds[residue]
-    stray = np.flatnonzero(kind == 0)
+    # a = b*x (mod l) for at most one root x, since l does not divide b
+    simple, multiple = (((hit_b * x - hit_a) % l == 0).any(axis=0) for x in roots)
+    stray = np.flatnonzero(~(simple | multiple))
     if stray.size:
         i = stray[0]
+        residue = int(hit_a[i]) * pow(int(hit_b[i]), -1, l) % l
         raise InvariantViolation(
-            f"norm hit at (b={hit_b[i]}, a={hit_a[i]}) maps to non-root residue {residue[i]} mod {l}"
+            f"norm hit at (b={hit_b[i]}, a={hit_a[i]}) maps to non-root residue {residue} mod {l}"
         )
     return [
         (cells // width, _valuations(side, cells, l, depth))
         for side, cells, depth in (
             (rational, rational_hits, depths[0]),
-            (algebraic, norm_hits[kind == 1], depths[1]),
-            (algebraic, norm_hits[kind == 2], depths[1]),
+            (algebraic, norm_hits[simple], depths[1]),
+            (algebraic, norm_hits[multiple], depths[1]),
         )
     ]
 
@@ -212,7 +203,11 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
     """LevelSums of every (l, b) as (primes, u) arrays, zero where l divides b."""
     sums = np.zeros((len(LevelSums._fields), len(primes), u), dtype=np.int64)
     groups = _prime_groups(primes)
-    lookups = [_residue_lookup(f, l) for l in primes]
+    # the simple and the multiple roots of f mod each l, as columns
+    roots = [
+        [np.array(list(x), dtype=np.int64)[:, None] for x in (rc.simple_roots, rc.multiple_roots)]
+        for rc in (classify_roots(f, l) for l in primes)
+    ]
     # proven largest exponents of each l on the rational and the algebraic side
     depths = [(max_exponent(l, rational_bound(f, u)), max_exponent(l, algebraic_bound(f, u))) for l in primes]
     step = max(1, _BLOCK_CELLS // (2 * u + 1))
@@ -221,7 +216,7 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
         factors = table_factors(f, u, b)
         sides = zip(_divisible(factors[0], groups), _divisible(factors[1], groups))
         for k, ((l, rational), (_, algebraic)) in enumerate(sides):
-            hits = _hits(u, b, l, factors, (rational, algebraic), lookups[k], depths[k])
+            hits = _hits(u, b, l, factors, (rational, algebraic), roots[k], depths[k])
             sums[:, k, first - 1 : first - 1 + b.shape[0]] = _row_sums(hits, b.shape[0])
     return LevelSums(*sums)
 

@@ -10,7 +10,9 @@ The algebraic side of a table entry is the binary form
 so F(a, 1) = f(a) and, for l not dividing b, the l-adic valuation of
 F(a, b) is controlled by the roots of f modulo powers of l.  F has the
 same coefficients as f, so eval_norm takes f itself; it is the one
-evaluator of F.
+evaluator of F, and of f(x) = F(x, 1) in exact integers for the
+ladders' Newton steps.  Roots mod l and their lifts mod l^2 come from
+the residue kernel in roots.
 
 Arrays of table values take their dtype from a proven bound through
 exact_dtype: int64 below 2^62, exact Python integers (object) above.
@@ -20,9 +22,6 @@ bound reaches 2^62 and in exact integers only from there on.
 table_factors builds both factors of a block of table rows and their
 live mask that way; it is the one builder of cell factors, used by the
 engine for the whole table and by the oracle block by block.
-
-eval_poly works modulo a given modulus, for the ladders' Newton steps;
-roots mod l and their lifts mod l^2 come from the residue kernel in roots.
 """
 
 from dataclasses import dataclass
@@ -65,17 +64,6 @@ class SievePolynomial(MonicPolynomial):
         for i, c in enumerate(self.coefficients[:-1]):
             if abs(c) > self.m:
                 raise ValueError(f"|c_{i}| = {abs(c)} exceeds m = {self.m}")
-
-
-def eval_poly(f: MonicPolynomial, x: int, modulus: int) -> int:
-    """f(x) mod modulus, by Horner's rule."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    acc = 0
-    x %= modulus
-    for c in reversed(f.coefficients):
-        acc = (acc * x + c) % modulus
-    return acc
 
 
 def eval_norm(f: SievePolynomial, a, b):

@@ -8,13 +8,16 @@ on its residue class mod l: f is constant mod l^2 on that class, so a
 single evaluation decides for the whole class.
 
 One numpy kernel, residue_scan, answers both questions for the ladders,
-the oracle's root lookup (through classify_roots), Monte Carlo and exact
+the oracle's root test (through classify_roots), Monte Carlo and exact
 enumeration (through lift_events): a fused Horner pass over a block of
 polynomials, with coefficients mod l^2, gives f(x) mod l^2 and f'(x) mod l
 at every x mod l.
 It is exact in int64 while l^3 < 2^62, so residue_scan, classify_roots and
 build_lift_tables raise ValueError for l >= 1,664,511; the command line's
-prime bounds and work caps keep every prime below 2^19.
+prime bounds and work caps keep every prime below 2^19.  The Newton steps
+take f'(x) mod l from the kernel and f(x) = F(x, 1) from poly.eval_norm
+in exact integers, so eval_norm and residue_scan are the only evaluators
+of f.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import max_exponent, mod_inverse, primes_up_to
-from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_poly, exact_dtype, rational_bound
+from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_norm, exact_dtype, rational_bound
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
             for _ in range(cap_algebraic - 1):
                 modulus *= l
                 for base, value in current.items():
-                    current[base] = (value - eval_poly(f, value, modulus) * steps[base]) % modulus
+                    current[base] = (value - eval_norm(f, value, 1) * steps[base]) % modulus
                     stats.newton_lift_steps += 1
                 simple_levels.append(tuple(sorted(current.values())))
 

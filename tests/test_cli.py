@@ -208,9 +208,36 @@ def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
     assert "usage:" in err and "Traceback" not in err
 
 
-def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys):
+def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
+    # an empty --out, as a flag or a config key, would write into the current directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "config.json").write_text(json.dumps({"out": ""}))
+    for argv in (["compare", *WORKED, "--out", ""], ["compare", *WORKED, "--config", "config.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "--out: must name a directory" in captured.err
+        assert [path.name for path in work.iterdir()] == ["config.json"]
+    # a result file that cannot be written, since a directory stands in its place
+    (tmp_path / "out" / "pairs.csv").mkdir(parents=True)
+    (tmp_path / "o2" / "summary.json").mkdir(parents=True)
+    for argv, path in (
+        (["compare", *WORKED, "--out", str(tmp_path / "out")], tmp_path / "out" / "pairs.csv"),
+        (["enumerate", "--d", "1", "--l", "2", "--out", str(tmp_path / "o2")], tmp_path / "o2" / "summary.json"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"cannot write {path}" in captured.err
+        assert [p.name for p in path.parent.iterdir()] == [path.name] and not any(path.iterdir())
     for argv in (
         ["enumerate", "--d", "2", "--l", "2", "--out", str(blocker)],
         ["sweep", "--instances", "1", "--d", "2", "--m", "3", "--u", "5", "--y", "5", "--out", str(blocker / "x")],
@@ -360,7 +387,7 @@ def test_prime_scan_and_sweep_instance_caps_are_usage_errors(tmp_path, capsys, m
         raise AssertionError("work started")
 
     for module, name in ((engine, "build_table"), (experiments, "build_table"), (engine, "build_lift_tables"),
-                         (experiments, "build_lift_tables"), (oracle, "_residue_lookup")):
+                         (experiments, "build_lift_tables"), (oracle, "classify_roots")):
         monkeypatch.setattr(module, name, refuse)
 
     def config(name, values):
@@ -749,20 +776,25 @@ def test_random_invocations_keep_the_exit_code_contract(data, tmp_path, monkeypa
         argv += [f"--{flag}={INT_FLAGS['sweep'][flag][1]}" for flag in ("u", "y") if flag not in placed]
     if data.draw(st.integers(0, 9)) == 9:
         config["bogus"], bad = 1, True
+    out = work / "out"
+    where = data.draw(st.sampled_from(["fresh", "fresh", "fresh", "none", "file", "below file", "empty"]))
+    if where == "empty" and data.draw(st.booleans()):
+        config["out"] = ""
+    elif where != "none":
+        (work / "file").write_text("")
+        argv += ["--out", str({"fresh": out, "file": work / "file", "below file": work / "file" / "out",
+                               "empty": ""}[where])]
+    bad |= where not in ("fresh", "none")
     if config or data.draw(st.integers(0, 9)) == 9:
         path = work / "config.json"
         path.write_text(json.dumps(config) if config else "{not json")
         argv += ["--config", str(path)]
         bad |= not config
-    out = work / "out"
-    where = data.draw(st.sampled_from(["fresh", "fresh", "fresh", "none", "file", "below file"]))
-    if where != "none":
-        (work / "file").write_text("")
-        argv += ["--out", str({"fresh": out, "file": work / "file", "below file": work / "file" / "out"}[where])]
-        bad |= where != "fresh"
     if data.draw(st.booleans()):
         argv.insert(0, "-v")
 
+    monkeypatch.chdir(work)  # an empty --out would write here
+    before = sorted(work.iterdir())
     capsys.readouterr()
     try:
         code = main(argv)
@@ -776,4 +808,4 @@ def test_random_invocations_keep_the_exit_code_contract(data, tmp_path, monkeypa
         assert code == 2, argv
     if code == 2:
         assert captured.out == "", argv
-        assert not out.exists(), argv
+        assert sorted(work.iterdir()) == before, argv  # no --out directory and no result file

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.arith import InvariantViolation, primes_up_to
+from sievelab import engine
 from sievelab.engine import (
     CLASSICAL,
     IMPROVED,
@@ -250,3 +251,47 @@ def test_mixed_dtype_instance_matches_direct_products():
             row.append(value)
         expected.append(row)
     assert classical.table.entries == improved.table.entries == expected
+
+
+def cells_by_enumeration(residues, modulus, l, u):
+    """Flat indices of the cells (b, a), l not dividing b, with a = b*x
+    (mod modulus) for some x in residues: residue by residue, each row by
+    row in ascending a."""
+    width = 2 * u + 1
+    return [
+        (b - 1) * width + a + u
+        for x in residues
+        for b in range(1, u + 1)
+        if b % l
+        for a in range(-u, u + 1)
+        if (a - b * x) % modulus == 0
+    ]
+
+
+BIG = 3**38  # (u + 1) * BIG passes 2^62 for u >= 3, and b * BIG passes 2^63 for b >= 7
+
+
+@pytest.mark.parametrize(
+    "residues, modulus, l, u",
+    [
+        ((2, 7), 9, 3, 10),  # modulus below the row width, several residues per row
+        ((0, 1, 4), 5, 5, 12),  # rows 5 and 10 left out
+        ((7, 18), 25, 5, 12),  # modulus equal to the row width
+        ((3, 10, 22), 27, 3, 12),  # above it: at most one cell per row and residue
+        ((1, BIG - 1, 3 * pow(2, -1, BIG) % BIG), BIG, 3, 10),  # a = b, a = -b and (b, a) = (2, 3)
+    ],
+)
+def test_cells_match_enumeration(residues, modulus, l, u):
+    cells = engine._cells(engine._rows_without(l, u), residues, modulus, u)
+    assert cells.dtype == np.int64
+    assert cells.tolist() == cells_by_enumeration(residues, modulus, l, u)
+    assert len(set(cells.tolist())) == cells.size  # the progressions are disjoint
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 4), st.integers(1, 30), st.data())
+def test_cells_of_a_level_match_enumeration(l, e, u, data):
+    modulus = l**e
+    residues = data.draw(st.lists(st.integers(0, modulus - 1), max_size=5, unique=True))
+    cells = engine._cells(engine._rows_without(l, u), residues, modulus, u)
+    assert cells.tolist() == cells_by_enumeration(residues, modulus, l, u)

@@ -313,8 +313,21 @@ def test_oracle_invariants_raise(monkeypatch):
     improved = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5)
     # a root classification that misses the roots of x^2 + 1 mod 5
     monkeypatch.setattr(oracle, "classify_roots", lambda f, l: RootClassification(frozenset(), frozenset(), frozenset(), {}))
-    with pytest.raises(InvariantViolation, match="non-root residue"):
+    with pytest.raises(InvariantViolation, match=r"^norm hit at \(b=1, a=-3\) maps to non-root residue 1 mod 2$"):
         verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 5)
+    monkeypatch.undo()
+    # one that misses the root 8 of x^2 + 1 mod 13: the first hit it leaves
+    # unsorted is (b, a) = (2, 3), whose residue 3 * 2^(-1) mod 13 is 8
+    classify = oracle.classify_roots
+
+    def without_8_mod_13(f, l):
+        rc = classify(f, l)
+        return rc if l != 13 else RootClassification(rc.simple_roots - {8}, rc.multiple_roots, frozenset(), {})
+
+    monkeypatch.setattr(oracle, "classify_roots", without_8_mod_13)
+    with pytest.raises(InvariantViolation, match=r"^norm hit at \(b=2, a=3\) maps to non-root residue 8 mod 13$"):
+        verify_ledgers(sieve_classical(F_SQUARE_PLUS_ONE, 4, 13), sieve_improved(F_SQUARE_PLUS_ONE, 4, 13),
+                       F_SQUARE_PLUS_ONE, 4, 13)
     monkeypatch.undo()
     # a proven depth of 0, which every hit exceeds
     monkeypatch.setattr(oracle, "max_exponent", lambda l, bound: 0)

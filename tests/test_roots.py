@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sievelab.arith import max_exponent, primes_up_to
 from sievelab import roots
-from sievelab.poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_norm, eval_poly, rational_bound
+from sievelab.poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_norm, rational_bound
 from sievelab.roots import build_lift_tables, classify_roots
 
 ENUM_LIMIT = 10**4
@@ -28,7 +28,7 @@ def sieve_polys(draw, max_degree=5, max_m=20):
 
 
 def brute_roots(f, modulus):
-    return {x for x in range(modulus) if eval_poly(f, x, modulus) == 0}
+    return {x for x in range(modulus) if value_at(f, x, modulus) == 0}
 
 
 def value_at(f, x, modulus):
@@ -152,7 +152,7 @@ def test_lift_multiple_examples():
     assert two.multiple_roots == {0} and two.liftable_multiple == frozenset()
     f = SievePolynomial((1, 2, 1), m=2)
     assert classify_roots(f, 3).liftable_multiple == {2}
-    assert eval_poly(f, 5, 9) == 0  # any class member decides alike
+    assert value_at(f, 5, 9) == 0  # any class member decides alike
 
 
 def test_lift_multiple_rejects_simple_roots():
@@ -172,9 +172,9 @@ def test_classify_slopes_examples():
 def test_lift_decision_is_constant_on_the_class(f, l):
     rc = classify_roots(f, l)
     for x in rc.multiple_roots:
-        base = eval_poly(f, x, l * l)
+        base = value_at(f, x, l * l)
         for k in range(l):
-            assert eval_poly(f, x + k * l, l * l) == base
+            assert value_at(f, x + k * l, l * l) == base
         assert (x in rc.liftable_multiple) == (base == 0)
 
 
@@ -229,7 +229,7 @@ def test_ladder_levels_are_roots_and_chain(f, u, y):
             modulus *= l
             assert len(level) == len(ladder.simple_levels[0])
             for x in level:
-                assert eval_poly(f, x, modulus) == 0
+                assert value_at(f, x, modulus) == 0
         assert set(ladder.liftable_multiple) <= set(ladder.multiple_roots)
 
 
