@@ -658,13 +658,19 @@ def test_identity_mismatch_maps_to_exit_three(monkeypatch, capsys, caplog):
 
 
 def test_console_entry_point_runs():
+    import os
     import subprocess
     import sys
 
+    import sievelab
+
+    # the child imports the package this test imported, installed or not
+    src = str(Path(sievelab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "sievelab", "enumerate", "--d", "2", "--l", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "9/81"
