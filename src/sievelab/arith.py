@@ -4,10 +4,17 @@ The scalar helpers work on native Python integers, so values may exceed
 machine word size without any special handling.  fused_divide is the one
 test-and-divide of a numpy array by a prime: on int64 arrays it spends
 one wrapping multiply per entry, on object arrays (exact Python integers)
-it falls back to exact % and //.
+it falls back to exact % and //.  int64_residues is the one way an array
+meets many small moduli: an object array is reduced to int64 once per
+group of moduli with product below 2^62, 2 passes for the primes up to 100.
 """
 
+from collections.abc import Iterable, Iterator
+from math import prod
+
 import numpy as np
+
+_GROUP_BOUND = 2**62  # moduli whose product stays below it share one reduction
 
 
 class InvariantViolation(RuntimeError):
@@ -105,3 +112,25 @@ def fused_divide(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
     q = (values.view(np.uint64) * np.uint64(pow(l, -1, 2**64))).view(np.int64)
     divisible = (q >= -(2**63 // l)) & (q <= (2**63 - 1) // l)
     return divisible, q[divisible]
+
+
+def int64_residues(values: np.ndarray, moduli: Iterable[int]) -> Iterator[np.ndarray]:
+    """For each modulus in order, each in [1, 2^62), an int64 array
+    congruent to values modulo it: an int64 array as it is, an object array
+    reduced once per group of consecutive moduli with product below 2^62,
+    into a fresh int64 buffer.  A group reads values when reached, so a
+    caller may divide entries in place by the primes already yielded."""
+    groups, product = [], _GROUP_BOUND
+    for n in moduli:
+        if not 1 <= n < _GROUP_BOUND:
+            raise ValueError(f"modulus must lie in [1, 2^62), got {n}")
+        if product * n >= _GROUP_BOUND:
+            groups.append([])
+            product = 1
+        groups[-1].append(n)
+        product *= n
+    for group in groups:
+        reduced = values
+        if values.dtype == object:
+            reduced = np.remainder(values, prod(group), out=np.empty(values.shape, np.int64), casting="unsafe")
+        yield from [reduced] * len(group)

@@ -29,9 +29,9 @@ path that can never be a directory, or an empty one, which would put the
 result files in the current directory, is a usage error found before any
 work starts, and the --out directory itself is created only when the
 first result file is written, so a usage error leaves nothing behind.  A
-result file that cannot be written (a directory in its place, say) is a
-usage error too, and names the file; summary.json is written before the
-summary is printed.
+result file that cannot be written is a usage error too, and names the
+file (a directory in its place is found before any work starts);
+summary.json is written before the summary is printed.
 """
 
 import argparse
@@ -224,12 +224,12 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             args.parser.error(f"this command needs --{name}")
 
 
-def _write_rows(args: argparse.Namespace, name: str, columns: list[str], rows: list[list]) -> None:
+def _write_rows(args: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
     if args.format == "json":
         payload = [dict(zip(columns, r)) for r in rows]
-        _write_out(args, f"{name}.json", lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
+        _write_out(args, f"{args.rows}.json", lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
     else:
-        _write_out(args, f"{name}.csv", lambda fh: csv.writer(fh).writerows([columns, *rows]))
+        _write_out(args, f"{args.rows}.csv", lambda fh: csv.writer(fh).writerows([columns, *rows]))
 
 
 def _emit_summary(summary: dict, args: argparse.Namespace, *lines: str) -> None:
@@ -262,13 +262,14 @@ def _out_path(text: str) -> Path:
 
 
 def _check_out(args: argparse.Namespace) -> None:
-    """Refuse an --out path that can never be a directory: an existing
-    file, or a path below one.  Nothing is created here."""
-    for path in (args.out, *args.out.parents):
-        if path.exists():
-            if not path.is_dir():
-                args.parser.error(f"cannot create --out directory {args.out}: {path} is not a directory")
-            return
+    """Refuse an --out that can never hold the result files, creating
+    nothing: a file, a path below one, or a directory in a file's place."""
+    existing = next(path for path in (args.out, *args.out.parents) if path.exists())
+    if not existing.is_dir():
+        args.parser.error(f"cannot create --out directory {args.out}: {existing} is not a directory")
+    for name in ("summary.json", f"{args.rows}.{args.format}") if args.rows else ("summary.json",):
+        if (args.out / name).is_dir():
+            args.parser.error(f"cannot write {args.out / name}: it is a directory")
 
 
 def _pair_rows(report: LedgerReport) -> list[list]:
@@ -291,7 +292,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     comp = run_comparison(f, args.u, args.y, include_trivial=True)
     report = comp.report
     if args.out is not None:
-        _write_rows(args, "pairs", PAIR_COLUMNS, _pair_rows(report))
+        _write_rows(args, PAIR_COLUMNS, _pair_rows(report))
 
     ratio = None if report.ratio is None else _format_column(report.improved_total, report.classical_total)[0]
     summary = {
@@ -345,7 +346,7 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
 
     smooth = _smooth_rows(outcome.table)
     if args.out is not None:
-        _write_rows(args, "smooth", ["b", "a", "residual"], smooth)
+        _write_rows(args, ["b", "a", "residual"], smooth)
 
     ledger = outcome.ledger
     summary = {
@@ -435,7 +436,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         table.append([idx, inst.degree, inst.m, inst.u, inst.y, inst.seed, ",".join(str(c) for c in row.coefficients),
                       row.classical_total, row.improved_total, ratio, row.correction_total, row.correction_free])
     if args.out is not None:
-        _write_rows(args, "sweep", SWEEP_COLUMNS, table)
+        _write_rows(args, SWEEP_COLUMNS, table)
 
     classical_sum = sum(r.classical_total for r in rows)
     improved_sum = sum(r.improved_total for r in rows)
@@ -459,10 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, handler, summary: str, *, seed: bool = True, rows: bool = False,
+    def add_command(name: str, handler, summary: str, *, seed: bool = True, rows: str | None = None,
                     poly: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler, parser=p)
+        p.set_defaults(handler=handler, parser=p, rows=rows)  # rows: the stem of its row file, if any
         p.add_argument("--config", help="JSON file whose keys are flag names; explicit flags win")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -479,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--y", type=_int_in(2, MAX_Y), help=f"prime bound (at most {MAX_Y})")
         return p
 
-    add_command("compare", _cmd_compare, "run all sieves, verify the cost identities", rows=True, poly=True)
+    add_command("compare", _cmd_compare, "run all sieves, verify the cost identities", rows="pairs", poly=True)
 
-    p = add_command("sieve", _cmd_sieve, "run one sieve and report smooth entries", rows=True, poly=True)
+    p = add_command("sieve", _cmd_sieve, "run one sieve and report smooth entries", rows="smooth", poly=True)
     p.add_argument("--alg", choices=(TRIVIAL, CLASSICAL, IMPROVED), default=IMPROVED)
 
     p = add_command("montecarlo", _cmd_montecarlo,
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_int_in(1), help="polynomial degree")
     p.add_argument("--l", type=_int_in(2), help="prime")
 
-    p = add_command("sweep", _cmd_sweep, "classical/improved ratio across random instances", rows=True)
+    p = add_command("sweep", _cmd_sweep, "classical/improved ratio across random instances", rows="sweep")
     p.set_defaults(sweep_instances=None)
     p.add_argument("--instances", type=_int_in(1, MAX_SWEEP_INSTANCES),
                    help=f"number of instances (at most {MAX_SWEEP_INSTANCES})")

@@ -6,7 +6,8 @@ factors a - b*m and one of algebraic factors F(a, b), each of dtype int64
 when its own proven bound stays below 2^62 and of exact Python integers
 above; build_table takes both from poly.table_factors.  Every test and
 division by a prime goes through arith.fused_divide: one wrapping
-multiply per cell on an int64 side, exact % and // on an object side.
+multiply per cell on an int64 side, exact % and // on an object side,
+which the trivial sieve keeps to its hits by testing arith.int64_residues.
 A cell is dead when gcd(a, b) > 1 or either factor vanishes; dead cells
 hold 0 on both sides and every pass below skips them, since repeatedly
 dividing 0 would never terminate.  The residual entry of a cell is the
@@ -29,7 +30,7 @@ The three strategies differ only in how they find cells to divide:
     single unconditional divisions; only the multiple roots whose class
     lifts mod l^2 keep a while-loop pass.
 
-Each sieve runs prime by prime and makes one numpy pass per (phase,
+The other two sieves run prime by prime, one numpy pass per (phase,
 level) over every row and every residue of the level at once, whose
 progressions are disjoint for l not dividing b; per-(b, l) attempts come
 from counting the touched cells per row.  The ledger is that count array
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import InvariantViolation, fused_divide, primes_up_to
+from .arith import InvariantViolation, fused_divide, int64_residues, primes_up_to
 from .poly import SievePolynomial, exact_dtype, table_factors
 from .roots import LiftTables, build_lift_tables
 
@@ -52,6 +53,7 @@ TRIVIAL = "trivial"
 CLASSICAL = "classical"
 IMPROVED = "improved"
 PHASES = ("rational", "algebraic_simple", "algebraic_multiple")
+_TRIVIAL_BLOCK = 1 << 16  # live cells the trivial sieve gathers at a time
 
 
 @dataclass(eq=False)
@@ -204,15 +206,17 @@ def _rows_without(l: int, u: int) -> np.ndarray:
 
 
 def sieve_trivial(f: SievePolynomial, u: int, y: int, table: SieveTable | None = None) -> SieveOutcome:
-    """Every prime l <= y against every live cell, while-loops throughout."""
+    """Every prime l <= y against every live cell, while-loops throughout;
+    each side of a block of live cells meets the primes as int64 residues."""
     primes = primes_up_to(y)
     table = _table_for(f, u, table)
-    rational, algebraic = table.rational.reshape(-1), table.algebraic.reshape(-1)
-    live = np.flatnonzero(rational)
-    live_per_row = _per_row(live, u)
+    live = np.flatnonzero(table.rational)
     counts = np.zeros((len(primes), 1, u), dtype=np.int64)
-    for k, l in enumerate(primes):
-        counts[k, 0] = live_per_row + _divide_out(rational, live, l, u) + _divide_out(algebraic, live, l, u)
+    counts[:, 0] = _per_row(live, u)
+    for block in np.split(live, range(_TRIVIAL_BLOCK, live.size, _TRIVIAL_BLOCK)):
+        for side in (table.rational.reshape(-1), table.algebraic.reshape(-1)):
+            for k, (l, residues) in enumerate(zip(primes, int64_residues(side[block], primes))):
+                counts[k, 0] += _divide_out(side, block[fused_divide(residues, l)[0]], l, u)
     return SieveOutcome(TRIVIAL, table, CostLedger(TRIVIAL, tuple(primes), ("total",), counts))
 
 

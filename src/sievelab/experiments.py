@@ -15,12 +15,12 @@ Two questions get an empirical treatment here:
    asymptotic quotient is l/(2l - 1), so aggregates settle shy of 2/3.
 
 Both lift-event counts run on roots.lift_events, read off the ladders'
-residue kernel.  Monte Carlo feeds it blocks of trials, each reduced mod
-l^2 once per prime; enumerate_exact feeds it blocks of the flat index
-range [0, l^(2d)), whose base-l^2 digits are the coefficients.  A block
-holds max(1, _BLOCK_CELLS // l) rows (Monte Carlo sizes it for its
-largest prime), so a pass touches at most 2^14 cells, or a single row
-for a prime above 2^14.
+residue kernel.  Monte Carlo feeds it blocks of trials, taken mod each
+l^2 from arith.int64_residues; enumerate_exact feeds it blocks of the
+flat index range [0, l^(2d)), whose base-l^2 digits are the
+coefficients.  A block holds max(1, _BLOCK_CELLS // l) rows (Monte Carlo
+sizes it for its largest prime), so a pass touches at most 2^14 cells,
+or a single row for a prime above 2^14.
 
 Work caps, each checked before any work starts (an input over a cap is
 a ValueError):
@@ -45,7 +45,7 @@ from math import pi, prod, sqrt
 
 import numpy as np
 
-from .arith import InvariantViolation, primes_up_to
+from .arith import InvariantViolation, int64_residues, primes_up_to
 from .engine import SieveOutcome, build_table, sieve_classical, sieve_improved, sieve_trivial
 from .oracle import LedgerReport, verify_ledgers
 from .poly import MonicPolynomial, SievePolynomial
@@ -82,14 +82,9 @@ class RandomModel:
         return acc
 
 
-def _trial_rng(seed: int, index: int) -> random.Random:
-    # string seeding hashes deterministically, independent of platform
-    return random.Random(f"{seed}:{index}")
-
-
 def _draw(model: RandomModel, modulus: int, index: int) -> tuple[int, ...]:
     """Coefficients c_0..c_d of the index-th draw; modulus is model.modulus."""
-    rng = _trial_rng(model.seed, index)
+    rng = random.Random(f"{model.seed}:{index}")  # string seeding hashes the same on every platform
     return tuple(rng.randrange(modulus) for _ in range(model.degree)) + (1,)
 
 
@@ -179,8 +174,8 @@ def monte_carlo(model: RandomModel, trials: int) -> LiftEventReport:
     for start in range(0, trials, step):
         block = np.array([_draw(model, modulus, i) for i in range(start, min(start + step, trials))], dtype=object)
         clean = np.ones(block.shape[0], dtype=bool)
-        for l in primes:
-            hit = lift_events((block % (l * l)).astype(np.int64), l).any(axis=1)
+        for l, residues in zip(primes, int64_residues(block, [l * l for l in primes])):
+            hit = lift_events(residues % (l * l), l).any(axis=1)
             failures[l] += int(np.count_nonzero(hit))
             clean &= ~hit
         successes += int(np.count_nonzero(clean))

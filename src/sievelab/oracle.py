@@ -20,12 +20,10 @@ gives their valuations, a test of a = b*x (mod l) against each of the at
 most d roots x that classify_roots returns (one row of the residue
 kernel of roots, the same one the ladders read) sorts the algebraic hits
 by root class, and counting per row gives the sizes of every pair in
-the block at once.  Tests and divisions go through arith.fused_divide,
-one wrapping multiply per int64 value.  An exact-integer side is reduced
-once per group of consecutive primes, modulo the group's product (below
-2^62), and each prime's test then runs on those int64 residues: for
-y = 100 that is 2 passes over exact integers where one per prime would
-be 25.
+the block at once.  Each prime's test runs on the int64 residues that
+arith.int64_residues gives of each side, one reduction of an exact side
+per group of primes, and tests and divisions go through
+arith.fused_divide, one wrapping multiply per int64 value.
 
 Only the level-1 sizes, the level sums and multiple[1] enter the
 formulas, so the oracle keeps just those, as the (primes, u) arrays of a
@@ -53,12 +51,11 @@ array; per-pair PairRecords are built only when its rows are read.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import InvariantViolation, fused_divide, max_exponent, primes_up_to
+from .arith import InvariantViolation, fused_divide, int64_residues, max_exponent, primes_up_to
 from .engine import CLASSICAL, IMPROVED, PHASES, SieveOutcome
 from .poly import SievePolynomial, algebraic_bound, rational_bound, table_factors
 from .roots import classify_roots
@@ -66,9 +63,6 @@ from .roots import classify_roots
 # rows per block of the oracle's own factor arrays: about this many cells,
 # so exact-integer sides stay small next to the engine's tables
 _BLOCK_CELLS = 1 << 14
-# a group of primes whose product stays below this bound reduces an exact
-# side to int64 residues in one pass
-_GROUP_BOUND = 2**62
 # the first axis of a LedgerReport's arrays
 ALGORITHMS = (CLASSICAL, IMPROVED)
 
@@ -107,28 +101,6 @@ def scaled_asymptotic(z: LevelSums, l) -> tuple:
     )
 
 
-def _prime_groups(primes) -> list[list[int]]:
-    """Consecutive primes, grouped so that each group's product stays below 2^62."""
-    groups, product = [], _GROUP_BOUND
-    for l in primes:
-        if product * l >= _GROUP_BOUND:
-            groups.append([])
-            product = 1
-        groups[-1].append(l)
-        product *= l
-    return groups
-
-
-def _divisible(side: np.ndarray, groups: list[list[int]]):
-    """(l, mask of the entries l divides) for every prime of the groups, in
-    order; an exact-integer side is reduced once per group, modulo its
-    product, and each prime tests those int64 residues."""
-    for group in groups:
-        reduced = (side % prod(group)).astype(np.int64) if side.dtype == object else side
-        for l in group:
-            yield l, fused_divide(reduced, l)[0]
-
-
 def _valuations(side: np.ndarray, cells: np.ndarray, l: int, depth: int) -> np.ndarray:
     """v_l of the exact values at the cells; a valuation above the proven
     depth is an invariant violation."""
@@ -149,19 +121,19 @@ def _hits(
     b: np.ndarray,
     l: int,
     factors: tuple[np.ndarray, np.ndarray, np.ndarray],
-    divisible: tuple[np.ndarray, np.ndarray],
+    residues: list[np.ndarray],
     roots: list[np.ndarray],
     depths: tuple[int, int],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(row, v_l) of every rational, simple-root and multiple-root hit of the
-    rows b (a column) that l does not divide; divisible masks the cells of
-    each side that l divides, and roots holds the simple and the multiple
+    rows b (a column) that l does not divide; residues holds an int64 array
+    congruent to each side mod l, and roots the simple and the multiple
     roots of f mod l, each as a column."""
     rational, algebraic, live = factors
     width = 2 * u + 1
     live = live & (b % l != 0)
-    rational_hits = np.flatnonzero(live & divisible[0])
-    norm_hits = np.flatnonzero(live & divisible[1])
+    rational_hits = np.flatnonzero(live & fused_divide(residues[0], l)[0])
+    norm_hits = np.flatnonzero(live & fused_divide(residues[1], l)[0])
 
     hit_b = b[norm_hits // width, 0]
     hit_a = norm_hits % width - u
@@ -202,7 +174,6 @@ def _row_sums(hits: list[tuple[np.ndarray, np.ndarray]], rows: int) -> list[np.n
 def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSums:
     """LevelSums of every (l, b) as (primes, u) arrays, zero where l divides b."""
     sums = np.zeros((len(LevelSums._fields), len(primes), u), dtype=np.int64)
-    groups = _prime_groups(primes)
     # the simple and the multiple roots of f mod each l, as columns
     roots = [
         [np.array(list(x), dtype=np.int64)[:, None] for x in (rc.simple_roots, rc.multiple_roots)]
@@ -214,9 +185,9 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
     for first in range(1, u + 1, step):
         b = np.arange(first, min(first + step, u + 1), dtype=np.int64)[:, None]
         factors = table_factors(f, u, b)
-        sides = zip(_divisible(factors[0], groups), _divisible(factors[1], groups))
-        for k, ((l, rational), (_, algebraic)) in enumerate(sides):
-            hits = _hits(u, b, l, factors, (rational, algebraic), roots[k], depths[k])
+        residues = zip(primes, int64_residues(factors[0], primes), int64_residues(factors[1], primes))
+        for k, (l, *sides) in enumerate(residues):
+            hits = _hits(u, b, l, factors, sides, roots[k], depths[k])
             sums[:, k, first - 1 : first - 1 + b.shape[0]] = _row_sums(hits, b.shape[0])
     return LevelSums(*sums)
 

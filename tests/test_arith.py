@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sievelab.arith import fused_divide, max_exponent, mod_inverse, primes_up_to, valuation
+from sievelab.arith import fused_divide, int64_residues, max_exponent, mod_inverse, primes_up_to, valuation
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # 3931 is the largest prime <= cli.MAX_Y
@@ -182,3 +182,74 @@ def test_fused_divide_rejects_unsupported_inputs():
         fused_divide(np.arange(4, dtype=np.int32), 3)
     divisible, quotients = fused_divide(np.arange(8, dtype=object), 4)  # exact division takes any l
     assert divisible.tolist() == [x % 4 == 0 for x in range(8)] and quotients.tolist() == [0, 1]
+
+
+def check_int64_residues(values: list[int], moduli: list[int]) -> list[np.ndarray]:
+    """int64_residues of an object array against Python %, modulus by modulus."""
+    array = np.array(values, dtype=object)
+    residues = list(int64_residues(array, moduli))
+    assert len(residues) == len(moduli)
+    for n, reduced in zip(moduli, residues):
+        assert reduced.dtype == np.int64 and reduced.shape == array.shape
+        assert [int(r) % n for r in reduced.ravel()] == [x % n for x in values], n
+    return residues
+
+
+# 2^31 - 1 and 2^31 + 1 multiply to 2^62 - 1, just below the group bound
+GROUPED_MODULI = [2**31 - 1, 2**31 + 1, 3, 2**61 - 1, 5, 7, 4, 1, 2**62 - 1, 999983]
+WIDE_VALUES = [3**130, -(7**90) - 1, 0, 1, -1, 2**62 - 1, 2**63, -(2**63), 2**200 + 12345, -(2**250)]
+
+
+def test_int64_residues_match_python_remainder():
+    assert 3**130 > 2**200
+    check_int64_residues(WIDE_VALUES, GROUPED_MODULI)
+    # a product of the moduli of a group, plus or minus one, and a 2-d array
+    check_int64_residues([k * (2**62 - 1) + e for k in (1, -(3**50)) for e in (-1, 0, 1)], GROUPED_MODULI)
+    array = np.array(WIDE_VALUES, dtype=object).reshape(2, 5)
+    for n, reduced in zip(GROUPED_MODULI, int64_residues(array, GROUPED_MODULI)):
+        assert reduced.shape == (2, 5) and (reduced % n == array % n).all()
+
+
+def test_int64_residues_reduce_once_per_group():
+    # the 25 primes up to 100 fall into two groups, so two exact passes
+    primes = primes_up_to(100)
+    residues = check_int64_residues(WIDE_VALUES, list(primes))
+    assert len({id(r) for r in residues}) == 2
+    # consecutive moduli share a group while the product stays below 2^62
+    residues = check_int64_residues(WIDE_VALUES, GROUPED_MODULI)
+    groups = [r is residues[i - 1] if i else False for i, r in enumerate(residues)]
+    assert groups == [False, True, False, False, False, True, True, True, False, False]
+
+
+def test_int64_residues_pass_int64_through():
+    values = np.array([INT64_MIN, -1, 0, 5, INT64_MAX], dtype=np.int64)
+    residues = list(int64_residues(values, GROUPED_MODULI))
+    assert len(residues) == len(GROUPED_MODULI) and all(r is values for r in residues)
+    assert list(int64_residues(values, [])) == [] and list(int64_residues(np.array(WIDE_VALUES, dtype=object), [])) == []
+
+
+def test_int64_residues_stay_valid_while_values_are_divided():
+    # a caller that divides out each prime in place, as the trivial sieve does
+    values = np.array([2**70 * 3**40 * 101, 2**3 * 103, 7, -(5**30) * 97], dtype=object)
+    primes = primes_up_to(110)
+    for l, reduced in zip(primes, int64_residues(values, primes)):
+        hits = np.flatnonzero(reduced % l == 0)
+        assert hits.tolist() == [i for i, x in enumerate(values) if x % l == 0]
+        for i in hits:
+            while values[i] % l == 0:
+                values[i] //= l
+    assert values.tolist() == [1, 1, 1, -1]
+
+
+def test_int64_residues_reject_moduli_outside_the_range():
+    for n in (0, -3, 2**62, 2**64):
+        with pytest.raises(ValueError):
+            list(int64_residues(np.array([1], dtype=object), [5, n]))
+
+
+@given(
+    st.lists(st.integers(-(2**300), 2**300), max_size=12),
+    st.lists(st.one_of(st.integers(1, 2**62 - 1), st.integers(1, 2**20)), max_size=10),
+)
+def test_int64_residues_match_python_remainder_on_random_input(values, moduli):
+    check_int64_residues(values, moduli)

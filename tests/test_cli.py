@@ -224,14 +224,27 @@ def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and "Traceback" not in captured.err
         assert "--out: must name a directory" in captured.err
         assert [path.name for path in work.iterdir()] == ["config.json"]
-    # a result file that cannot be written, since a directory stands in its place
+    # a result file that cannot be written, since a directory stands in its
+    # place, is refused before any work: the runners must never be called
+    def never(*args, **kwargs):
+        raise AssertionError("the run started although a result file is a directory")
+
+    runners = ("run_comparison", "enumerate_exact", "sieve_trivial", "ratio_sweep")
     (tmp_path / "out" / "pairs.csv").mkdir(parents=True)
     (tmp_path / "o2" / "summary.json").mkdir(parents=True)
+    (tmp_path / "o3" / "smooth.json").mkdir(parents=True)
+    (tmp_path / "o4" / "sweep.csv").mkdir(parents=True)
     for argv, path in (
         (["compare", *WORKED, "--out", str(tmp_path / "out")], tmp_path / "out" / "pairs.csv"),
         (["enumerate", "--d", "1", "--l", "2", "--out", str(tmp_path / "o2")], tmp_path / "o2" / "summary.json"),
+        (["sieve", "--alg", "trivial", *WORKED, "--format", "json", "--out", str(tmp_path / "o3")],
+         tmp_path / "o3" / "smooth.json"),
+        (["sweep", "--instances", "1", "--d", "2", "--m", "3", "--u", "5", "--y", "5", "--out", str(tmp_path / "o4")],
+         tmp_path / "o4" / "sweep.csv"),
     ):
-        with pytest.raises(SystemExit) as exc:
+        with monkeypatch.context() as patch, pytest.raises(SystemExit) as exc:
+            for name in runners:
+                patch.setattr(cli, name, never)
             main(argv)
         assert exc.value.code == 2, argv
         captured = capsys.readouterr()

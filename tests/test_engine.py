@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from sievelab.engine import (
 )
 from sievelab.experiments import random_sieve_polynomial
 from sievelab.oracle import verify_ledgers
-from sievelab.poly import SievePolynomial, eval_norm
+from sievelab.poly import SievePolynomial, algebraic_bound, eval_norm
 from sievelab.roots import build_lift_tables
 
 F_SQUARE_PLUS_ONE = SievePolynomial((1, 0, 1), m=4)
@@ -32,8 +32,14 @@ F_SQUARE_PLUS_ONE = SievePolynomial((1, 0, 1), m=4)
 
 @st.composite
 def small_instances(draw):
-    d = draw(st.integers(min_value=2, max_value=4))
-    m = draw(st.integers(min_value=1, max_value=12))
+    # now and then a large m and degree, so that the norm side, or both
+    # sides, hold exact integers and the primes fall into several groups
+    if draw(st.integers(min_value=0, max_value=4)):
+        d = draw(st.integers(min_value=2, max_value=4))
+        m = draw(st.integers(min_value=1, max_value=12))
+    else:
+        d = draw(st.integers(min_value=2, max_value=6))
+        m = draw(st.integers(min_value=1, max_value=10**15))
     lower = tuple(draw(st.integers(min_value=-m, max_value=m)) for _ in range(d))
     f = SievePolynomial(coefficients=lower + (1,), m=m)
     u = draw(st.integers(min_value=1, max_value=10))
@@ -251,6 +257,32 @@ def test_mixed_dtype_instance_matches_direct_products():
             row.append(value)
         expected.append(row)
     assert classical.table.entries == improved.table.entries == expected
+
+
+def test_trivial_sieve_on_exact_sides_matches_recount():
+    # both sides exact integers; the 17 primes up to 59 span two int64 groups
+    f = random_sieve_polynomial(4, 10**18, random.Random("columns:object"))
+    u, y = 12, 59
+    primes = primes_up_to(y)
+    assert algebraic_bound(f, u) >= 2**62 and prod(primes) >= 2**62
+    outcome = sieve_trivial(f, u, y)
+    assert outcome.table.rational.dtype == outcome.table.algebraic.dtype == object
+    expected = np.zeros((len(primes), 1, u), dtype=np.int64)
+    for b in range(1, u + 1):
+        for a in range(-u, u + 1):
+            sides = [a - b * f.m, eval_norm(f, a, b)]
+            if gcd(a, b) != 1 or 0 in sides:
+                assert outcome.table.rational[b - 1, a + u] == outcome.table.algebraic[b - 1, a + u] == 0
+                continue
+            for k, l in enumerate(primes):
+                expected[k, 0, b - 1] += 1  # live(b): the final failed test
+                for i, value in enumerate(sides):
+                    while value % l == 0:
+                        value //= l
+                        expected[k, 0, b - 1] += 1
+                    sides[i] = value
+            assert [outcome.table.rational[b - 1, a + u], outcome.table.algebraic[b - 1, a + u]] == sides
+    assert np.array_equal(outcome.ledger.attempts, expected)
 
 
 def cells_by_enumeration(residues, modulus, l, u):
