@@ -118,8 +118,8 @@ def int64_residues(values: np.ndarray, moduli: Iterable[int]) -> Iterator[np.nda
     """For each modulus in order, each in [1, 2^62), an int64 array
     congruent to values modulo it: an int64 array as it is, an object array
     reduced once per group of consecutive moduli with product below 2^62,
-    into a fresh int64 buffer.  A group reads values when reached, so a
-    caller may divide entries in place by the primes already yielded."""
+    into a fresh int64 buffer.  Dividing an entry by one prime leaves its
+    divisibility by the others, so a caller may divide as it goes."""
     groups, product = [], _GROUP_BOUND
     for n in moduli:
         if not 1 <= n < _GROUP_BOUND:

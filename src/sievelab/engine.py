@@ -53,7 +53,7 @@ TRIVIAL = "trivial"
 CLASSICAL = "classical"
 IMPROVED = "improved"
 PHASES = ("rational", "algebraic_simple", "algebraic_multiple")
-_TRIVIAL_BLOCK = 1 << 16  # live cells the trivial sieve gathers at a time
+_TRIVIAL_BLOCK = 1 << 16  # live cells per gather; bounds the exact integers a gathered copy keeps alive
 
 
 @dataclass(eq=False)

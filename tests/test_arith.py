@@ -225,11 +225,12 @@ def test_int64_residues_pass_int64_through():
     values = np.array([INT64_MIN, -1, 0, 5, INT64_MAX], dtype=np.int64)
     residues = list(int64_residues(values, GROUPED_MODULI))
     assert len(residues) == len(GROUPED_MODULI) and all(r is values for r in residues)
-    assert list(int64_residues(values, [])) == [] and list(int64_residues(np.array(WIDE_VALUES, dtype=object), [])) == []
+    assert list(int64_residues(values, [])) == []
+    assert list(int64_residues(np.array(WIDE_VALUES, dtype=object), [])) == []
 
 
 def test_int64_residues_stay_valid_while_values_are_divided():
-    # a caller that divides out each prime in place, as the trivial sieve does
+    # a caller that divides each entry by the primes as they are yielded
     values = np.array([2**70 * 3**40 * 101, 2**3 * 103, 7, -(5**30) * 97], dtype=object)
     primes = primes_up_to(110)
     for l, reduced in zip(primes, int64_residues(values, primes)):
