@@ -1,7 +1,8 @@
 """Integer helpers shared by the sieve engines and their oracles.
 
-The scalar helpers work on native Python integers, so values may exceed
-machine word size without any special handling.  fused_divide is the one
+primes_up_to and max_exponent work on native Python integers, so bounds
+may exceed machine word size without any special handling.  Modular
+inverses are Python's own pow(x, -1, m).  fused_divide is the one
 test-and-divide of a numpy array by a prime: on int64 arrays it spends
 one wrapping multiply per entry, on object arrays (exact Python integers)
 it falls back to exact % and //.  int64_residues is the one way an array
@@ -33,31 +34,6 @@ def primes_up_to(bound: int) -> tuple[int, ...]:
             flags[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
         p += 1
     return tuple(i for i, f in enumerate(flags) if f)
-
-
-def valuation(n: int, l: int) -> int:
-    """Largest e with l**e dividing n.  Undefined (error) for n == 0."""
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    if l < 2:
-        raise ValueError(f"valuation base must be >= 2, got {l}")
-    e = 0
-    while True:
-        q, r = divmod(n, l)
-        if r:
-            return e
-        n = q
-        e += 1
-
-
-def mod_inverse(x: int, modulus: int) -> int:
-    """Inverse of x modulo modulus; error when gcd(x, modulus) != 1."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    try:
-        return pow(x, -1, modulus)
-    except ValueError:
-        raise ValueError(f"{x} is not invertible modulo {modulus}") from None
 
 
 def max_exponent(l: int, bound: int) -> int:

@@ -215,7 +215,6 @@ def _resolve_polynomial(args: argparse.Namespace) -> SievePolynomial:
             parser.error("--random needs --d")
         return random_sieve_polynomial(args.d, args.m, random.Random(f"{args.seed}:poly"))
     parser.error("provide a polynomial with --poly or ask for one with --random")
-    raise AssertionError("unreachable")
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -294,7 +293,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.out is not None:
         _write_rows(args, PAIR_COLUMNS, _pair_rows(report))
 
-    ratio = None if report.ratio is None else _format_column(report.improved_total, report.classical_total)[0]
+    ratio = None if report.classical_total == 0 else _format_column(report.improved_total, report.classical_total)[0]
+    mismatch = comp.table_mismatch
     summary = {
         "command": "compare",
         "poly": list(f.coefficients),
@@ -302,7 +302,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "u": args.u,
         "y": args.y,
         "identities_ok": report.ok,
-        "tables_match": comp.tables_match,
+        "tables_match": mismatch is None,
         "mismatched_pairs": [list(p) for p in report.mismatches[:10]],
         "totals": {
             TRIVIAL: comp.trivial.ledger.grand_total(),
@@ -319,13 +319,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         },
     }
     _emit_summary(summary, args)
-    if not (report.ok and comp.tables_match):
+    if mismatch is not None:
+        log.error("%s", mismatch)
+    if not report.ok:
         log.error("identity violation: mismatches=%s stray=%s", report.mismatches[:10], report.stray_pairs[:10])
         for b, l, alg, phase, expected, measured in report.phase_mismatches[:10]:
             log.error("identity violation at (b=%d, l=%d): %s %s attempts expected %d, measured %d",
                       b, l, alg, phase, expected, measured)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_OK if report.ok and mismatch is None else EXIT_VIOLATION
 
 
 def _smooth_rows(table: SieveTable) -> list[list[int]]:
@@ -432,7 +433,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     table = []
     for idx, row in enumerate(rows):
         inst = row.instance
-        ratio = "" if row.ratio is None else _format_column(row.improved_total, row.classical_total)[0]
+        ratio = "" if row.classical_total == 0 else _format_column(row.improved_total, row.classical_total)[0]
         table.append([idx, inst.degree, inst.m, inst.u, inst.y, inst.seed, ",".join(str(c) for c in row.coefficients),
                       row.classical_total, row.improved_total, ratio, row.correction_total, row.correction_free])
     if args.out is not None:

@@ -6,8 +6,11 @@ factors a - b*m and one of algebraic factors F(a, b), each of dtype int64
 when its own proven bound stays below 2^62 and of exact Python integers
 above; build_table takes both from poly.table_factors.  Every test and
 division by a prime goes through arith.fused_divide: one wrapping
-multiply per cell on an int64 side, exact % and // on an object side,
-which the trivial sieve keeps to its hits by testing arith.int64_residues.
+multiply per cell on an int64 side, exact % and // on an object side.
+The one exception is the trivial sieve, which tests the int64 residues
+that arith.int64_residues gives of each side and divides the hits they
+prove once with a plain //, so exact % runs only on the cells that l
+already divided.
 A cell is dead when gcd(a, b) > 1 or either factor vanishes; dead cells
 hold 0 on both sides and every pass below skips them, since repeatedly
 dividing 0 would never terminate.  The residual entry of a cell is the
@@ -73,14 +76,14 @@ class SieveTable:
     def copy(self) -> "SieveTable":
         return SieveTable(self.u, self.rational.copy(), self.algebraic.copy())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SieveTable):
-            return NotImplemented
-        return (
-            self.u == other.u
-            and np.array_equal(self.rational, other.rational)
-            and np.array_equal(self.algebraic, other.algebraic)
-        )
+    def first_difference(self, other: "SieveTable") -> tuple[int, int] | None:
+        """(b, a) of the first cell, in row-major order, where either side
+        differs from the same side of another table of this u; None if none."""
+        differ = np.flatnonzero((self.rational != other.rational) | (self.algebraic != other.algebraic))
+        if not differ.size:
+            return None
+        b, i = divmod(int(differ[0]), 2 * self.u + 1)
+        return b + 1, i - self.u
 
 
 @dataclass(eq=False)
@@ -93,7 +96,6 @@ class CostLedger:
     the other two.  A (b, l) or phase outside the array has no attempts.
     """
 
-    algorithm: str
     primes: tuple[int, ...]
     phases: tuple[str, ...]
     attempts: np.ndarray
@@ -102,12 +104,10 @@ class CostLedger:
         self._prime_index = {l: k for k, l in enumerate(self.primes)}
 
     def pair_phase(self, b: int, l: int, phase: str) -> int:
-        if phase not in self.phases:
+        k = self._prime_index.get(l)
+        if phase not in self.phases or k is None or not 1 <= b <= self.attempts.shape[2]:
             return 0
-        return int(self._pair(b, l)[self.phases.index(phase)])
-
-    def pair_total(self, b: int, l: int) -> int:
-        return int(self._pair(b, l).sum())
+        return int(self.attempts[k, self.phases.index(phase), b - 1])
 
     def phase_total(self, phase: str) -> int:
         if phase not in self.phases:
@@ -116,12 +116,6 @@ class CostLedger:
 
     def grand_total(self) -> int:
         return int(self.attempts.sum())
-
-    def _pair(self, b: int, l: int) -> np.ndarray:
-        k = self._prime_index.get(l)
-        if k is None or not 1 <= b <= self.attempts.shape[2]:
-            return np.zeros(len(self.phases), dtype=np.int64)
-        return self.attempts[k, :, b - 1]
 
 
 @dataclass
@@ -216,8 +210,10 @@ def sieve_trivial(f: SievePolynomial, u: int, y: int, table: SieveTable | None =
     for block in np.split(live, range(_TRIVIAL_BLOCK, live.size, _TRIVIAL_BLOCK)):
         for side in (table.rational.reshape(-1), table.algebraic.reshape(-1)):
             for k, (l, residues) in enumerate(zip(primes, int64_residues(side[block], primes))):
-                counts[k, 0] += _divide_out(side, block[fused_divide(residues, l)[0]], l, u)
-    return SieveOutcome(TRIVIAL, table, CostLedger(TRIVIAL, tuple(primes), ("total",), counts))
+                hits = block[fused_divide(residues, l)[0]]
+                side[hits] //= l  # the residues proved that l divides every hit
+                counts[k, 0] += _per_row(hits, u) + _divide_out(side, hits, l, u)
+    return SieveOutcome(TRIVIAL, table, CostLedger(tuple(primes), ("total",), counts))
 
 
 def sieve_classical(
@@ -240,7 +236,7 @@ def sieve_classical(
         ):
             if residues:
                 counts[k, phase] += _while_loop(side, _cells(rows, residues, l, u), l, u)
-    return SieveOutcome(CLASSICAL, table, CostLedger(CLASSICAL, tuple(tables.ladders), PHASES, counts))
+    return SieveOutcome(CLASSICAL, table, CostLedger(tuple(tables.ladders), PHASES, counts))
 
 
 def sieve_improved(
@@ -267,7 +263,7 @@ def sieve_improved(
                     counts[k, phase] += _divide_once(side, _cells(rows, level, modulus, u), l, u, what, modulus)
         if ladder.liftable_multiple:
             counts[k, 2] += _while_loop(algebraic, _cells(rows, ladder.liftable_multiple, l, u), l, u)
-    return SieveOutcome(IMPROVED, table, CostLedger(IMPROVED, tuple(tables.ladders), PHASES, counts))
+    return SieveOutcome(IMPROVED, table, CostLedger(tuple(tables.ladders), PHASES, counts))
 
 
 def _tables_for(f: SievePolynomial, u: int, y: int, tables: LiftTables | None) -> LiftTables:

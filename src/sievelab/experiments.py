@@ -8,7 +8,8 @@ Two questions get an empirical treatment here:
    coefficients uniformly below M = prod of l^2 over primes l <= y makes
    the reductions mod each l^2 exactly uniform and mutually independent,
    so the per-prime events multiply.  The success probability (no such
-   prime at all) stays above prod (1 - 1/l^2) > 0.6.
+   prime at all) is at least prod (1 - 1/l^2) > 0.6, with equality only
+   for degree <= 3.
 
 2. On correction-free instances, how far below the classical sieve's
    attempt count does the improved sieve land?  Per prime the
@@ -48,7 +49,7 @@ import numpy as np
 from .arith import InvariantViolation, int64_residues, primes_up_to
 from .engine import SieveOutcome, build_table, sieve_classical, sieve_improved, sieve_trivial
 from .oracle import LedgerReport, verify_ledgers
-from .poly import MonicPolynomial, SievePolynomial
+from .poly import SievePolynomial
 from .roots import LiftTables, build_lift_tables, lift_events
 
 ENUMERATION_CAP = 10**8  # residue evaluations of enumerate_exact: l^(2d+1)
@@ -88,17 +89,16 @@ def _draw(model: RandomModel, modulus: int, index: int) -> tuple[int, ...]:
     return tuple(rng.randrange(modulus) for _ in range(model.degree)) + (1,)
 
 
-def sample_poly(model: RandomModel, index: int = 0) -> MonicPolynomial:
-    """Draw the index-th polynomial of the model's stream."""
-    return MonicPolynomial(coefficients=_draw(model, model.modulus, index))
-
-
 def _block_rows(l: int) -> int:
     return max(1, _BLOCK_CELLS // l)
 
 
 @dataclass
 class LiftEventReport:
+    """Monte Carlo counts of one model.  reference_product is prod (1 - 1/l^2)
+    over the primes l <= y: the exact success probability for degree <= 3,
+    a strict lower bound for degree >= 4."""
+
     degree: int
     smooth_bound: int
     seed: int
@@ -252,11 +252,13 @@ class ComparisonResult:
     tables: LiftTables
 
     @property
-    def tables_match(self) -> bool:
-        same = self.classical.table == self.improved.table
-        if self.trivial is not None:
-            same = same and self.trivial.table == self.classical.table
-        return same
+    def table_mismatch(self) -> str | None:
+        """The first cell where two final tables differ, as text; None when
+        all of them agree."""
+        for one, other in ((self.classical, self.improved), (self.trivial, self.classical)):
+            if one is not None and (cell := one.table.first_difference(other.table)) is not None:
+                return f"final {one.algorithm} and {other.algorithm} tables differ at (b, a) = {cell}"
+        return None
 
 
 def run_comparison(f: SievePolynomial, u: int, y: int, include_trivial: bool = True) -> ComparisonResult:
@@ -284,19 +286,14 @@ class SweepRow:
     correction_total: int
 
     @property
-    def ratio(self) -> Fraction | None:
-        if self.classical_total == 0:
-            return None
-        return Fraction(self.improved_total, self.classical_total)
-
-    @property
     def correction_free(self) -> bool:
         return self.correction_total == 0
 
 
 def ratio_sweep(instances: list[SweepInstance]) -> list[SweepRow]:
     """Measure both sieves on seeded random instances; the per-pair cost
-    identities are rechecked on every instance and must hold."""
+    identities are rechecked on every instance and must hold, and the two
+    final tables must agree."""
     return [_sweep_row(inst) for inst in instances]
 
 
@@ -305,6 +302,8 @@ def _sweep_row(inst: SweepInstance) -> SweepRow:
     rng = random.Random(f"{inst.seed}:poly")
     f = random_sieve_polynomial(inst.degree, inst.m, rng)
     comp = run_comparison(f, inst.u, inst.y, include_trivial=False)
+    if (mismatch := comp.table_mismatch) is not None:
+        raise InvariantViolation(f"{mismatch} on instance {inst}")
     if not comp.report.ok:
         raise InvariantViolation(
             f"cost identities failed on instance {inst}: mismatched pairs {comp.report.mismatches[:5]}, "

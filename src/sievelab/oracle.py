@@ -299,12 +299,6 @@ class LedgerReport:
     def ok(self) -> bool:
         return not self._broken_phases().any() and not self._stray().any()
 
-    @property
-    def ratio(self) -> Fraction | None:
-        if self.classical_total == 0:
-            return None
-        return Fraction(self.improved_total, self.classical_total)
-
     def pair_columns(self) -> PairColumns:
         """Every checked pair's measured and predicted counts, as columns."""
         row, k = np.nonzero(self.checked.T)

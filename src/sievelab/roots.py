@@ -15,16 +15,17 @@ at every x mod l.
 It is exact in int64 while l^3 < 2^62, so residue_scan, classify_roots and
 build_lift_tables raise ValueError for l >= 1,664,511; the command line's
 prime bounds and work caps keep every prime below 2^19.  The Newton steps
-take f'(x) mod l from the kernel and f(x) = F(x, 1) from poly.eval_norm
-in exact integers, so eval_norm and residue_scan are the only evaluators
-of f.
+take f'(x) mod l from the kernel, its inverse mod l from pow(f'(x), -1, l),
+and f(x) = F(x, 1) from poly.eval_norm in exact integers, so eval_norm and
+residue_scan are the only evaluators of f.  build_lift_tables counts its
+own precompute work from the classifications it receives.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import max_exponent, mod_inverse, primes_up_to
+from .arith import max_exponent, primes_up_to
 from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_norm, exact_dtype, rational_bound
 
 
@@ -117,7 +118,7 @@ def lift_events(coeffs, l: int) -> np.ndarray:
     return (value == 0) & (slope == 0)
 
 
-def classify_roots(f: MonicPolynomial, l: int, stats: PrecomputeStats | None = None) -> RootClassification:
+def classify_roots(f: MonicPolynomial, l: int) -> RootClassification:
     """Split the roots of f mod l by derivative vanishing, and the multiple
     ones by whether their class lifts, from one residue_scan row (the
     coefficients are reduced mod l^2 first: they have no int64 bound)."""
@@ -128,10 +129,6 @@ def classify_roots(f: MonicPolynomial, l: int, stats: PrecomputeStats | None = N
     roots = list(zip(found.tolist(), values[found].tolist(), slopes[found].tolist()))
     simple = {x: slope for x, _, slope in roots if slope}  # f'(x) mod l at each simple root
     multiple = {x: value for x, value, slope in roots if not slope}  # f(x) mod l^2 at each multiple root
-    if stats is not None:
-        # the precompute cost model: f at every residue, f' at each root, one lift test per multiple root
-        stats.root_scan_evaluations += l + len(roots)
-        stats.multiple_lift_tests += len(multiple)
     return RootClassification(
         simple_roots=frozenset(simple),
         multiple_roots=frozenset(multiple),
@@ -155,7 +152,10 @@ def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
     primes = primes_up_to(y)
     _require_int64_prime(max(primes, default=2))  # before any prime is scanned
     for l in primes:
-        classification = classify_roots(f, l, stats)
+        classification = classify_roots(f, l)
+        # the precompute cost model: f at every residue, f' at each root, one lift test per multiple root
+        stats.root_scan_evaluations += l + len(classification.simple_roots) + len(classification.multiple_roots)
+        stats.multiple_lift_tests += len(classification.multiple_roots)
         cap_rational = max_exponent(l, rat_cap_bound)
         cap_algebraic = max_exponent(l, alg_cap_bound)
 
@@ -169,7 +169,7 @@ def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
         if cap_algebraic >= 1:
             level = sorted(classification.simple_roots)
             simple_levels.append(tuple(level))
-            steps = {x: mod_inverse(classification.slopes[x], l) for x in level}
+            steps = {x: pow(classification.slopes[x], -1, l) for x in level}  # a simple root's slope is nonzero mod l
             modulus = l
             current = {x: x for x in level}
             for _ in range(cap_algebraic - 1):

@@ -189,6 +189,9 @@ def test_config_rejects_bad_json(tmp_path, capsys):
         ["enumerate", "--d", "1", "--l", "3137"],  # 3137^3 residue evaluations
         ["montecarlo", "--d", str(10**8), "--y", "2", "--trials", "1"],  # 10^8 coefficient draws
         ["compare", "--random", "--d", "1000", "--m", "1", "--u", "3", "--y", "5"],  # over MAX_D
+        ["compare", "--poly", "1,x,1", "--m", "4", "--u", "3", "--y", "5"],  # a coefficient that is no integer
+        ["compare", "--random", "--m", "4", "--u", "3", "--y", "5"],  # --random without its degree
+        ["sieve", "--m", "4", "--u", "3", "--y", "5"],  # neither --poly nor --random
     ],
 )
 def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
@@ -261,6 +264,15 @@ def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""  # refused before any work
         assert "cannot create --out directory" in captured.err and "Traceback" not in captured.err
+    # a result file whose open fails, here through a dangling symlink (file modes do not stop root)
+    dangling = tmp_path / "o5" / "summary.json"
+    dangling.parent.mkdir()
+    dangling.symlink_to(tmp_path / "missing" / "summary.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--d", "1", "--l", "2", "--out", str(dangling.parent)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"cannot write {dangling}" in captured.err and "Traceback" not in captured.err
     # a usage error the handler finds leaves no directory behind
     out = tmp_path / "d"
     with pytest.raises(SystemExit) as exc:
@@ -616,6 +628,8 @@ def test_sweep_instances_from_config(tmp_path, capsys):
         assert "usage:" in err and "Traceback" not in err
     # an empty list is refused like --instances 0, and a key outside d, m, u, y, seed is named
     for entries, wanted in (
+        ({"d": 2}, "sweep_instances must be a list of objects"),
+        ([[2, 6, 20, 7, 1]], "sweep_instances entry [2, 6, 20, 7, 1] is not an object"),
         ([], "must be >= 1, got 0"),
         ([{"d": 2, "m": 3, "u": 3, "y": 5, "seed": 1, "extra": 9}], "unknown keys ['extra']"),
         ([{"d": 2, "m": 3, "u": 3, "y": 5}], "missing keys ['seed']"),
@@ -668,6 +682,28 @@ def test_identity_mismatch_maps_to_exit_three(monkeypatch, capsys, caplog):
     assert summary["identities_ok"] is False
     assert summary["mismatched_pairs"]
     assert "identity violation at (b=1, l=2): classical rational attempts expected 2, measured 3" in caplog.text
+
+
+def test_table_mismatch_maps_to_exit_three(monkeypatch, capsys, caplog):
+    from sievelab import experiments
+
+    real = experiments.run_comparison
+
+    def doctored(*args, **kwargs):
+        comp = real(*args, **kwargs)
+        comp.improved.table.algebraic[1, 4] += 7  # cell (b, a) = (2, 4 - u)
+        return comp
+
+    monkeypatch.setattr(cli, "run_comparison", doctored)
+    monkeypatch.setattr(experiments, "run_comparison", doctored)
+    assert main(["compare", *WORKED]) == EXIT_VIOLATION
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["identities_ok"] is True and summary["tables_match"] is False
+    assert "final classical and improved tables differ at (b, a) = (2, 1)" in caplog.text
+    assert main(["sweep", "--instances", "1", "--d", "3", "--m", "5", "--u", "10", "--y", "7"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "final classical and improved tables differ at (b, a) = (2, -6)" in captured.err
 
 
 def test_console_entry_point_runs():
