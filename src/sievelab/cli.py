@@ -23,21 +23,25 @@ flags in _resolve_polynomial, and the work caps of montecarlo and
 enumerate (ENUMERATION_CAP, MONTE_CARLO_CAP, DRAW_CAP) in experiments,
 which checks them before any work.
 
-Exit codes: 0 success, 1 statistical gate failed, 2 usage error,
-3 a verified identity or internal invariant was violated.  An --out
-path that can never be a directory, or an empty one, which would put the
-result files in the current directory, is a usage error found before any
-work starts, and the --out directory itself is created only when the
-first result file is written, so a usage error leaves nothing behind.  A
-result file that cannot be written is a usage error too, and names the
-file (a directory in its place is found before any work starts);
-summary.json is written before the summary is printed.
+Exit codes: 0 success, 1 statistical gate failed, 2 usage error, 3 a
+verified identity or internal invariant was violated.  A compare or sweep
+with failed identities or differing final tables still prints and writes
+all its results, then logs each line of ComparisonResult.failures to
+stderr (sweep's as "instance <i>: <line>").  An --out path that can never
+be a directory, or an empty one, which would put the result files in the
+current directory, is a usage error found before any work starts, and the
+--out directory itself is created only when the first result file is
+written, so a usage error leaves nothing behind.  A result file that
+cannot be written is a usage error too, and names the file (a directory
+in its place is found before any work starts); summary.json is written
+before the summary is printed.
 """
 
 import argparse
 import csv
 import json
 import logging
+import os
 import random
 import sys
 from pathlib import Path
@@ -233,11 +237,15 @@ def _write_rows(args: argparse.Namespace, columns: list[str], rows: list[list]) 
 
 def _emit_summary(summary: dict, args: argparse.Namespace, *lines: str) -> None:
     """Write summary.json when --out is given, then print the lines and the
-    summary, so a file that cannot be written leaves stdout empty."""
+    summary, so a file that cannot be written leaves stdout empty; a closed stdout drops the print."""
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.out is not None:
         _write_out(args, "summary.json", lambda fh: fh.write(text + "\n"))
-    print(*lines, text, sep="\n")
+    try:
+        print(*lines, text, sep="\n", flush=True)
+    except BrokenPipeError:  # what is still buffered goes to devnull, so the flush at exit cannot raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 def _write_out(args: argparse.Namespace, name: str, write) -> None:
@@ -294,7 +302,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _write_rows(args, PAIR_COLUMNS, _pair_rows(report))
 
     ratio = None if report.classical_total == 0 else _format_column(report.improved_total, report.classical_total)[0]
-    mismatch = comp.table_mismatch
     summary = {
         "command": "compare",
         "poly": list(f.coefficients),
@@ -302,7 +309,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "u": args.u,
         "y": args.y,
         "identities_ok": report.ok,
-        "tables_match": mismatch is None,
+        "tables_match": comp.table_mismatch is None,
         "mismatched_pairs": [list(p) for p in report.mismatches[:10]],
         "totals": {
             TRIVIAL: comp.trivial.ledger.grand_total(),
@@ -319,14 +326,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         },
     }
     _emit_summary(summary, args)
-    if mismatch is not None:
-        log.error("%s", mismatch)
-    if not report.ok:
-        log.error("identity violation: mismatches=%s stray=%s", report.mismatches[:10], report.stray_pairs[:10])
-        for b, l, alg, phase, expected, measured in report.phase_mismatches[:10]:
-            log.error("identity violation at (b=%d, l=%d): %s %s attempts expected %d, measured %d",
-                      b, l, alg, phase, expected, measured)
-    return EXIT_OK if report.ok and mismatch is None else EXIT_VIOLATION
+    failures = comp.failures()
+    for line in failures:
+        log.error("%s", line)
+    return EXIT_VIOLATION if failures else EXIT_OK
 
 
 def _smooth_rows(table: SieveTable) -> list[list[int]]:
@@ -450,7 +453,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "correction_free_instances": sum(1 for r in rows if r.correction_free),
     }
     _emit_summary(summary, args)
-    return EXIT_OK
+    for idx, row in enumerate(rows):
+        for line in row.failures:
+            log.error("instance %d: %s", idx, line)
+    return EXIT_VIOLATION if any(row.failures for row in rows) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

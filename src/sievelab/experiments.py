@@ -42,11 +42,12 @@ across workers reproduces the same draws.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import pi, prod, sqrt
 
 import numpy as np
 
-from .arith import InvariantViolation, int64_residues, primes_up_to
+from .arith import int64_residues, primes_up_to
 from .engine import SieveOutcome, build_table, sieve_classical, sieve_improved, sieve_trivial
 from .oracle import LedgerReport, verify_ledgers
 from .poly import SievePolynomial
@@ -251,14 +252,24 @@ class ComparisonResult:
     report: LedgerReport
     tables: LiftTables
 
-    @property
+    @cached_property
     def table_mismatch(self) -> str | None:
         """The first cell where two final tables differ, as text; None when
-        all of them agree."""
+        all of them agree; cached, since it scans the whole table."""
         for one, other in ((self.classical, self.improved), (self.trivial, self.classical)):
             if one is not None and (cell := one.table.first_difference(other.table)) is not None:
                 return f"final {one.algorithm} and {other.algorithm} tables differ at (b, a) = {cell}"
         return None
+
+    def failures(self) -> list[str]:
+        """The table mismatch, then the broken identities, a line each; empty when all checks hold."""
+        lines = [] if self.table_mismatch is None else [self.table_mismatch]
+        report = self.report
+        if not report.ok:
+            lines.append(f"identity violation: mismatches={report.mismatches[:10]} stray={report.stray_pairs[:10]}")
+            lines += [f"identity violation at (b={b}, l={l}): {alg} {phase} attempts expected {want}, measured {got}"
+                      for b, l, alg, phase, want, got in report.phase_mismatches[:10]]
+        return lines
 
 
 def run_comparison(f: SievePolynomial, u: int, y: int, include_trivial: bool = True) -> ComparisonResult:
@@ -270,10 +281,9 @@ def run_comparison(f: SievePolynomial, u: int, y: int, include_trivial: bool = T
     classical = sieve_classical(f, u, y, tables, table.copy())
     improved = sieve_improved(f, u, y, tables, table.copy() if include_trivial else table)
     trivial = sieve_trivial(f, u, y, table) if include_trivial else None
-    report = verify_ledgers(classical, improved, f, u, y)
     return ComparisonResult(
         f=f, u=u, y=y, trivial=trivial, classical=classical, improved=improved,
-        report=report, tables=tables,
+        report=verify_ledgers(classical, improved, f, u, y), tables=tables,
     )
 
 
@@ -284,6 +294,7 @@ class SweepRow:
     classical_total: int
     improved_total: int
     correction_total: int
+    failures: list[str]
 
     @property
     def correction_free(self) -> bool:
@@ -291,9 +302,9 @@ class SweepRow:
 
 
 def ratio_sweep(instances: list[SweepInstance]) -> list[SweepRow]:
-    """Measure both sieves on seeded random instances; the per-pair cost
-    identities are rechecked on every instance and must hold, and the two
-    final tables must agree."""
+    """Measure both sieves on seeded random instances.  Every instance gets
+    the checks of compare, its per-pair cost identities and the agreement of
+    the two final tables, and its row carries the failures they find."""
     return [_sweep_row(inst) for inst in instances]
 
 
@@ -302,17 +313,11 @@ def _sweep_row(inst: SweepInstance) -> SweepRow:
     rng = random.Random(f"{inst.seed}:poly")
     f = random_sieve_polynomial(inst.degree, inst.m, rng)
     comp = run_comparison(f, inst.u, inst.y, include_trivial=False)
-    if (mismatch := comp.table_mismatch) is not None:
-        raise InvariantViolation(f"{mismatch} on instance {inst}")
-    if not comp.report.ok:
-        raise InvariantViolation(
-            f"cost identities failed on instance {inst}: mismatched pairs {comp.report.mismatches[:5]}, "
-            f"phases (b, l, algorithm, phase, expected, measured) {comp.report.phase_mismatches[:5]}"
-        )
     return SweepRow(
         instance=inst,
         coefficients=f.coefficients,
         classical_total=comp.report.classical_total,
         improved_total=comp.report.improved_total,
         correction_total=comp.report.correction_total,
+        failures=comp.failures(),
     )

@@ -194,10 +194,7 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
 
 @dataclass(frozen=True)
 class PairRecord:
-    """Measured and predicted attempt counts for one (b, l).
-
-    phase_mismatches lists (algorithm, phase, expected, measured) for every
-    phase whose measured attempts break its per-phase identity."""
+    """Measured and predicted attempt counts for one (b, l)."""
 
     b: int
     l: int
@@ -208,7 +205,6 @@ class PairRecord:
     correction: int
     c_asym: Fraction
     d_asym: Fraction
-    phase_mismatches: tuple[tuple[str, str, int, int], ...] = ()
 
 
 class PairColumns(NamedTuple):
@@ -238,8 +234,6 @@ class LedgerReport:
     matches its prediction, which also makes its totals match.
     """
 
-    u: int
-    y: int
     primes: tuple[int, ...]
     measured: np.ndarray
     expected: np.ndarray
@@ -317,9 +311,6 @@ class LedgerReport:
     def rows(self) -> list[PairRecord]:
         """One PairRecord per checked pair, sorted by (b, l); built on each read."""
         pairs = self.pair_columns()
-        broken: dict[tuple[int, int], list] = {}
-        for b, l, *mismatch in self.phase_mismatches:
-            broken.setdefault((b, l), []).append(tuple(mismatch))
         return [
             PairRecord(
                 b=b,
@@ -331,7 +322,6 @@ class LedgerReport:
                 correction=corr,
                 c_asym=Fraction(cs, l - 1),
                 d_asym=Fraction(ds, l - 1),
-                phase_mismatches=tuple(broken.get((b, l), ())),
             )
             for b, l, mc, mi, ce, de, corr, cs, ds in zip(
                 pairs.b.tolist(),
@@ -366,8 +356,6 @@ def verify_ledgers(
     sums = _level_sums(f, u, primes)
     l = np.array(primes, dtype=np.int64)[:, None]
     return LedgerReport(
-        u=u,
-        y=y,
         primes=primes,
         measured=np.stack([classical.ledger.attempts, improved.ledger.attempts]),
         expected=np.array(phase_attempts(sums)).transpose(0, 2, 1, 3),

@@ -1,10 +1,15 @@
 """End-to-end command-line checks: flags, files, exit codes, determinism."""
 
 import csv
+import errno
 import hashlib
+import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
@@ -15,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import sievelab
 from sievelab import cli
 from sievelab.arith import InvariantViolation, primes_up_to
 from sievelab.cli import EXIT_GATE_FAILED, EXIT_OK, EXIT_VIOLATION, PAIR_COLUMNS, _format_column, main
@@ -700,29 +706,104 @@ def test_table_mismatch_maps_to_exit_three(monkeypatch, capsys, caplog):
     summary = json.loads(capsys.readouterr().out)
     assert summary["identities_ok"] is True and summary["tables_match"] is False
     assert "final classical and improved tables differ at (b, a) = (2, 1)" in caplog.text
+    # sweep words it as compare does, prints its summary all the same and names the instance
     assert main(["sweep", "--instances", "1", "--d", "3", "--m", "5", "--u", "10", "--y", "7"]) == EXIT_VIOLATION
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "final classical and improved tables differ at (b, a) = (2, -6)" in captured.err
+    assert json.loads(capsys.readouterr().out)["instances"] == 1
+    assert "instance 0: final classical and improved tables differ at (b, a) = (2, -6)" in caplog.text
+
+
+def test_failing_sweep_still_reports_every_instance(monkeypatch, capsys, caplog, tmp_path):
+    from sievelab import experiments
+
+    real = experiments.run_comparison
+    planted = iter([False, True])  # only the second instance is doctored
+
+    def doctored(*args, **kwargs):
+        comp = real(*args, **kwargs)
+        if next(planted):  # a classical rational mismatch at (b=1, l=2): expected 2, measured 3
+            comp.report.expected[0, 0, 0, 0] = 2
+            comp.report.measured[0, 0, 0, 0] = 3
+        return comp
+
+    monkeypatch.setattr(experiments, "run_comparison", doctored)
+    out = tmp_path / "run"
+    argv = ["sweep", "--instances", "2", "--d", "3", "--m", "5", "--u", "10", "--y", "7", "--out", str(out)]
+    assert main(argv) == EXIT_VIOLATION
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["instances"] == 2
+    assert json.loads((out / "summary.json").read_text()) == summary
+    assert [row["instance_id"] for row in read_csv(out / "sweep.csv")] == ["0", "1"]
+    assert "instance 1: identity violation at (b=1, l=2): classical rational attempts expected 2, measured 3" in caplog.text
+    assert "instance 0:" not in caplog.text
+
+
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader is gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_keeps_the_exit_code(monkeypatch, caplog, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+        assert main(["compare", *WORKED]) == EXIT_OK
+        # what is left to flush at exit goes to the null device
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        real = cli.run_comparison
+
+        def doctored(*args, **kwargs):
+            comp = real(*args, **kwargs)
+            comp.report.expected[0, 0, 0, 0] = 2
+            comp.report.measured[0, 0, 0, 0] = 3
+            return comp
+
+        monkeypatch.setattr(cli, "run_comparison", doctored)
+        assert main(["compare", *WORKED]) == EXIT_VIOLATION
+        assert "identity violation at (b=1, l=2): classical rational attempts expected 2, measured 3" in caplog.text
+    finally:
+        os.close(fd)
+
+
+def child_env(**overrides) -> dict:
+    """The environment of a child that imports the package this test imported, installed or not."""
+    src = str(Path(sievelab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **overrides}
 
 
 def test_console_entry_point_runs():
-    import os
-    import subprocess
-    import sys
-
-    import sievelab
-
-    # the child imports the package this test imported, installed or not
-    src = str(Path(sievelab.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "sievelab", "enumerate", "--d", "2", "--l", "3"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "9/81"
+
+
+def test_closed_stdout_pipe_ends_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes, so its summary meets a broken pipe
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sievelab", "enumerate", "--d", "2", "--l", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(PYTHONUNBUFFERED=""),  # buffered stdout: the pipe breaks at the flush
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
 
 
 # bounds the contract test patches in, small enough that every accepted input is cheap

@@ -423,6 +423,7 @@ def test_ratio_sweep_results():
         assert row.classical_total > 0
         assert row.improved_total < row.classical_total  # strict improvement
         assert row.correction_free == (row.correction_total == 0)
+        assert row.failures == []
     again = ratio_sweep(instances)
     assert [r.coefficients for r in again] == [r.coefficients for r in rows]
     assert [(r.classical_total, r.improved_total) for r in again] == [(r.classical_total, r.improved_total) for r in rows]

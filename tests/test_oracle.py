@@ -345,8 +345,9 @@ def test_oracle_invariants_raise(monkeypatch):
 
 def per_pair_rows(classical, improved, f, u, y):
     """The report's rows rebuilt pair by pair from the plain recount and the
-    paper's formulas, with the measured counts read off the ledgers."""
-    rows = []
+    paper's formulas, with the measured counts read off the ledgers, and the
+    (b, l, algorithm, phase, expected, measured) of every broken phase."""
+    rows, broken = [], []
     for b in range(1, u + 1):
         for l in primes_up_to(y):
             if b % l == 0:
@@ -354,19 +355,19 @@ def per_pair_rows(classical, improved, f, u, y):
             wanted_classical, wanted_improved, correction, (c_scaled, d_scaled) = paper_formulas(
                 recount_sets(f, u, b, l), l
             )
-            mismatches = tuple(
-                (outcome.algorithm, phase, want, got)
+            broken += [
+                (b, l, outcome.algorithm, phase, want, got)
                 for outcome, wanted in zip((classical, improved), (wanted_classical, wanted_improved))
                 for phase, want in zip(PHASES, wanted)
                 if (got := outcome.ledger.pair_phase(b, l, phase)) != want
-            )
+            ]
             measured = (sum(outcome.ledger.pair_phase(b, l, phase) for phase in PHASES) for outcome in (classical, improved))
             rows.append(PairRecord(
                 b, l, *measured,
                 sum(wanted_classical), sum(wanted_improved) - correction, correction,
-                Fraction(c_scaled, l - 1), Fraction(d_scaled, l - 1), mismatches,
+                Fraction(c_scaled, l - 1), Fraction(d_scaled, l - 1),
             ))
-    return rows
+    return rows, broken
 
 
 @pytest.mark.parametrize(
@@ -387,18 +388,19 @@ def test_report_rows_match_per_pair_predictions(f, u, y, dtypes):
     report = verify_ledgers(classical, improved, f, u, y)
     assert report.ok
     assert_report_matches_recount(report, f, u, y)
-    expected = per_pair_rows(classical, improved, f, u, y)
-    assert report.rows == expected
+    expected, broken = per_pair_rows(classical, improved, f, u, y)
+    assert report.rows == expected and report.phase_mismatches == broken == []
     assert report.pair_count == len(expected)
     assert report.correction_total == sum(r.correction for r in expected)
     assert report.classical_total == classical.ledger.grand_total()
     assert report.improved_total == improved.ledger.grand_total()
-    # tampered ledger entries show up in the rows exactly where a per-pair check puts them
+    # tampered ledger entries show up among the broken phases exactly where a per-pair check puts them
     k, b = len(report.primes) - 1, 1
     classical.ledger.attempts[k, 2, b - 1] += 1
     improved.ledger.attempts[k, 0, b - 1] += 1
     tampered = verify_ledgers(classical, improved, f, u, y)
-    assert tampered.rows == per_pair_rows(classical, improved, f, u, y)
+    rows, broken = per_pair_rows(classical, improved, f, u, y)
+    assert tampered.rows == rows and tampered.phase_mismatches == broken
     assert tampered.mismatches == [(b, report.primes[k])] and not tampered.ok
     assert [m[2:4] for m in tampered.phase_mismatches] == [
         ("classical", "algebraic_multiple"),
