@@ -15,7 +15,7 @@ from math import prod
 
 import numpy as np
 
-_GROUP_BOUND = 2**62  # moduli whose product stays below it share one reduction
+INT64_BOUND = 2**62  # int64 bounds stay below it (poly.exact_dtype), as do the products of grouped moduli
 
 
 class InvariantViolation(RuntimeError):
@@ -96,11 +96,11 @@ def int64_residues(values: np.ndarray, moduli: Iterable[int]) -> Iterator[np.nda
     reduced once per group of consecutive moduli with product below 2^62,
     into a fresh int64 buffer.  Dividing an entry by one prime leaves its
     divisibility by the others, so a caller may divide as it goes."""
-    groups, product = [], _GROUP_BOUND
+    groups, product = [], INT64_BOUND
     for n in moduli:
-        if not 1 <= n < _GROUP_BOUND:
+        if not 1 <= n < INT64_BOUND:
             raise ValueError(f"modulus must lie in [1, 2^62), got {n}")
-        if product * n >= _GROUP_BOUND:
+        if product * n >= INT64_BOUND:
             groups.append([])
             product = 1
         groups[-1].append(n)

@@ -44,12 +44,13 @@ import logging
 import os
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .arith import InvariantViolation
-from .engine import CLASSICAL, IMPROVED, TRIVIAL, SieveTable, sieve_classical, sieve_improved, sieve_trivial
+from .engine import CLASSICAL, IMPROVED, PHASES, TRIVIAL, SieveTable, sieve_classical, sieve_improved, sieve_trivial
 from .experiments import (
     RandomModel,
     SweepInstance,
@@ -83,9 +84,7 @@ PAIR_COLUMNS = [
     "b",
     "l",
     "alg",
-    "attempts_rational",
-    "attempts_algebraic_simple",
-    "attempts_algebraic_multiple",
+    *(f"attempts_{phase}" for phase in PHASES),
     "C_exact",
     "D_exact",
     "correction",
@@ -301,7 +300,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.out is not None:
         _write_rows(args, PAIR_COLUMNS, _pair_rows(report))
 
-    ratio = None if report.classical_total == 0 else _format_column(report.improved_total, report.classical_total)[0]
+    totals = {outcome.algorithm: outcome.ledger.grand_total() for outcome in (comp.trivial, comp.classical, comp.improved)}
+    ratio = None if totals[CLASSICAL] == 0 else _format_column(totals[IMPROVED], totals[CLASSICAL])[0]
     summary = {
         "command": "compare",
         "poly": list(f.coefficients),
@@ -311,19 +311,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "identities_ok": report.ok,
         "tables_match": comp.table_mismatch is None,
         "mismatched_pairs": [list(p) for p in report.mismatches[:10]],
-        "totals": {
-            TRIVIAL: comp.trivial.ledger.grand_total(),
-            CLASSICAL: report.classical_total,
-            IMPROVED: report.improved_total,
-        },
+        "totals": totals,
         "ratio_improved_over_classical": ratio,
         "correction_total": report.correction_total,
         "pair_count": report.pair_count,
-        "precompute": {
-            "root_scan_evaluations": comp.tables.stats.root_scan_evaluations,
-            "newton_lift_steps": comp.tables.stats.newton_lift_steps,
-            "multiple_lift_tests": comp.tables.stats.multiple_lift_tests,
-        },
+        "precompute": asdict(comp.tables.stats),
     }
     _emit_summary(summary, args)
     failures = comp.failures()
@@ -361,11 +353,7 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
         "u": args.u,
         "y": args.y,
         "attempts_total": ledger.grand_total(),
-        "attempts_by_phase": {
-            phase: ledger.phase_total(phase)
-            for phase in ("total", "rational", "algebraic_simple", "algebraic_multiple")
-            if ledger.phase_total(phase)
-        },
+        "attempts_by_phase": {phase: ledger.phase_total(phase) for phase in ledger.phases if ledger.phase_total(phase)},
         "smooth_entries": len(smooth),
     }
     _emit_summary(summary, args)
@@ -517,10 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(message)s")  # adds no handler once the root logger has one
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)  # so the level is set on every call
     if args.config:
         _install_config(args)
         args = parser.parse_args(argv)

@@ -177,7 +177,7 @@ def _while_loop(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarr
     return _per_row(cells, u) + _divide_out(side, cells, l, u)
 
 
-def _divide_once(side: np.ndarray, cells: np.ndarray, l: int, u: int, what: str, modulus: int) -> np.ndarray:
+def _divide_once(side: np.ndarray, cells: np.ndarray, l: int, u: int, phase: str, modulus: int) -> np.ndarray:
     """One unconditional division at each live cell, which must succeed.
     Returns the divisions per row."""
     values = side[cells]
@@ -187,7 +187,7 @@ def _divide_once(side: np.ndarray, cells: np.ndarray, l: int, u: int, what: str,
     if quotients.size < cells.size:
         b, i = divmod(int(cells[np.argmin(divisible)]), 2 * u + 1)
         raise InvariantViolation(
-            f"{what} division missed at b={b + 1}, a={i - u}, l={l}, level modulus {modulus}"
+            f"{phase} division missed at b={b + 1}, a={i - u}, l={l}, level modulus {modulus}"
         )
     side[cells] = quotients
     return _per_row(cells, u)
@@ -251,16 +251,16 @@ def sieve_improved(
     for k, (l, ladder) in enumerate(tables.ladders.items()):
         rows = _rows_without(l, u)
         # the multiple roots are a ladder of one level
-        for phase, side, what, levels in (
-            (0, rational, "rational", [(target,) for target in ladder.rational_targets]),
-            (1, algebraic, "simple-root", ladder.simple_levels),
-            (2, algebraic, "multiple-root", (ladder.multiple_roots,)),
+        for phase, side, levels in (
+            (0, rational, [(target,) for target in ladder.rational_targets]),
+            (1, algebraic, ladder.simple_levels),
+            (2, algebraic, (ladder.multiple_roots,)),
         ):
             modulus = 1
             for level in levels:
                 modulus *= l
                 if level:
-                    counts[k, phase] += _divide_once(side, _cells(rows, level, modulus, u), l, u, what, modulus)
+                    counts[k, phase] += _divide_once(side, _cells(rows, level, modulus, u), l, u, PHASES[phase], modulus)
         if ladder.liftable_multiple:
             counts[k, 2] += _while_loop(algebraic, _cells(rows, ladder.liftable_multiple, l, u), l, u)
     return SieveOutcome(IMPROVED, table, CostLedger(tuple(tables.ladders), PHASES, counts))

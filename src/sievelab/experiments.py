@@ -40,7 +40,7 @@ across workers reproduces the same draws.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import pi, prod, sqrt
@@ -131,20 +131,10 @@ class LiftEventReport:
         return 6.0 / (pi * pi)
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "smooth_bound": self.smooth_bound,
-            "seed": self.seed,
-            "trials": self.trials,
-            "successes": self.successes,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "gate_threshold": self.gate_threshold,
-            "passes_gate": self.passes_gate,
-            "reference_product": self.reference_product,
-            "zeta2_reciprocal": self.zeta2_reciprocal,
-            "per_prime_failures": {str(l): n for l, n in sorted(self.per_prime_failures.items())},
-        }
+        """The fields and the derived values, with the failures keyed by str(l) for JSON."""
+        derived = ("estimate", "stderr", "gate_threshold", "passes_gate", "zeta2_reciprocal")
+        return {**asdict(self), **{name: getattr(self, name) for name in derived},
+                "per_prime_failures": {str(l): n for l, n in self.per_prime_failures.items()}}
 
 
 def reference_success_product(smooth_bound: int) -> Fraction:
@@ -316,8 +306,8 @@ def _sweep_row(inst: SweepInstance) -> SweepRow:
     return SweepRow(
         instance=inst,
         coefficients=f.coefficients,
-        classical_total=comp.report.classical_total,
-        improved_total=comp.report.improved_total,
+        classical_total=comp.classical.ledger.grand_total(),
+        improved_total=comp.improved.ledger.grand_total(),
         correction_total=comp.report.correction_total,
         failures=comp.failures(),
     )

@@ -242,14 +242,6 @@ class LedgerReport:
     checked: np.ndarray
 
     @property
-    def classical_total(self) -> int:
-        return int(self.measured[0].sum())
-
-    @property
-    def improved_total(self) -> int:
-        return int(self.measured[1].sum())
-
-    @property
     def correction_total(self) -> int:
         return int(self.correction.sum())
 

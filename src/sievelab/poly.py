@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import INT64_BOUND
+
 
 @dataclass(frozen=True)
 class MonicPolynomial:
@@ -113,7 +115,7 @@ def algebraic_bound(f: SievePolynomial, u: int) -> int:
 
 def exact_dtype(bound: int):
     """np.int64 when |values| <= bound < 2^62, else object (exact Python integers)."""
-    return np.int64 if bound < 2**62 else object
+    return np.int64 if bound < INT64_BOUND else object
 
 
 def table_factors(f: SievePolynomial, u: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import errno
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import shlex
@@ -198,6 +199,12 @@ def test_config_rejects_bad_json(tmp_path, capsys):
         ["compare", "--poly", "1,x,1", "--m", "4", "--u", "3", "--y", "5"],  # a coefficient that is no integer
         ["compare", "--random", "--m", "4", "--u", "3", "--y", "5"],  # --random without its degree
         ["sieve", "--m", "4", "--u", "3", "--y", "5"],  # neither --poly nor --random
+        # a flag the command needs is missing: "this command needs --<flag>"
+        ["compare", "--poly", "1,0,1", "--m", "4", "--y", "5"],
+        ["compare", "--poly", "1,0,1", "--m", "4", "--u", "3"],
+        ["sieve", "--poly", "1,0,1", "--m", "4", "--u", "3"],
+        ["montecarlo", "--d", "3", "--y", "30"],
+        ["enumerate", "--d", "2"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
@@ -215,6 +222,26 @@ def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+
+
+def test_verbose_flag_sets_the_level_of_each_in_process_call(capsys):
+    """With a root handler already installed, where logging.basicConfig adds
+    none, each main call still logs INFO lines exactly when it has -v."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        infos = []
+        for verbose in ([], ["-v"], []):
+            records.clear()
+            assert main([*verbose, "compare", *WORKED]) == EXIT_OK
+            infos.append([r.getMessage() for r in records if r.levelno == logging.INFO])
+    finally:
+        root.removeHandler(handler)
+    assert infos[0] == infos[2] == []
+    assert infos[1] == ["compare: poly=(1, 0, 1) m=4 u=3 y=5"]
 
 
 def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):

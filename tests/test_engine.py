@@ -230,7 +230,7 @@ def test_corrupted_ladder_root_is_an_invariant_violation():
     # 12 lies over the root 2 mod 5 but is no root mod 25: F(12, 1) = 145
     bad = dataclasses.replace(ladder, simple_levels=(ladder.simple_levels[0], (12, 18), *ladder.simple_levels[2:]))
     tables.ladders[5] = bad
-    with pytest.raises(InvariantViolation, match=r"b=1, a=12, l=5, level modulus 25"):
+    with pytest.raises(InvariantViolation, match=r"algebraic_simple division missed at b=1, a=12, l=5, level modulus 25"):
         sieve_improved(f, 12, 5, tables)
 
 

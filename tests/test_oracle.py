@@ -219,14 +219,14 @@ def test_verify_ledgers_worked_instance():
     assert row.measured_improved == row.d_exact == 5
     assert row.correction == 0
     assert row.c_asym == Fraction(45, 4) and row.d_asym == Fraction(25, 4)
-    assert (report.classical_total, report.improved_total) == (52, 27)
+    assert (classical.ledger.grand_total(), improved.ledger.grand_total()) == (52, 27)
 
 
 def test_verify_ledgers_on_zero_table():
     f = SievePolynomial((0, 1, 1), m=1)
-    report = verify_ledgers(sieve_classical(f, 1, 3), sieve_improved(f, 1, 3), f, 1, 3)
-    assert report.ok
-    assert report.classical_total == report.improved_total == 0
+    classical, improved = sieve_classical(f, 1, 3), sieve_improved(f, 1, 3)
+    assert verify_ledgers(classical, improved, f, 1, 3).ok
+    assert classical.ledger.grand_total() == improved.ledger.grand_total() == 0
 
 
 def test_verify_ledgers_correction_instance():
@@ -301,13 +301,15 @@ def test_classical_phases_match_per_side_set_sizes():
 @example((SievePolynomial((0, 0, 1, 1), m=1), 2, 2))
 def test_identities_hold_on_random_instances(instance):
     f, u, y = instance
-    report = report_for(f, u, y)
+    classical, improved = sieve_classical(f, u, y), sieve_improved(f, u, y)
+    report = verify_ledgers(classical, improved, f, u, y)
     assert report.ok
     # classical - improved = sum over pairs of (c_exact - d_exact) - correction
     # = r1 + s1 + m1 - m2 per pair, and m2 <= m1
     gap = sum(row.c_exact - row.d_exact for row in report.rows)
-    assert report.improved_total <= report.classical_total
-    assert (report.improved_total < report.classical_total) == (gap > report.correction_total)
+    classical_total, improved_total = classical.ledger.grand_total(), improved.ledger.grand_total()
+    assert improved_total <= classical_total
+    assert (improved_total < classical_total) == (gap > report.correction_total)
     for row in report.rows:
         if row.correction == 0:
             assert row.d_asym <= Fraction(2, 3) * row.c_asym
@@ -392,8 +394,6 @@ def test_report_rows_match_per_pair_predictions(f, u, y, dtypes):
     assert report.rows == expected and report.phase_mismatches == broken == []
     assert report.pair_count == len(expected)
     assert report.correction_total == sum(r.correction for r in expected)
-    assert report.classical_total == classical.ledger.grand_total()
-    assert report.improved_total == improved.ledger.grand_total()
     # tampered ledger entries show up among the broken phases exactly where a per-pair check puts them
     k, b = len(report.primes) - 1, 1
     classical.ledger.attempts[k, 2, b - 1] += 1
