@@ -15,19 +15,21 @@ Two questions get an empirical treatment here:
    attempt count does the improved sieve land?  Per prime the
    asymptotic quotient is l/(2l - 1), so aggregates settle shy of 2/3.
 
-Both lift-event counts run on roots.lift_events, read off the ladders'
-residue kernel.  Monte Carlo feeds it blocks of trials, taken mod each
-l^2 from arith.int64_residues; enumerate_exact feeds it blocks of the
-flat index range [0, l^(2d)), whose base-l^2 digits are the
-coefficients.  A block holds max(1, _BLOCK_CELLS // l) rows (Monte Carlo
-sizes it for its largest prime), so a pass touches at most 2^14 cells,
-or a single row for a prime above 2^14.
+Both lift-event counts run on the ladders' residue kernel,
+roots.residue_scan.  Monte Carlo feeds roots.lift_events blocks of
+trials, taken mod each l^2 from arith.int64_residues.  enumerate_exact
+feeds residue_scan blocks of the flat index range [0, l^(2d-2)), whose
+base-l^2 digits are c_1..c_{d-1}, and counts the constant coefficient
+instead of walking it: its l^(2d) polynomials take l^(2d-1) cells.  A
+block holds max(1, _BLOCK_CELLS // l) rows (Monte Carlo sizes it for its
+largest prime), so a pass touches at most 2^14 cells, or a single row for
+a prime above 2^14.
 
 Work caps, each checked before any work starts (an input over a cap is
 a ValueError):
 
-  ENUMERATION_CAP   residue evaluations of enumerate_exact, l^(2d) polynomials
-                    times l residues; so l <= 464 < 2^9 there
+  ENUMERATION_CAP   polynomial-residue pairs enumerate_exact counts, l^(2d)
+                    polynomials times l residues; so l <= 464 < 2^9 there
   MONTE_CARLO_CAP   Horner steps of monte_carlo, trials * (d+1) * (sum of the
                     primes l <= y); already one trial of degree 1 needs
                     y < 349,927 to stay under it, so every prime is below
@@ -51,9 +53,9 @@ from .arith import int64_residues, primes_up_to
 from .engine import SieveOutcome, build_table, sieve_classical, sieve_improved, sieve_trivial
 from .oracle import LedgerReport, verify_ledgers
 from .poly import SievePolynomial
-from .roots import LiftTables, build_lift_tables, lift_events
+from .roots import LiftTables, build_lift_tables, lift_events, residue_scan
 
-ENUMERATION_CAP = 10**8  # residue evaluations of enumerate_exact: l^(2d+1)
+ENUMERATION_CAP = 10**8  # polynomial-residue pairs enumerate_exact counts: l^(2d+1)
 MONTE_CARLO_CAP = 10**10  # Horner steps of monte_carlo: trials * (d+1) * sum of primes <= y
 DRAW_CAP = 10**6  # coefficient draws of monte_carlo: trials * d
 # sum of the primes <= 10^6 is about 3.8e10, above MONTE_CARLO_CAP, so a
@@ -182,11 +184,18 @@ def monte_carlo(model: RandomModel, trials: int) -> LiftEventReport:
 
 
 def enumerate_exact(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
-    """Walk every monic degree-d polynomial mod l^2 and count lift events.
+    """Count the lift events of every monic degree-d polynomial mod l^2.
 
     Returns (count_bad, count_total, per_point_counts) where
     per_point_counts[i] is the number of polynomials with f(i) == 0
     mod l^2 and f'(i) == 0 mod l.  count_total = l^(2d).
+
+    Only the classes of (c_1, ..., c_{d-1}) mod l^2 are walked; c_0 is
+    counted.  f' does not involve c_0, and c_0 -> f(x) mod l^2 is a
+    bijection of Z/l^2, so with g = f - c_0 each x where f'(x) == 0 mod l
+    has a lift event for exactly one c_0, namely -g(x) mod l^2.  A class
+    adds one to per_point_counts[x] per such x, and its number of distinct
+    targets -g(x) to count_bad.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
@@ -195,24 +204,30 @@ def enumerate_exact(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
     # l >= 2, so l^(2d+1) > ENUMERATION_CAP once the exponent reaches its bit length
     if l ** min(2 * d + 1, ENUMERATION_CAP.bit_length()) > ENUMERATION_CAP:
         raise ValueError(
-            f"enumeration needs l^(2d+1) = {l}^{2 * d + 1} residue evaluations, over the cap of {ENUMERATION_CAP}"
+            f"enumeration covers l^(2d+1) = {l}^{2 * d + 1} polynomial-residue pairs, over the cap of {ENUMERATION_CAP}"
         )
     count_total = (l * l) ** d
     if primes_up_to(l)[-1] != l:
         raise ValueError(f"l must be prime, got {l}")
     l2 = l * l
+    classes = l2 ** (d - 1)
     per_point = np.zeros(l, dtype=np.int64)
     count_bad = 0
     step = _block_rows(l)
-    for start in range(0, count_total, step):
-        index = np.arange(start, min(start + step, count_total), dtype=np.int64)
+    for start in range(0, classes, step):
+        index = np.arange(start, min(start + step, classes), dtype=np.int64)
         coeffs = np.ones((index.size, d + 1), dtype=np.int64)
-        for i in range(d):  # c_i is base-l^2 digit i of the index
+        coeffs[:, 0] = 0
+        for i in range(1, d):  # c_i is base-l^2 digit i-1 of the index
             coeffs[:, i] = index % l2
             index //= l2
-        hits = lift_events(coeffs, l)
-        per_point += hits.sum(axis=0)
-        count_bad += int(np.count_nonzero(hits.any(axis=1)))
+        value, slope = residue_scan(coeffs, l)
+        flat = slope == 0
+        per_point += flat.sum(axis=0)
+        # -1 marks a point that is not flat; after the sort each row's distinct
+        # targets are the steps up from the -1 prepended in front of it
+        targets = np.sort(np.where(flat, -value % l2, -1), axis=1)
+        count_bad += int(np.count_nonzero(np.diff(targets, axis=1, prepend=-1)))
     return count_bad, count_total, tuple(int(n) for n in per_point)
 
 

@@ -8,8 +8,8 @@ on its residue class mod l: f is constant mod l^2 on that class, so a
 single evaluation decides for the whole class.
 
 One numpy kernel, residue_scan, answers both questions for the ladders,
-the oracle's root test (through classify_roots), Monte Carlo and exact
-enumeration (through lift_events): a fused Horner pass over a block of
+the oracle's root test (through classify_roots), Monte Carlo (through
+lift_events) and exact enumeration: a fused Horner pass over a block of
 polynomials, with coefficients mod l^2, gives f(x) mod l^2 and f'(x) mod l
 at every x mod l.
 It is exact in int64 while l^3 < 2^62, so residue_scan, classify_roots and

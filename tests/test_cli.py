@@ -193,7 +193,7 @@ def test_config_rejects_bad_json(tmp_path, capsys):
         ["enumerate", "--d", "2", "--l", "4"],
         ["montecarlo", "--d", "3", "--y", str(10**6), "--trials", "1"],  # over the work cap
         ["montecarlo", "--d", "3", "--y", "100", "--trials", str(10**8)],
-        ["enumerate", "--d", "1", "--l", "3137"],  # 3137^3 residue evaluations
+        ["enumerate", "--d", "1", "--l", "3137"],  # 3137^3 polynomial-residue pairs
         ["montecarlo", "--d", str(10**8), "--y", "2", "--trials", "1"],  # 10^8 coefficient draws
         ["compare", "--random", "--d", "1000", "--m", "1", "--u", "3", "--y", "5"],  # over MAX_D
         ["compare", "--poly", "1,x,1", "--m", "4", "--u", "3", "--y", "5"],  # a coefficient that is no integer
@@ -215,7 +215,8 @@ def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
 
     # every case is refused before any table, draw or enumeration block
     for module, name in ((engine, "build_table"), (experiments, "build_table"),
-                         (experiments, "_draw"), (experiments, "lift_events")):
+                         (experiments, "_draw"), (experiments, "lift_events"),
+                         (experiments, "residue_scan")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)

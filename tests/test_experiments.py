@@ -25,7 +25,7 @@ from sievelab.experiments import (
     run_comparison,
 )
 from sievelab.poly import MonicPolynomial, SievePolynomial
-from sievelab.roots import lift_events
+from sievelab.roots import lift_events, residue_scan
 
 F_SQUARE_PLUS_ONE = SievePolynomial((1, 0, 1), m=4)
 
@@ -150,16 +150,20 @@ def test_monte_carlo_matches_per_trial_reference(d, y, seed, trials):
 def test_kernel_passes_stay_within_the_cell_budget(monkeypatch):
     shapes = []
 
-    def recorded(coeffs, l):
-        shapes.append((coeffs.shape[0], l))
-        return lift_events(coeffs, l)
+    def recorded(kernel):
+        def call(coeffs, l):
+            shapes.append((kernel.__name__, coeffs.shape[0], l))
+            return kernel(coeffs, l)
+        return call
 
-    monkeypatch.setattr(experiments, "lift_events", recorded)
+    # Monte Carlo calls lift_events, enumerate_exact calls residue_scan
+    monkeypatch.setattr(experiments, "lift_events", recorded(lift_events))
+    monkeypatch.setattr(experiments, "residue_scan", recorded(residue_scan))
     monte_carlo(RandomModel(degree=3, smooth_bound=100, seed=0), 400)
-    enumerate_exact(2, 7)
+    enumerate_exact(3, 7)  # 2401 classes: a full block of 2340 rows, then a short one
     enumerate_exact(1, 97)
-    assert shapes
-    assert all(rows * l <= experiments._BLOCK_CELLS for rows, l in shapes)
+    assert {name for name, _, _ in shapes} == {"lift_events", "residue_scan"}
+    assert all(rows * l <= experiments._BLOCK_CELLS for _, rows, l in shapes)
 
 
 def test_monte_carlo_work_cap(monkeypatch):
@@ -310,9 +314,8 @@ def test_enumerate_exact_against_direct_count():
     assert enumerate_exact(2, 3) == (bad, 81, tuple(per_point))
 
 
-@pytest.mark.parametrize("d,l", [(1, 2), (3, 7), (1, 97)])
-def test_enumerate_exact_matches_nested_loop_recount(d, l):
-    # (1, 97) runs 57 blocks of 168 rows, the last a single row; (3, 7) runs 51 of 2340
+def nested_loop_count(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
+    """enumerate_exact's counts from a plain walk of every polynomial, c_0 included."""
     l2 = l * l
     powers = [[pow(x, i, l2) for i in range(d + 1)] for x in range(l)]
     bad = 0
@@ -328,7 +331,25 @@ def test_enumerate_exact_matches_nested_loop_recount(d, l):
                 per_point[x] += 1
                 hit = True
         bad += hit
-    assert enumerate_exact(d, l) == (bad, l ** (2 * d), tuple(per_point))
+    return bad, l ** (2 * d), tuple(per_point)
+
+
+@pytest.mark.parametrize("d,l", [(1, 2), (3, 7), (1, 97)])
+def test_enumerate_exact_matches_nested_loop_recount(d, l):
+    # (3, 7) runs 2 blocks of its 2401 classes, (1, 97) its single class
+    assert enumerate_exact(d, l) == nested_loop_count(d, l)
+
+
+@pytest.mark.parametrize("block_cells", [None, 20])
+@pytest.mark.parametrize("d,l", [(1, 2), (2, 3), (3, 5), (4, 2), (4, 3)])
+def test_enumerate_exact_counts_distinct_targets(d, l, block_cells, monkeypatch):
+    # from degree 4 on, two flat points of one class can share their c_0:
+    # (4, 2) has 60 bad polynomials where its flat points number 64, (4, 3)
+    # has 702 where they number 729.  With 20 cells a pass, the classes
+    # span many passes and the last one is short.
+    if block_cells is not None:
+        monkeypatch.setattr(experiments, "_BLOCK_CELLS", block_cells)
+    assert enumerate_exact(d, l) == nested_loop_count(d, l)
 
 
 def test_enumerate_rejects_oversized_spaces(monkeypatch):
@@ -336,15 +357,16 @@ def test_enumerate_rejects_oversized_spaces(monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(experiments, "lift_events", refuse)
+    monkeypatch.setattr(experiments, "residue_scan", refuse)
     monkeypatch.setattr(experiments, "primes_up_to", refuse)
     with pytest.raises(ValueError):
         enumerate_exact(4, 11)
     with pytest.raises(ValueError):
         enumerate_exact(2, 97)
-    # 3137^2 polynomials are few, but 3137^3 residue evaluations are not
-    with pytest.raises(ValueError, match="residue evaluations"):
+    # 3137^2 polynomials are few, but 3137^3 polynomial-residue pairs are not
+    with pytest.raises(ValueError, match="polynomial-residue pairs"):
         enumerate_exact(1, 3137)
-    with pytest.raises(ValueError, match="residue evaluations"):
+    with pytest.raises(ValueError, match="polynomial-residue pairs"):
         enumerate_exact(10**9, 2)  # refused without computing 2^(2*10^9 + 1)
     # the cap is l^(2d+1), exactly
     monkeypatch.undo()
@@ -352,7 +374,7 @@ def test_enumerate_rejects_oversized_spaces(monkeypatch):
     monkeypatch.setattr(experiments, "ENUMERATION_CAP", 7**5)
     assert enumerate_exact(2, 7)[1] == 7**4
     monkeypatch.setattr(experiments, "ENUMERATION_CAP", 7**5 - 1)
-    with pytest.raises(ValueError, match="residue evaluations"):
+    with pytest.raises(ValueError, match="polynomial-residue pairs"):
         enumerate_exact(2, 7)
 
 
