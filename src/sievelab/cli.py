@@ -18,7 +18,8 @@ The rules of a single flag, caps included, live in its type alone: --u <=
 MAX_U, --y <= MAX_Y, --d <= MAX_D (and at most MAX_D + 1 coefficients in
 --poly), --m <= MAX_M and --instances <= MAX_SWEEP_INSTANCES bound the
 table, the root scans, the degree, the size of the exact integers and the
-sweep.  Rules that join flags stay where they are used: the polynomial
+sweep, and --poly must be monic of degree >= 2, in a config file as on
+the command line.  Rules that join flags stay where they are used: the polynomial
 flags in _resolve_polynomial, and the work caps of montecarlo and
 enumerate (ENUMERATION_CAP, MONTE_CARLO_CAP, DRAW_CAP) in experiments,
 which checks them before any work.
@@ -35,22 +36,32 @@ written, so a usage error leaves nothing behind.  A result file that
 cannot be written is a usage error too, and names the file (a directory
 in its place is found before any work starts); summary.json is written
 before the summary is printed.
+
+A command loads only the modules it runs: montecarlo and enumerate never
+load engine, oracle or csv, and enumerate not fractions either.  The
+sieve and phase names come from roots; compare and sweep load engine and
+oracle through experiments.run_comparison, sieve loads engine in its
+handler, and csv is imported where CSV rows are written.  pairs.csv is
+written as its rows are formatted, _PAIR_CHUNK pairs at a time; --format
+json builds the list of every row, since json.dumps needs it.
 """
 
+from __future__ import annotations
+
 import argparse
-import csv
 import json
 import logging
 import os
 import random
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .arith import InvariantViolation
-from .engine import CLASSICAL, IMPROVED, PHASES, TRIVIAL, SieveTable, sieve_classical, sieve_improved, sieve_trivial
 from .experiments import (
     RandomModel,
     SweepInstance,
@@ -60,8 +71,12 @@ from .experiments import (
     ratio_sweep,
     run_comparison,
 )
-from .oracle import LedgerReport
 from .poly import SievePolynomial, exact_dtype
+from .roots import CLASSICAL, IMPROVED, PHASES, TRIVIAL
+
+if TYPE_CHECKING:
+    from .engine import SieveTable
+    from .oracle import LedgerReport
 
 log = logging.getLogger("sievelab")
 
@@ -78,6 +93,7 @@ MAX_D = 16
 # m = 10^15, within 10x of m = 1 (26 s, 273 MB); m = 10^18 takes 448 s and 647 MB
 MAX_M = 10**15
 MAX_SWEEP_INSTANCES = 1000  # instances of one sweep, sampled or listed in sweep_instances
+_PAIR_CHUNK = 4096  # pairs that _pair_rows formats at a time
 
 PAIR_COLUMNS = [
     "instance_id",
@@ -120,13 +136,20 @@ def _format_column(numerator, denominator, places: int = 6) -> list[str]:
 
 
 def _parse_poly_text(text: str) -> tuple[int, ...]:
+    """argparse type of --poly: the coefficients of a sieve polynomial; only
+    the bound |c_i| <= m, which joins --m, is left to _resolve_polynomial."""
     parts = text.split(",")
     if len(parts) > MAX_D + 1:
         raise argparse.ArgumentTypeError(f"polynomial has {len(parts)} coefficients, at most {MAX_D + 1} (degree {MAX_D})")
     try:
-        return tuple(int(part.strip()) for part in parts)
+        coefficients = tuple(int(part.strip()) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"polynomial must be comma-separated integers, got {text!r}") from None
+    try:  # monic and of degree >= 2, checked with the smallest m that admits the coefficients
+        SievePolynomial(coefficients=coefficients, m=max(1, *map(abs, coefficients)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return coefficients
 
 
 def _int_in(low: int, high: int | None = None):
@@ -226,12 +249,21 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             args.parser.error(f"this command needs --{name}")
 
 
-def _write_rows(args: argparse.Namespace, columns: list[str], rows: list[list]) -> None:
+def _write_rows(args: argparse.Namespace, columns: list[str], rows: Iterable[list]) -> None:
+    """The row file: CSV is written row by row as `rows` yields them; JSON
+    needs the list of every row, since json.dumps takes the whole payload."""
     if args.format == "json":
         payload = [dict(zip(columns, r)) for r in rows]
         _write_out(args, f"{args.rows}.json", lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
     else:
-        _write_out(args, f"{args.rows}.csv", lambda fh: csv.writer(fh).writerows([columns, *rows]))
+        import csv
+
+        def write(fh) -> None:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
+
+        _write_out(args, f"{args.rows}.csv", write)
 
 
 def _emit_summary(summary: dict, args: argparse.Namespace, *lines: str) -> None:
@@ -278,17 +310,21 @@ def _check_out(args: argparse.Namespace) -> None:
             args.parser.error(f"cannot write {args.out / name}: it is a directory")
 
 
-def _pair_rows(report: LedgerReport) -> list[list]:
-    """pairs rows in PAIR_COLUMNS order: per pair, classical then improved."""
+def _pair_rows(report: LedgerReport) -> Iterator[list]:
+    """pairs rows in PAIR_COLUMNS order: per pair, classical then improved,
+    formatted from slices of _PAIR_CHUNK pairs, so no list of every row is held."""
     pairs = report.pair_columns()
-    c_asym, d_asym = (_format_column(scaled, pairs.l - 1) for scaled in pairs.scaled_asymptotic)
-    common = zip(pairs.b.tolist(), pairs.l.tolist(), pairs.c_exact.tolist(), pairs.d_exact.tolist(),
-                 pairs.correction.tolist(), c_asym, d_asym)
-    rows = []
-    for (b, l, c_exact, d_exact, correction, c, d), classical, improved in zip(common, *pairs.measured.tolist()):
-        rows.append([0, b, l, CLASSICAL, *classical, c_exact, d_exact, correction, c, d])
-        rows.append([0, b, l, IMPROVED, *improved, c_exact, d_exact, correction, c, d])
-    return rows
+    for start in range(0, pairs.b.size, _PAIR_CHUNK):
+        chunk = slice(start, start + _PAIR_CHUNK)
+        primes = pairs.l[chunk]
+        c_asym, d_asym = (_format_column(scaled[chunk], primes - 1) for scaled in pairs.scaled_asymptotic)
+        common = zip(pairs.b[chunk].tolist(), primes.tolist(), pairs.c_exact[chunk].tolist(),
+                     pairs.d_exact[chunk].tolist(), pairs.correction[chunk].tolist(), c_asym, d_asym)
+        for (b, l, c_exact, d_exact, correction, c, d), classical, improved in zip(
+            common, *pairs.measured[:, chunk].tolist()
+        ):
+            yield [0, b, l, CLASSICAL, *classical, c_exact, d_exact, correction, c, d]
+            yield [0, b, l, IMPROVED, *improved, c_exact, d_exact, correction, c, d]
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -337,6 +373,8 @@ def _smooth_rows(table: SieveTable) -> list[list[int]]:
 def _cmd_sieve(args: argparse.Namespace) -> int:
     _require(args, "u", "y")
     f = _resolve_polynomial(args)
+    from .engine import sieve_classical, sieve_improved, sieve_trivial  # loaded by the one command that runs them
+
     runner = {TRIVIAL: sieve_trivial, CLASSICAL: sieve_classical, IMPROVED: sieve_improved}[args.alg]
     outcome = runner(f, args.u, args.y)
 

@@ -13,8 +13,11 @@ prove once with a plain //, so exact % runs only on the cells that l
 already divided.
 A cell is dead when gcd(a, b) > 1 or either factor vanishes; dead cells
 hold 0 on both sides and every pass below skips them, since repeatedly
-dividing 0 would never terminate.  The residual entry of a cell is the
-product of its two sides.
+dividing 0 would never terminate.  The classical and improved sieves
+take one boolean mask per call, before any pass, of the cells nonzero on
+both sides, and gather side values only at the cells it selects;
+division never makes a cell zero, so the mask holds for the whole call.
+The residual entry of a cell is the product of its two sides.
 
 The cost unit is one fused test-and-divide on one side of a cell:
 
@@ -36,12 +39,22 @@ The three strategies differ only in how they find cells to divide:
 The other two sieves run prime by prime, one numpy pass per (phase,
 level) over every row and every residue of the level at once, whose
 progressions are disjoint for l not dividing b; per-(b, l) attempts come
-from counting the touched cells per row.  The ledger is that count array
-itself: attempts[k, p, b-1], int64 of shape (primes, phases, u), for
-prime k and phase p; nothing is kept per pair.  A sieve given a prebuilt
+from counting the touched cells per row.  The improved sieve walks a
+phase's levels only down to the first whose progression holds no live
+cell: every level-(e+1) residue reduces mod l^e to a level-e residue
+(m mod l^e, and the unique Hensel lift of a simple root), so the deeper
+progressions lie inside that one and would add no attempt.  The ledger
+is that count array itself: attempts[k, p, b-1], int64 of shape
+(primes, phases, u), for prime k and phase p; nothing is kept per pair.  A sieve given a prebuilt
 table divides that table in place; without one it builds its own.
 Unconditional divisions in the improved sieve must always succeed; a
-failure raises InvariantViolation and means the ladders are wrong.
+failure raises InvariantViolation and means the ladders are wrong.  Every
+division made is checked, but the levels below the first empty one are
+not visited, so a corrupt residue there divides nothing and goes unseen.
+
+TRIVIAL, CLASSICAL, IMPROVED and PHASES are defined in roots, so that
+the command line reads them without loading this module; they are
+re-exported here.
 """
 
 from dataclasses import dataclass
@@ -50,12 +63,8 @@ import numpy as np
 
 from .arith import InvariantViolation, fused_divide, int64_residues, primes_up_to
 from .poly import SievePolynomial, exact_dtype, table_factors
-from .roots import LiftTables, build_lift_tables
+from .roots import CLASSICAL, IMPROVED, PHASES, TRIVIAL, LiftTables, build_lift_tables
 
-TRIVIAL = "trivial"
-CLASSICAL = "classical"
-IMPROVED = "improved"
-PHASES = ("rational", "algebraic_simple", "algebraic_multiple")
 _TRIVIAL_BLOCK = 1 << 16  # live cells per gather; bounds the exact integers a gathered copy keeps alive
 
 
@@ -152,13 +161,25 @@ def _cells(rows: np.ndarray, residues: tuple[int, ...], modulus: int, u: int) ->
     return first[hit] + start[hit].astype(np.int64)
 
 
+def _live_mask(table: SieveTable) -> np.ndarray:
+    """Flat mask of the cells nonzero on both sides, the only ones a pass may
+    divide: a zero on either side would never leave _divide_out's loop."""
+    return ((table.rational != 0) & (table.algebraic != 0)).reshape(-1)
+
+
+def _live_cells(live: np.ndarray, rows: np.ndarray, residues: tuple[int, ...], modulus: int, u: int) -> np.ndarray:
+    """The cells of _cells that the live mask selects, in the same order."""
+    cells = _cells(rows, residues, modulus, u)
+    return cells[live[cells]]
+
+
 def _per_row(cells: np.ndarray, u: int) -> np.ndarray:
     return np.bincount(cells // (2 * u + 1), minlength=u)
 
 
 def _divide_out(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarray:
-    """Divide each live cell by l as long as l divides; returns the
-    successful divisions per row."""
+    """Divide each of `cells`, all live, by l as long as l divides; returns
+    the successful divisions per row."""
     done = np.zeros(u, dtype=np.int64)
     values = side[cells]
     while True:
@@ -171,19 +192,15 @@ def _divide_out(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarr
 
 
 def _while_loop(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarray:
-    """A while-loop at each live cell among `cells`; returns the attempts
-    per row, one per successful division plus the final failed test."""
-    cells = cells[side[cells] != 0]
+    """A while-loop at each of `cells`, all live; returns the attempts per
+    row, one per successful division plus the final failed test."""
     return _per_row(cells, u) + _divide_out(side, cells, l, u)
 
 
 def _divide_once(side: np.ndarray, cells: np.ndarray, l: int, u: int, phase: str, modulus: int) -> np.ndarray:
-    """One unconditional division at each live cell, which must succeed.
-    Returns the divisions per row."""
-    values = side[cells]
-    live = values != 0
-    cells, values = cells[live], values[live]
-    divisible, quotients = fused_divide(values, l)
+    """One unconditional division at each of `cells`, all live, which must
+    succeed.  Returns the divisions per row."""
+    divisible, quotients = fused_divide(side[cells], l)
     if quotients.size < cells.size:
         b, i = divmod(int(cells[np.argmin(divisible)]), 2 * u + 1)
         raise InvariantViolation(
@@ -223,6 +240,7 @@ def sieve_classical(
     tables = _tables_for(f, u, y, tables)
     table = _table_for(f, u, table)
     rational, algebraic = table.rational.reshape(-1), table.algebraic.reshape(-1)
+    live = _live_mask(table)
     counts = np.zeros((len(tables.ladders), len(PHASES), u), dtype=np.int64)
     for k, (l, ladder) in enumerate(tables.ladders.items()):
         rows = _rows_without(l, u)
@@ -235,7 +253,7 @@ def sieve_classical(
             (2, algebraic, ladder.multiple_roots),
         ):
             if residues:
-                counts[k, phase] += _while_loop(side, _cells(rows, residues, l, u), l, u)
+                counts[k, phase] += _while_loop(side, _live_cells(live, rows, residues, l, u), l, u)
     return SieveOutcome(CLASSICAL, table, CostLedger(tuple(tables.ladders), PHASES, counts))
 
 
@@ -247,6 +265,7 @@ def sieve_improved(
     tables = _tables_for(f, u, y, tables)
     table = _table_for(f, u, table)
     rational, algebraic = table.rational.reshape(-1), table.algebraic.reshape(-1)
+    live = _live_mask(table)
     counts = np.zeros((len(tables.ladders), len(PHASES), u), dtype=np.int64)
     for k, (l, ladder) in enumerate(tables.ladders.items()):
         rows = _rows_without(l, u)
@@ -259,10 +278,12 @@ def sieve_improved(
             modulus = 1
             for level in levels:
                 modulus *= l
-                if level:
-                    counts[k, phase] += _divide_once(side, _cells(rows, level, modulus, u), l, u, PHASES[phase], modulus)
+                cells = _live_cells(live, rows, level, modulus, u)
+                if not cells.size:
+                    break  # the deeper levels' progressions lie inside this one
+                counts[k, phase] += _divide_once(side, cells, l, u, PHASES[phase], modulus)
         if ladder.liftable_multiple:
-            counts[k, 2] += _while_loop(algebraic, _cells(rows, ladder.liftable_multiple, l, u), l, u)
+            counts[k, 2] += _while_loop(algebraic, _live_cells(live, rows, ladder.liftable_multiple, l, u), l, u)
     return SieveOutcome(IMPROVED, table, CostLedger(tuple(tables.ladders), PHASES, counts))
 
 

@@ -39,21 +39,32 @@ a ValueError):
 
 Trial streams are seeded per index, so any partition of the trials
 across workers reproduces the same draws.
+
+Importing this module loads neither the engine nor the oracle:
+run_comparison imports them when it runs, and reference_success_product
+imports Fraction, so a montecarlo or enumerate process loads only what
+its command runs.
 """
+
+from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import pi, prod, sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .arith import int64_residues, primes_up_to
-from .engine import SieveOutcome, build_table, sieve_classical, sieve_improved, sieve_trivial
-from .oracle import LedgerReport, verify_ledgers
 from .poly import SievePolynomial
 from .roots import LiftTables, build_lift_tables, lift_events, residue_scan
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .engine import SieveOutcome
+    from .oracle import LedgerReport
 
 ENUMERATION_CAP = 10**8  # polynomial-residue pairs enumerate_exact counts: l^(2d+1)
 MONTE_CARLO_CAP = 10**10  # Horner steps of monte_carlo: trials * (d+1) * sum of primes <= y
@@ -141,6 +152,8 @@ class LiftEventReport:
 
 def reference_success_product(smooth_bound: int) -> Fraction:
     """prod over primes l <= bound of (1 - 1/l^2), exactly, as one quotient."""
+    from fractions import Fraction
+
     squares = [l * l for l in primes_up_to(smooth_bound)]
     return Fraction(prod(s - 1 for s in squares), prod(squares))
 
@@ -224,10 +237,12 @@ def enumerate_exact(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
         value, slope = residue_scan(coeffs, l)
         flat = slope == 0
         per_point += flat.sum(axis=0)
-        # -1 marks a point that is not flat; after the sort each row's distinct
-        # targets are the steps up from the -1 prepended in front of it
-        targets = np.sort(np.where(flat, -value % l2, -1), axis=1)
-        count_bad += int(np.count_nonzero(np.diff(targets, axis=1, prepend=-1)))
+        # mark each row's targets among the l^2 values of c_0 (at most
+        # _BLOCK_CELLS * l bytes), then count the marks: its distinct targets
+        row, x = np.nonzero(flat)
+        marks = np.zeros((index.size, l2), dtype=bool)
+        marks[row, -value[row, x] % l2] = True
+        count_bad += int(np.count_nonzero(marks))
     return count_bad, count_total, tuple(int(n) for n in per_point)
 
 
@@ -281,6 +296,9 @@ def run_comparison(f: SievePolynomial, u: int, y: int, include_trivial: bool = T
     """Run the sieves on one instance, each on its own copy of one freshly
     built table (the last one sieves the table itself), and verify the
     cost identities."""
+    from .engine import build_table, sieve_classical, sieve_improved, sieve_trivial  # loaded where they run
+    from .oracle import verify_ledgers
+
     tables = build_lift_tables(f, u, y)
     table = build_table(f, u)
     classical = sieve_classical(f, u, y, tables, table.copy())

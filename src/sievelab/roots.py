@@ -19,6 +19,11 @@ take f'(x) mod l from the kernel, its inverse mod l from pow(f'(x), -1, l),
 and f(x) = F(x, 1) from poly.eval_norm in exact integers, so eval_norm and
 residue_scan are the only evaluators of f.  build_lift_tables counts its
 own precompute work from the classifications it receives.
+
+The names of the three sieves and of the three phases their ledgers
+split into, one per part of a PrimeLadder, are defined here, in a module
+every command loads, so that the command line can name them without
+loading the engine; engine re-exports them.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +32,11 @@ import numpy as np
 
 from .arith import max_exponent, primes_up_to
 from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_norm, exact_dtype, rational_bound
+
+TRIVIAL = "trivial"
+CLASSICAL = "classical"
+IMPROVED = "improved"
+PHASES = ("rational", "algebraic_simple", "algebraic_multiple")
 
 
 @dataclass(frozen=True)

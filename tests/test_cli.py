@@ -103,6 +103,38 @@ def test_compare_runs_are_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pair_rows_in_small_chunks_write_the_same_bytes(fmt, tmp_path, monkeypatch, capsys):
+    # 77 checked pairs: chunks of 3 pairs make 25 full slices and a short last one
+    args = ["compare", "--random", "--d", "3", "--m", "20", "--u", "20", "--y", "11", "--seed", "7", "--format", fmt]
+    assert main([*args, "--out", str(tmp_path / "default")]) == EXIT_OK
+    monkeypatch.setattr(cli, "_PAIR_CHUNK", 3)
+    assert main([*args, "--out", str(tmp_path / "chunked")]) == EXIT_OK
+    assert json.loads((tmp_path / "chunked" / "summary.json").read_text())["pair_count"] == 77
+    for name in (f"pairs.{fmt}", "summary.json"):
+        assert (tmp_path / "chunked" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["montecarlo", "--d", "3", "--y", "11", "--trials", "50"], ["csv", "sievelab.engine", "sievelab.oracle"]),
+        (["enumerate", "--d", "2", "--l", "3"], ["csv", "fractions", "sievelab.engine", "sievelab.oracle"]),
+    ],
+)
+def test_montecarlo_and_enumerate_load_only_what_they_run(argv, unloaded, tmp_path):
+    """A fresh process that runs one of these commands, --out included,
+    never imports the sieves, the oracle or csv, and enumerate not fractions."""
+    script = "import json, sys; from sievelab.cli import main; main(sys.argv[1:]); print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "summary.json").is_file()
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "sievelab.experiments" in loaded and "sievelab.roots" in loaded
+    assert loaded.isdisjoint(unloaded), sorted(loaded.intersection(unloaded))
+
+
 def test_compare_rejects_non_monic_poly(capsys):
     # coefficients are ascending, so the last one must be 1
     with pytest.raises(SystemExit) as exc:
@@ -161,6 +193,18 @@ def test_flags_override_config_file(tmp_path, capsys):
         assert summary["u"] == u
 
 
+def test_config_poly_is_refused_even_when_a_flag_overrides_it(tmp_path, capsys):
+    # monic and degree >= 2 are rules of --poly alone, so its type checks them in a config value too
+    config = tmp_path / "run.json"
+    for poly in ([1, 0, 2], [3, 1]):
+        config.write_text(json.dumps({"poly": poly, "m": 4, "u": 3, "y": 5}))
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--config", str(config), "--poly", "1,0,1"])
+        assert exc.value.code == 2, poly
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --poly: " in captured.err, poly
+
+
 def test_config_rejects_bad_json(tmp_path, capsys):
     config = tmp_path / "broken.json"
     for text in (
@@ -214,8 +258,7 @@ def test_out_of_range_values_are_usage_errors(argv, capsys, monkeypatch):
         raise AssertionError("work started")
 
     # every case is refused before any table, draw or enumeration block
-    for module, name in ((engine, "build_table"), (experiments, "build_table"),
-                         (experiments, "_draw"), (experiments, "lift_events"),
+    for module, name in ((engine, "build_table"), (experiments, "_draw"), (experiments, "lift_events"),
                          (experiments, "residue_scan")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(SystemExit) as exc:
@@ -266,7 +309,10 @@ def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the run started although a result file is a directory")
 
-    runners = ("run_comparison", "enumerate_exact", "sieve_trivial", "ratio_sweep")
+    from sievelab import engine
+
+    # sieve reads its runners from engine when it runs, the others are bound in cli
+    runners = ((cli, "run_comparison"), (cli, "enumerate_exact"), (engine, "sieve_trivial"), (cli, "ratio_sweep"))
     (tmp_path / "out" / "pairs.csv").mkdir(parents=True)
     (tmp_path / "o2" / "summary.json").mkdir(parents=True)
     (tmp_path / "o3" / "smooth.json").mkdir(parents=True)
@@ -280,8 +326,8 @@ def test_unusable_out_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
          tmp_path / "o4" / "sweep.csv"),
     ):
         with monkeypatch.context() as patch, pytest.raises(SystemExit) as exc:
-            for name in runners:
-                patch.setattr(cli, name, never)
+            for module, name in runners:
+                patch.setattr(module, name, never)
             main(argv)
         assert exc.value.code == 2, argv
         captured = capsys.readouterr()
@@ -327,7 +373,7 @@ def parses(argv: list[str]) -> bool:
 
 
 def test_table_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    from sievelab import engine, experiments
+    from sievelab import engine
 
     # the README's, the tests' and the benchmark's sizes pass; u = 1023 is the largest table of at most 2^21 cells
     assert 1023 * 2047 <= 2**21 < 1024 * 2049
@@ -342,7 +388,6 @@ def test_table_cell_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
         raise AssertionError("table built")
 
     monkeypatch.setattr(engine, "build_table", refuse)
-    monkeypatch.setattr(experiments, "build_table", refuse)
     config = tmp_path / "compare.json"
     config.write_text(json.dumps({"poly": [1, 0, 1], "m": 4, "u": 4, "y": 5}))
     sweep_config = tmp_path / "sweep.json"
@@ -396,7 +441,7 @@ def test_coefficient_bound_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for module, name in ((engine, "build_table"), (experiments, "build_table"), (experiments, "build_lift_tables")):
+    for module, name in ((engine, "build_table"), (experiments, "build_lift_tables")):
         monkeypatch.setattr(module, name, refuse)
     entry = {"d": 2, "m": 6, "u": 3, "y": 5, "seed": 1}
     configs = {
@@ -445,7 +490,7 @@ def test_prime_scan_and_sweep_instance_caps_are_usage_errors(tmp_path, capsys, m
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for module, name in ((engine, "build_table"), (experiments, "build_table"), (engine, "build_lift_tables"),
+    for module, name in ((engine, "build_table"), (engine, "build_lift_tables"),
                          (experiments, "build_lift_tables"), (oracle, "classify_roots")):
         monkeypatch.setattr(module, name, refuse)
 

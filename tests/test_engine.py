@@ -222,6 +222,32 @@ def test_all_three_sieves_agree(instance):
                     assert v % l != 0
 
 
+def test_improved_sieve_stops_at_the_first_level_without_live_cells(monkeypatch):
+    # small u and large m: every ladder is 15 to 49 levels deep, but the
+    # progressions run out of live cells within the first 12
+    f = SievePolynomial((3, 1, 0, 1), m=10**12 + 1)
+    u, y = 6, 7
+    tables = build_lift_tables(f, u, y)
+    assert len(tables.ladders[2].rational_targets) == 42
+    passes = {}
+    real = engine._divide_once
+
+    def recorded(side, cells, l, u, phase, modulus):
+        passes.setdefault((l, phase), []).append((modulus, int(np.count_nonzero(side[cells]))))
+        return real(side, cells, l, u, phase, modulus)
+
+    monkeypatch.setattr(engine, "_divide_once", recorded)
+    improved = sieve_improved(f, u, y, tables)
+    for (l, phase), walked in passes.items():
+        # the levels in order from the first, and none after a pass that found no live cell
+        assert [modulus for modulus, _ in walked] == [l**e for e in range(1, len(walked) + 1)], (l, phase)
+        assert all(live for _, live in walked[:-1]), (l, phase)
+    assert len(passes[2, "rational"]) == 12 < len(tables.ladders[2].rational_targets)
+    classical = sieve_classical(f, u, y, tables)
+    assert classical.table.first_difference(improved.table) is None
+    assert verify_ledgers(classical, improved, f, u, y).ok
+
+
 def test_corrupted_ladder_root_is_an_invariant_violation():
     f = SievePolynomial((1, 0, 1), m=4)
     tables = build_lift_tables(f, 12, 5)

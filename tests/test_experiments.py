@@ -409,7 +409,6 @@ def test_run_comparison_worked_instance():
 
 def test_run_comparison_builds_the_table_once(monkeypatch):
     import sievelab.engine
-    import sievelab.experiments
 
     calls = []
     real = sievelab.engine.build_table
@@ -419,7 +418,6 @@ def test_run_comparison_builds_the_table_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sievelab.engine, "build_table", counted)
-    monkeypatch.setattr(sievelab.experiments, "build_table", counted)
     comp = run_comparison(F_SQUARE_PLUS_ONE, 3, 5)
     assert len(calls) == 1
     assert comp.table_mismatch is None and comp.report.ok
