@@ -36,21 +36,27 @@ The three strategies differ only in how they find cells to divide:
     single unconditional divisions; only the multiple roots whose class
     lifts mod l^2 keep a while-loop pass.
 
-The other two sieves run prime by prime, one numpy pass per (phase,
-level) over every row and every residue of the level at once, whose
-progressions are disjoint for l not dividing b; per-(b, l) attempts come
-from counting the touched cells per row.  The improved sieve walks a
-phase's levels only down to the first whose progression holds no live
-cell: every level-(e+1) residue reduces mod l^e to a level-e residue
-(m mod l^e, and the unique Hensel lift of a simple root), so the deeper
-progressions lie inside that one and would add no attempt.  The ledger
-is that count array itself: attempts[k, p, b-1], int64 of shape
-(primes, phases, u), for prime k and phase p; nothing is kept per pair.  A sieve given a prebuilt
-table divides that table in place; without one it builds its own.
+The other two sieves run prime by prime and take every residue they walk
+from one structure, the ladder's levels, phase by phase: the classical
+sieve level 1 of each phase, the improved sieve every level.  A phase
+stores no level where no live cell could be divisible (past its proven
+depth, or without a root), so no pass is spent there.  Each makes one
+numpy pass per (phase, level) over every row and every residue of the
+level at once, whose progressions are disjoint for l not dividing b;
+per-(b, l) attempts come from counting the touched cells per row.  The
+improved sieve walks a phase's levels only down to the first whose
+progression holds no live cell: every level-(e+1) residue reduces mod
+l^e to a level-e residue (m mod l^e, and the unique Hensel lift of a
+simple root), so the deeper progressions lie inside that one and would
+add no attempt.  The ledger is that count array itself: attempts[k, p,
+b-1], int64 of shape (primes, phases, u), for prime k and phase p;
+nothing is kept per pair.  A sieve given a prebuilt table divides that
+table in place; without one it builds its own.
 Unconditional divisions in the improved sieve must always succeed; a
 failure raises InvariantViolation and means the ladders are wrong.  Every
-division made is checked, but the levels below the first empty one are
-not visited, so a corrupt residue there divides nothing and goes unseen.
+division made is checked, but the levels below the first without live
+cells are not visited, so a corrupt residue there divides nothing and
+goes unseen.
 
 TRIVIAL, CLASSICAL, IMPROVED and PHASES are defined in roots, so that
 the command line reads them without loading this module; they are
@@ -244,16 +250,9 @@ def sieve_classical(
     counts = np.zeros((len(tables.ladders), len(PHASES), u), dtype=np.int64)
     for k, (l, ladder) in enumerate(tables.ladders.items()):
         rows = _rows_without(l, u)
-        # a ladder with no simple levels stored means l exceeds the norm
-        # bound, so no live cell in those progressions is divisible
-        simple = ladder.simple_levels[0] if ladder.simple_levels else ()
-        for phase, side, residues in (
-            (0, rational, (f.m % l,)),
-            (1, algebraic, simple),
-            (2, algebraic, ladder.multiple_roots),
-        ):
-            if residues:
-                counts[k, phase] += _while_loop(side, _live_cells(live, rows, residues, l, u), l, u)
+        for phase, (side, levels) in enumerate(zip((rational, algebraic, algebraic), ladder.levels)):
+            if levels:
+                counts[k, phase] += _while_loop(side, _live_cells(live, rows, levels[0], l, u), l, u)
     return SieveOutcome(CLASSICAL, table, CostLedger(tuple(tables.ladders), PHASES, counts))
 
 
@@ -269,12 +268,7 @@ def sieve_improved(
     counts = np.zeros((len(tables.ladders), len(PHASES), u), dtype=np.int64)
     for k, (l, ladder) in enumerate(tables.ladders.items()):
         rows = _rows_without(l, u)
-        # the multiple roots are a ladder of one level
-        for phase, side, levels in (
-            (0, rational, [(target,) for target in ladder.rational_targets]),
-            (1, algebraic, ladder.simple_levels),
-            (2, algebraic, (ladder.multiple_roots,)),
-        ):
+        for phase, (side, levels) in enumerate(zip((rational, algebraic, algebraic), ladder.levels)):
             modulus = 1
             for level in levels:
                 modulus *= l

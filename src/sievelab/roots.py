@@ -21,9 +21,11 @@ residue_scan are the only evaluators of f.  build_lift_tables counts its
 own precompute work from the classifications it receives.
 
 The names of the three sieves and of the three phases their ledgers
-split into, one per part of a PrimeLadder, are defined here, in a module
-every command loads, so that the command line can name them without
-loading the engine; engine re-exports them.
+split into, one per entry of PrimeLadder.levels, are defined here, in a
+module every command loads, so that the command line can name them
+without loading the engine; engine re-exports them.  That one structure
+holds every residue either sieve walks, phase by phase and level by
+level, and no phase stores a level without residues.
 """
 
 from dataclasses import dataclass, field
@@ -63,25 +65,25 @@ class PrecomputeStats:
 class PrimeLadder:
     """Everything the sieves need for one prime l.
 
-    rational_targets[e-1] = m mod l^e            for e = 1..len(rational_targets)
-    simple_levels[e-1]    = roots of f mod l^e whose class mod l is simple,
-                            each the unique lift of the level-1 root below it
-    multiple_roots        = multiple roots of f mod l (residues mod l)
-    liftable_multiple     = the subset whose class also satisfies f == 0 mod l^2
+    levels[p] holds the non-empty levels of phase PHASES[p]; level e is a
+    tuple of residues x whose progression is the cells a == b*x (mod l^e):
+      rational           (m mod l^e,), e up to the rational depth
+      algebraic_simple   the lifts mod l^e of the simple roots mod l, e up
+                         to the algebraic depth; none without a simple root
+      algebraic_multiple one level, the multiple roots mod l, or none
+    liftable_multiple = the multiple roots whose class has a root mod l^2
     """
 
-    rational_targets: tuple[int, ...]
-    simple_levels: tuple[tuple[int, ...], ...]
-    multiple_roots: tuple[int, ...]
+    levels: tuple[tuple[tuple[int, ...], ...], ...]
     liftable_multiple: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftTables:
     u: int
     y: int
-    ladders: dict[int, PrimeLadder] = field(compare=False)
-    stats: PrecomputeStats = field(compare=False)
+    ladders: dict[int, PrimeLadder]
+    stats: PrecomputeStats
 
 
 def _require_int64_prime(l: int) -> None:
@@ -148,8 +150,9 @@ def classify_roots(f: MonicPolynomial, l: int) -> RootClassification:
 
 
 def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
-    """Precompute, for every prime l <= y, the rational targets m mod l^e,
-    the Hensel ladders over the simple roots, and the multiple-root sets.
+    """Precompute, for every prime l <= y, the levels of each phase: the
+    rational targets m mod l^e, the Hensel ladders over the simple roots,
+    and the multiple roots.
 
     Ladder depths follow the table bounds: rational levels stop once
     l^e exceeds u*(m+1), simple levels once l^e exceeds m*(d+1)*u^d.
@@ -166,19 +169,13 @@ def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
         # the precompute cost model: f at every residue, f' at each root, one lift test per multiple root
         stats.root_scan_evaluations += l + len(classification.simple_roots) + len(classification.multiple_roots)
         stats.multiple_lift_tests += len(classification.multiple_roots)
-        cap_rational = max_exponent(l, rat_cap_bound)
+        rational = tuple((f.m % l**e,) for e in range(1, max_exponent(l, rat_cap_bound) + 1))
+
         cap_algebraic = max_exponent(l, alg_cap_bound)
-
-        targets = []
-        modulus = 1
-        for _ in range(cap_rational):
-            modulus *= l
-            targets.append(f.m % modulus)
-
-        simple_levels: list[tuple[int, ...]] = []
-        if cap_algebraic >= 1:
+        simple: list[tuple[int, ...]] = []
+        if cap_algebraic >= 1 and classification.simple_roots:
             level = sorted(classification.simple_roots)
-            simple_levels.append(tuple(level))
+            simple.append(tuple(level))
             steps = {x: pow(classification.slopes[x], -1, l) for x in level}  # a simple root's slope is nonzero mod l
             modulus = l
             current = {x: x for x in level}
@@ -187,12 +184,11 @@ def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
                 for base, value in current.items():
                     current[base] = (value - eval_norm(f, value, 1) * steps[base]) % modulus
                     stats.newton_lift_steps += 1
-                simple_levels.append(tuple(sorted(current.values())))
+                simple.append(tuple(sorted(current.values())))
 
+        multiple = tuple(sorted(classification.multiple_roots))
         ladders[l] = PrimeLadder(
-            rational_targets=tuple(targets),
-            simple_levels=tuple(simple_levels),
-            multiple_roots=tuple(sorted(classification.multiple_roots)),
+            levels=(rational, tuple(simple), (multiple,) if multiple else ()),
             liftable_multiple=tuple(sorted(classification.liftable_multiple)),
         )
     return LiftTables(u=u, y=y, ladders=ladders, stats=stats)

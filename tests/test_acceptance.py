@@ -176,7 +176,10 @@ def test_criterion_7_ladders_match_exhaustive_enumeration(instance_runs):
         f = comp.f
         for l, ladder in comp.tables.ladders.items():
             classes = classify_roots(f, l)
-            depth = min(len(ladder.simple_levels), max_exponent(l, ENUM_LIMIT))
+            _, simple, _ = ladder.levels
+            if not classes.simple_roots and simple:
+                bad.append((f.coefficients, l, "simple levels stored without a simple root"))
+            depth = min(len(simple), max_exponent(l, ENUM_LIMIT))
             for e in range(1, depth + 1):
                 modulus = l**e
                 roots = [x for x in range(modulus) if value_at(f, x, modulus) == 0]
@@ -186,7 +189,7 @@ def test_criterion_7_ladders_match_exhaustive_enumeration(instance_runs):
                 per_class = {x: 0 for x in classes.simple_roots}
                 for x in simple_found:
                     per_class[x % l] += 1
-                if set(ladder.simple_levels[e - 1]) != set(simple_found) or any(
+                if set(simple[e - 1]) != set(simple_found) or any(
                     n != 1 for n in per_class.values()
                 ):
                     bad.append((f.coefficients, l, e))

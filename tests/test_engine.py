@@ -228,7 +228,7 @@ def test_improved_sieve_stops_at_the_first_level_without_live_cells(monkeypatch)
     f = SievePolynomial((3, 1, 0, 1), m=10**12 + 1)
     u, y = 6, 7
     tables = build_lift_tables(f, u, y)
-    assert len(tables.ladders[2].rational_targets) == 42
+    assert len(tables.ladders[2].levels[0]) == 42
     passes = {}
     real = engine._divide_once
 
@@ -242,7 +242,7 @@ def test_improved_sieve_stops_at_the_first_level_without_live_cells(monkeypatch)
         # the levels in order from the first, and none after a pass that found no live cell
         assert [modulus for modulus, _ in walked] == [l**e for e in range(1, len(walked) + 1)], (l, phase)
         assert all(live for _, live in walked[:-1]), (l, phase)
-    assert len(passes[2, "rational"]) == 12 < len(tables.ladders[2].rational_targets)
+    assert len(passes[2, "rational"]) == 12 < len(tables.ladders[2].levels[0])
     classical = sieve_classical(f, u, y, tables)
     assert classical.table.first_difference(improved.table) is None
     assert verify_ledgers(classical, improved, f, u, y).ok
@@ -252,12 +252,26 @@ def test_corrupted_ladder_root_is_an_invariant_violation():
     f = SievePolynomial((1, 0, 1), m=4)
     tables = build_lift_tables(f, 12, 5)
     ladder = tables.ladders[5]
-    assert ladder.simple_levels[1] == (7, 18)
+    rational, simple, multiple = ladder.levels
+    assert simple[1] == (7, 18)
     # 12 lies over the root 2 mod 5 but is no root mod 25: F(12, 1) = 145
-    bad = dataclasses.replace(ladder, simple_levels=(ladder.simple_levels[0], (12, 18), *ladder.simple_levels[2:]))
-    tables.ladders[5] = bad
+    tables.ladders[5] = dataclasses.replace(ladder, levels=(rational, (simple[0], (12, 18), *simple[2:]), multiple))
     with pytest.raises(InvariantViolation, match=r"algebraic_simple division missed at b=1, a=12, l=5, level modulus 25"):
         sieve_improved(f, 12, 5, tables)
+
+
+def test_classical_sieve_reads_its_rational_target_from_the_ladder():
+    f = F_SQUARE_PLUS_ONE
+    u, y = 12, 5
+    tables = build_lift_tables(f, u, y)
+    ladder = tables.ladders[3]
+    _, simple, multiple = ladder.levels
+    # m mod 3 = 1: a ladder that says 2 must change what the classical sieve divides
+    tables.ladders[3] = dataclasses.replace(ladder, levels=((((f.m + 1) % 3,),), simple, multiple))
+    classical = sieve_classical(f, u, y, tables)
+    improved = sieve_improved(f, u, y)
+    assert not verify_ledgers(classical, improved, f, u, y).ok
+    assert classical.table.first_difference(sieve_trivial(f, u, y).table) is not None
 
 
 def test_mixed_dtype_instance_matches_direct_products():
@@ -268,7 +282,7 @@ def test_mixed_dtype_instance_matches_direct_products():
     u, y = 10, 11
     tables = build_lift_tables(f, u, y)
     assert any(
-        ladder.simple_levels[0] and l ** len(ladder.simple_levels) > 2**63 for l, ladder in tables.ladders.items()
+        ladder.levels[1] and l ** len(ladder.levels[1]) > 2**63 for l, ladder in tables.ladders.items()
     )
     classical = sieve_classical(f, u, y, tables)
     improved = sieve_improved(f, u, y, tables)

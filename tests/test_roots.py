@@ -123,7 +123,7 @@ def test_classify_and_tables_refuse_primes_past_the_int64_bound(monkeypatch):
 def test_hensel_examples():
     # the ladder over the root 2 of x^2 + 1 mod 5 reads 7 mod 25, 57 mod 125
     f = SievePolynomial((1, 0, 1), m=4)
-    levels = build_lift_tables(f, u=4, y=5).ladders[5].simple_levels
+    _, levels, _ = build_lift_tables(f, u=4, y=5).ladders[5].levels
     assert levels[0] == (2, 3)
     assert levels[1] == (7, 18)
     assert levels[2] == (57, 68)
@@ -135,7 +135,10 @@ def test_hensel_examples():
 def test_hensel_agrees_with_exhaustive_enumeration(f, l):
     """Each simple root owns exactly one root mod l^e, the lifted one."""
     rc = classify_roots(f, l)
-    levels = build_lift_tables(f, LADDER_U, l).ladders[l].simple_levels
+    _, levels, _ = build_lift_tables(f, LADDER_U, l).ladders[l].levels
+    if not rc.simple_roots:
+        assert levels == ()
+        return
     e_top = max_exponent(l, ENUM_LIMIT)
     for e in range(2, e_top + 1):
         found = brute_roots(f, l**e)
@@ -182,23 +185,29 @@ def test_build_tables_worked_instance():
     f = SievePolynomial((1, 0, 1), m=4)
     tables = build_lift_tables(f, u=3, y=5)
     assert tuple(tables.ladders) == (2, 3, 5)
-    five = tables.ladders[5]
-    assert five.rational_targets == (4,)  # 25 > 15 caps the ladder at e = 1
-    assert five.simple_levels[0] == (2, 3)
-    assert five.simple_levels[1] == (7, 18)
-    assert five.multiple_roots == ()
-    assert five.liftable_multiple == ()
-    two = tables.ladders[2]
-    assert two.rational_targets == (0, 0, 4)
-    assert len(five.simple_levels) == max_exponent(5, 108) == 2
+    rational, simple, multiple = tables.ladders[5].levels
+    assert rational == ((4,),)  # 25 > 15 caps the ladder at e = 1
+    assert simple == ((2, 3), (7, 18))
+    assert len(simple) == max_exponent(5, 108) == 2
+    assert multiple == ()
+    assert tables.ladders[5].liftable_multiple == ()
+    assert tables.ladders[2].levels[0] == ((0,), (0,), (4,))
 
 
 def test_build_tables_pure_square():
     tables = build_lift_tables(SievePolynomial((0, 0, 1), m=3), u=2, y=2)
     ladder = tables.ladders[2]
-    assert ladder.multiple_roots == (0,)
+    _, simple, multiple = ladder.levels
+    assert multiple == ((0,),)
     assert ladder.liftable_multiple == (0,)
-    assert ladder.simple_levels[0] == ()
+    assert simple == ()  # no simple root mod 2, so no level is stored
+
+
+def test_lift_tables_of_different_polynomials_are_not_equal():
+    # equal u and y once made two tables equal whatever their ladders held
+    tables = build_lift_tables(SievePolynomial((1, 0, 1), m=3), u=3, y=5)
+    assert tables != build_lift_tables(SievePolynomial((0, 0, 1), m=3), u=3, y=5)
+    assert tables == tables
 
 
 def test_build_tables_counts_precompute_work():
@@ -215,22 +224,21 @@ def test_build_tables_counts_precompute_work():
 def test_ladder_levels_are_roots_and_chain(f, u, y):
     tables = build_lift_tables(f, u, y)
     for l, ladder in tables.ladders.items():
-        assert len(ladder.rational_targets) == max_exponent(l, rational_bound(f, u))
+        rc = classify_roots(f, l)
+        rational, simple, multiple = ladder.levels
+        assert all(level for levels in ladder.levels for level in levels)  # no empty level is stored
+        assert rational == tuple((f.m % l**e,) for e in range(1, max_exponent(l, rational_bound(f, u)) + 1))
+        assert len(simple) == (max_exponent(l, algebraic_bound(f, u)) if rc.simple_roots else 0)
         modulus = 1
-        for e, target in enumerate(ladder.rational_targets, start=1):
+        for e, level in enumerate(simple, start=1):
             modulus *= l
-            assert target == f.m % modulus
-            if e > 1:
-                assert target % (modulus // l) == ladder.rational_targets[e - 2]
-        expected_depth = max_exponent(l, algebraic_bound(f, u))
-        assert len(ladder.simple_levels) == expected_depth
-        modulus = 1
-        for e, level in enumerate(ladder.simple_levels, start=1):
-            modulus *= l
-            assert len(level) == len(ladder.simple_levels[0])
+            assert len(level) == len(rc.simple_roots)
             for x in level:
                 assert value_at(f, x, modulus) == 0
-        assert set(ladder.liftable_multiple) <= set(ladder.multiple_roots)
+                if e > 1:
+                    assert x % (modulus // l) in simple[e - 2]
+        assert multiple == ((tuple(sorted(rc.multiple_roots)),) if rc.multiple_roots else ())
+        assert set(ladder.liftable_multiple) <= set(rc.multiple_roots)
 
 
 def _root_sets_correspond(f, b, l, e):
