@@ -38,12 +38,13 @@ in its place is found before any work starts); summary.json is written
 before the summary is printed.
 
 A command loads only the modules it runs: montecarlo and enumerate never
-load engine, oracle or csv, and enumerate not fractions either.  The
-sieve and phase names come from roots; compare and sweep load engine and
-oracle through experiments.run_comparison, sieve loads engine in its
-handler, and csv is imported where CSV rows are written.  pairs.csv is
-written as its rows are formatted, _PAIR_CHUNK pairs at a time; --format
-json builds the list of every row, since json.dumps needs it.
+load engine, oracle or csv, and montecarlo is the only command that loads
+fractions (and with it decimal).  The sieve and phase names come from
+roots; compare and sweep load engine and oracle through
+experiments.run_comparison, sieve loads engine in its handler, and csv is
+imported where CSV rows are written.  pairs.csv is written as its rows
+are formatted, _PAIR_CHUNK pairs at a time; --format json builds the
+list of every row, since json.dumps needs it.
 """
 
 from __future__ import annotations

@@ -85,7 +85,9 @@ class SieveTable:
 
     @property
     def entries(self) -> list[list[int]]:
-        """Residual products as Python ints; entries[b-1][a+u] holds T(b, a)."""
+        """Residual products as Python ints; entries[b-1][a+u] holds T(b, a).
+        Only the benchmark's layer tracer reads this; the program and the
+        tests read the two sides."""
         return (self.rational.astype(object) * self.algebraic.astype(object)).tolist()
 
     def copy(self) -> "SieveTable":
@@ -119,6 +121,8 @@ class CostLedger:
         self._prime_index = {l: k for k, l in enumerate(self.primes)}
 
     def pair_phase(self, b: int, l: int, phase: str) -> int:
+        """Attempts of one phase at (b, l), for the benchmark's layer tracer;
+        the program and the tests read attempts."""
         k = self._prime_index.get(l)
         if phase not in self.phases or k is None or not 1 <= b <= self.attempts.shape[2]:
             return 0

@@ -9,7 +9,8 @@ Two questions get an empirical treatment here:
    the reductions mod each l^2 exactly uniform and mutually independent,
    so the per-prime events multiply.  The success probability (no such
    prime at all) is at least prod (1 - 1/l^2) > 0.6, with equality only
-   for degree <= 3.
+   for degrees 2 and 3; at degree 1 it is 1, since a linear polynomial has
+   no multiple root.
 
 2. On correction-free instances, how far below the classical sieve's
    attempt count does the improved sieve land?  Per prime the
@@ -110,8 +111,9 @@ def _block_rows(l: int) -> int:
 @dataclass
 class LiftEventReport:
     """Monte Carlo counts of one model.  reference_product is prod (1 - 1/l^2)
-    over the primes l <= y: the exact success probability for degree <= 3,
-    a strict lower bound for degree >= 4."""
+    over the primes l <= y: the exact success probability for degrees 2 and
+    3, a strict lower bound for degree >= 4; at degree 1 the probability is
+    1."""
 
     degree: int
     smooth_bound: int

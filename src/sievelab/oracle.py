@@ -46,11 +46,12 @@ that term and replace the level sums by their l-adic limits.
 
 The LedgerReport holds the predictions of every (b, l, phase) of both
 sieves next to the two measured ledgers and compares them array against
-array; per-pair PairRecords are built only when its rows are read.
+array.  The command line and the tests read those arrays and
+pair_columns(); rows, one PairRecord per pair, is there for the
+benchmark's layer tracer alone and is built only when read.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -194,17 +195,13 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
 
 @dataclass(frozen=True)
 class PairRecord:
-    """Measured and predicted attempt counts for one (b, l)."""
+    """The predicted attempt totals of one (b, l): what the benchmark's layer
+    tracer sums; every other reader takes pair_columns()."""
 
     b: int
     l: int
-    measured_classical: int
-    measured_improved: int
     c_exact: int
     d_exact: int
-    correction: int
-    c_asym: Fraction
-    d_asym: Fraction
 
 
 class PairColumns(NamedTuple):
@@ -301,29 +298,12 @@ class LedgerReport:
 
     @property
     def rows(self) -> list[PairRecord]:
-        """One PairRecord per checked pair, sorted by (b, l); built on each read."""
+        """One PairRecord per checked pair, sorted by (b, l), for the layer
+        tracer; built on each read from pair_columns()."""
         pairs = self.pair_columns()
         return [
-            PairRecord(
-                b=b,
-                l=l,
-                measured_classical=mc,
-                measured_improved=mi,
-                c_exact=ce,
-                d_exact=de,
-                correction=corr,
-                c_asym=Fraction(cs, l - 1),
-                d_asym=Fraction(ds, l - 1),
-            )
-            for b, l, mc, mi, ce, de, corr, cs, ds in zip(
-                pairs.b.tolist(),
-                pairs.l.tolist(),
-                *pairs.measured.sum(axis=2).tolist(),
-                pairs.c_exact.tolist(),
-                pairs.d_exact.tolist(),
-                pairs.correction.tolist(),
-                *pairs.scaled_asymptotic.tolist(),
-            )
+            PairRecord(b, l, c, d)
+            for b, l, c, d in zip(pairs.b.tolist(), pairs.l.tolist(), pairs.c_exact.tolist(), pairs.d_exact.tolist())
         ]
 
 

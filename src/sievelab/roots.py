@@ -49,7 +49,7 @@ class RootClassification:
     simple_roots: frozenset[int]
     multiple_roots: frozenset[int]
     liftable_multiple: frozenset[int]  # the multiple roots whose class holds a root mod l^2
-    slopes: dict[int, int] = field(compare=False)
+    slopes: dict[int, int] = field(hash=False)  # compared, but a dict has no hash
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Shared pytest plumbing: the acceptance suite records one verdict line
-per criterion and this hook prints them all at the end of the run."""
+per criterion and this hook prints them all at the end of the run; the
+sieve suites share one check of a sieved table against its factor base."""
+
+import numpy as np
 
 _acceptance_lines: list[str] = []
 
@@ -13,3 +16,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def divisible_cells(table, primes) -> list[tuple[int, int, int]]:
+    """(b, a, l) of every live cell of a SieveTable where a prime l of
+    primes divides either side; a sieved table has none.  For a prime l
+    this is l dividing the cell's residual product."""
+    live = table.rational != 0  # a dead cell holds 0 on both sides, a live one on neither
+    found = []
+    for l in primes:
+        rows, columns = np.nonzero(live & ((table.rational % l == 0) | (table.algebraic % l == 0)))
+        found += [(b + 1, i - table.u, l) for b, i in zip(rows.tolist(), columns.tolist())]
+    return found

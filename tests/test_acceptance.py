@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from math import gcd, pi, sqrt
 
+import numpy as np
 import pytest
 
 from sievelab.arith import max_exponent, primes_up_to
@@ -23,7 +24,7 @@ from sievelab.experiments import (
 )
 from sievelab.roots import classify_roots
 
-from conftest import record_acceptance
+from conftest import divisible_cells, record_acceptance
 
 ENUM_LIMIT = 10**4
 INSTANCE_COUNT = 20
@@ -56,15 +57,12 @@ def instance_runs():
 def test_criterion_1_cross_algorithm_equivalence(instance_runs):
     bad = []
     for comp in instance_runs:
+        # both sides of every cell, so more than equal residual products
         tables_equal = (
-            comp.trivial.table.entries == comp.classical.table.entries == comp.improved.table.entries
+            comp.trivial.table.first_difference(comp.classical.table) is None
+            and comp.classical.table.first_difference(comp.improved.table) is None
         )
-        residuals_clean = all(
-            v == 0 or v % l != 0
-            for row in comp.improved.table.entries
-            for v in row
-            for l in primes_up_to(comp.y)
-        )
+        residuals_clean = not divisible_cells(comp.improved.table, primes_up_to(comp.y))
         if not (tables_equal and residuals_clean):
             bad.append((comp.f.coefficients, comp.u, comp.y))
     ok = not bad
@@ -79,7 +77,7 @@ def test_criterion_2_ledger_identities(instance_runs):
     bad = []
     pairs = 0
     for comp in instance_runs:
-        pairs += len(comp.report.rows)
+        pairs += comp.report.pair_count
         if not comp.report.ok:
             bad.append((comp.f.coefficients, comp.report.mismatches[:3], comp.report.stray_pairs[:3]))
     ok = not bad
@@ -107,11 +105,13 @@ def test_criterion_4a_two_thirds_bound_on_closed_forms(instance_runs):
     bad = []
     checked = 0
     for comp in instance_runs:
-        for row in comp.report.rows:
-            if row.correction == 0:
-                checked += 1
-                if not row.d_asym <= Fraction(2, 3) * row.c_asym:
-                    bad.append((comp.f.coefficients, row.b, row.l))
+        pairs = comp.report.pair_columns()
+        free = pairs.correction == 0
+        checked += int(np.count_nonzero(free))
+        # d_asym <= 2/3 c_asym, both times l - 1 > 0
+        c_scaled, d_scaled = pairs.scaled_asymptotic
+        broken = free & (3 * d_scaled > 2 * c_scaled)
+        bad += [(comp.f.coefficients, b, l) for b, l in zip(pairs.b[broken].tolist(), pairs.l[broken].tolist())]
     ok = not bad
     record_acceptance(
         f"criterion 4a two-thirds bound on closed forms: {_verdict(ok)} "

@@ -120,11 +120,14 @@ def test_pair_rows_in_small_chunks_write_the_same_bytes(fmt, tmp_path, monkeypat
     [
         (["montecarlo", "--d", "3", "--y", "11", "--trials", "50"], ["csv", "sievelab.engine", "sievelab.oracle"]),
         (["enumerate", "--d", "2", "--l", "3"], ["csv", "fractions", "sievelab.engine", "sievelab.oracle"]),
+        (["compare", "--poly", "1,0,1", "--m", "4", "--u", "3", "--y", "5"], ["fractions", "decimal"]),
+        (["sweep", "--d", "3", "--m", "20", "--u", "10", "--y", "7", "--instances", "2"], ["fractions", "decimal"]),
     ],
 )
 def test_montecarlo_and_enumerate_load_only_what_they_run(argv, unloaded, tmp_path):
     """A fresh process that runs one of these commands, --out included,
-    never imports the sieves, the oracle or csv, and enumerate not fractions."""
+    imports only what it runs: montecarlo and enumerate never the sieves,
+    the oracle or csv, and only montecarlo fractions (and with it decimal)."""
     script = "import json, sys; from sievelab.cli import main; main(sys.argv[1:]); print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path)],
                           capture_output=True, text=True, env=child_env())
@@ -576,8 +579,9 @@ def test_sieve_subcommand(tmp_path, capsys):
 def test_smooth_rows_match_the_entries_scan(coefficients, m, u, y, algebraic_dtype):
     table = sieve_improved(SievePolynomial(coefficients, m), u, y).table
     assert table.rational.dtype == np.int64 and table.algebraic.dtype == algebraic_dtype
-    scanned = [[b, i - u, value] for b, row in enumerate(table.entries, start=1)
-               for i, value in enumerate(row) if value in (1, -1)]
+    scanned = [[b, i - u, r * g]
+               for b, (rational, algebraic) in enumerate(zip(table.rational.tolist(), table.algebraic.tolist()), start=1)
+               for i, (r, g) in enumerate(zip(rational, algebraic)) if r * g in (1, -1)]
     assert scanned and cli._smooth_rows(table) == scanned
     assert all(type(value) is int for row in cli._smooth_rows(table) for value in row)
 

@@ -27,12 +27,19 @@ from sievelab.oracle import verify_ledgers
 from sievelab.poly import SievePolynomial, algebraic_bound, eval_norm
 from sievelab.roots import build_lift_tables
 
+from conftest import divisible_cells
+
 F_SQUARE_PLUS_ONE = SievePolynomial((1, 0, 1), m=4)
 
 
 def pair_total(ledger, b, l):
-    """Attempts of every phase at (b, l)."""
+    """Attempts of every phase at (b, l), summed by pair_phase."""
     return sum(ledger.pair_phase(b, l, phase) for phase in ledger.phases)
+
+
+def pair_attempts(ledger, b, l):
+    """The attempts of each phase at (b, l), read off the array."""
+    return ledger.attempts[ledger.primes.index(l), :, b - 1].tolist()
 
 
 @st.composite
@@ -72,8 +79,8 @@ def test_build_table_against_direct_products():
         for a in range(-u, u + 1):
             # the direct sum F(a, b) = sum c_i a^i b^(d-i), not Horner
             norm = sum(c * a**i * b ** (d - i) for i, c in enumerate(f.coefficients))
-            expected = (a - b * f.m) * norm if gcd(a, b) == 1 else 0
-            assert table.entries[b - 1][a + u] == expected
+            sides = [a - b * f.m, norm] if gcd(a, b) == 1 and (a - b * f.m) * norm else [0, 0]
+            assert [table.rational[b - 1, a + u], table.algebraic[b - 1, a + u]] == sides
 
 
 def test_trivial_sieve_hand_count():
@@ -85,7 +92,7 @@ def test_trivial_sieve_hand_count():
     assert outcome.ledger.attempts.tolist() == [[[7]], [[4]]]
     assert outcome.table.rational.tolist() == [[-5, -1, -1]]
     assert outcome.table.algebraic.tolist() == [[1, 1, 1]]
-    assert outcome.table.entries == [[-5, -1, -1]]
+    assert (outcome.table.rational * outcome.table.algebraic).tolist() == [[-5, -1, -1]]
 
 
 def test_trivial_skips_zero_entries():
@@ -93,7 +100,7 @@ def test_trivial_skips_zero_entries():
     # the integer roots 0 and -1 kill the norm at the remaining points
     f = SievePolynomial((0, 1, 1), m=1)
     outcome = sieve_trivial(f, 1, 3)
-    assert all(v == 0 for row in outcome.table.entries for v in row)
+    assert not outcome.table.rational.any() and not outcome.table.algebraic.any()
     assert outcome.ledger.grand_total() == 0
     assert sieve_classical(f, 1, 3).ledger.grand_total() == 0
     assert sieve_improved(f, 1, 3).ledger.grand_total() == 0
@@ -102,12 +109,9 @@ def test_trivial_skips_zero_entries():
 def test_worked_instance_pair_totals():
     classical = sieve_classical(F_SQUARE_PLUS_ONE, 3, 5)
     improved = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5)
-    assert pair_total(classical.ledger, 1, 5) == 10
-    assert pair_total(improved.ledger, 1, 5) == 5
-    assert improved.ledger.pair_phase(1, 5, "rational") == 1
-    assert improved.ledger.pair_phase(1, 5, "algebraic_simple") == 4
-    assert classical.ledger.pair_phase(1, 5, "rational") == 2
-    assert classical.ledger.pair_phase(1, 5, "algebraic_simple") == 8
+    # rational, algebraic_simple and algebraic_multiple, 10 and 5 in all
+    assert pair_attempts(classical.ledger, 1, 5) == [2, 8, 0]
+    assert pair_attempts(improved.ledger, 1, 5) == [1, 4, 0]
 
 
 def test_algorithm_ids():
@@ -120,7 +124,7 @@ def test_final_tables_agree_on_worked_instance():
     a = sieve_trivial(F_SQUARE_PLUS_ONE, 3, 5)
     b = sieve_classical(F_SQUARE_PLUS_ONE, 3, 5)
     c = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5)
-    assert a.table.entries == b.table.entries == c.table.entries
+    assert a.table.first_difference(b.table) is None and b.table.first_difference(c.table) is None
 
 
 def test_no_attempts_recorded_when_prime_divides_b():
@@ -153,10 +157,7 @@ def test_residuals_coprime_to_factor_base():
         sieve_classical(F_SQUARE_PLUS_ONE, 5, y),
         sieve_improved(F_SQUARE_PLUS_ONE, 5, y),
     ):
-        for row in outcome.table.entries:
-            for v in row:
-                for l in primes_up_to(y):
-                    assert v == 0 or v % l != 0
+        assert divisible_cells(outcome.table, primes_up_to(y)) == []
 
 
 def test_shared_tables_must_match_parameters():
@@ -165,7 +166,7 @@ def test_shared_tables_must_match_parameters():
         sieve_classical(F_SQUARE_PLUS_ONE, 4, 5, tables)
     with pytest.raises(ValueError):
         sieve_improved(F_SQUARE_PLUS_ONE, 3, 7, tables)
-    assert pair_total(sieve_improved(F_SQUARE_PLUS_ONE, 3, 5, tables).ledger, 1, 5) == 5
+    assert sum(pair_attempts(sieve_improved(F_SQUARE_PLUS_ONE, 3, 5, tables).ledger, 1, 5)) == 5
     table = build_table(F_SQUARE_PLUS_ONE, 3)
     with pytest.raises(ValueError):
         sieve_trivial(F_SQUARE_PLUS_ONE, 4, 5, table)
@@ -204,7 +205,7 @@ def test_repeated_runs_are_identical():
     second = sieve_improved(F_SQUARE_PLUS_ONE, 4, 7)
     assert first.ledger.primes == second.ledger.primes
     assert np.array_equal(first.ledger.attempts, second.ledger.attempts)
-    assert first.table.entries == second.table.entries
+    assert first.table.first_difference(second.table) is None
 
 
 @settings(deadline=None, max_examples=60)
@@ -214,12 +215,9 @@ def test_all_three_sieves_agree(instance):
     trivial = sieve_trivial(f, u, y)
     classical = sieve_classical(f, u, y)
     improved = sieve_improved(f, u, y)
-    assert trivial.table.entries == classical.table.entries == improved.table.entries
-    for row in improved.table.entries:
-        for v in row:
-            if v:
-                for l in primes_up_to(y):
-                    assert v % l != 0
+    assert trivial.table.first_difference(classical.table) is None
+    assert classical.table.first_difference(improved.table) is None
+    assert divisible_cells(improved.table, primes_up_to(y)) == []
 
 
 def test_improved_sieve_stops_at_the_first_level_without_live_cells(monkeypatch):
@@ -291,18 +289,19 @@ def test_mixed_dtype_instance_matches_direct_products():
         assert outcome.table.algebraic.dtype == object
     assert verify_ledgers(classical, improved, f, u, y).ok
     primes = primes_up_to(y)
-    expected = []
+    expected = np.zeros((2, u, 2 * u + 1), dtype=object)  # the rational and the algebraic side
     for b in range(1, u + 1):
-        row = []
         for a in range(-u, u + 1):
             norm = sum(c * a**i * b ** (f.degree - i) for i, c in enumerate(f.coefficients))
-            value = (a - b * f.m) * norm if gcd(a, b) == 1 else 0
-            for l in primes:
-                while value and value % l == 0:
-                    value //= l
-            row.append(value)
-        expected.append(row)
-    assert classical.table.entries == improved.table.entries == expected
+            if gcd(a, b) != 1 or (a - b * f.m) * norm == 0:
+                continue
+            for side, value in enumerate((a - b * f.m, norm)):
+                for l in primes:
+                    while value % l == 0:
+                        value //= l
+                expected[side, b - 1, a + u] = value
+    for outcome in (classical, improved):
+        assert [outcome.table.rational.tolist(), outcome.table.algebraic.tolist()] == expected.tolist()
 
 
 def test_trivial_sieve_on_exact_sides_matches_recount():

@@ -53,6 +53,33 @@ def valuation(n, l):
     return e
 
 
+class Pair(NamedTuple):
+    """One checked pair of a report: the measured attempts of each phase of
+    both sieves, the predicted totals, the correction, and c_asym and d_asym
+    times (l - 1)."""
+
+    b: int
+    l: int
+    measured_classical: list[int]
+    measured_improved: list[int]
+    c_exact: int
+    d_exact: int
+    correction: int
+    c_scaled: int
+    d_scaled: int
+
+
+def pairs_of(columns) -> list[Pair]:
+    """A report's pair_columns(), one Pair per checked pair."""
+    return [
+        Pair(*values)
+        for values in zip(
+            columns.b.tolist(), columns.l.tolist(), *columns.measured.tolist(), columns.c_exact.tolist(),
+            columns.d_exact.tolist(), columns.correction.tolist(), *columns.scaled_asymptotic.tolist(),
+        )
+    ]
+
+
 class Sets(NamedTuple):
     """Hit-set sizes of one (b, l); index e-1 holds the level-e size."""
 
@@ -214,11 +241,12 @@ def test_verify_ledgers_worked_instance():
     report = verify_ledgers(classical, improved, F_SQUARE_PLUS_ONE, 3, 5)
     assert report.ok
     assert report.mismatches == [] and report.stray_pairs == []
-    row = next(r for r in report.rows if (r.b, r.l) == (1, 5))
-    assert row.measured_classical == row.c_exact == 10
-    assert row.measured_improved == row.d_exact == 5
-    assert row.correction == 0
-    assert row.c_asym == Fraction(45, 4) and row.d_asym == Fraction(25, 4)
+    pair = next(p for p in pairs_of(report.pair_columns()) if (p.b, p.l) == (1, 5))
+    assert sum(pair.measured_classical) == pair.c_exact == 10
+    assert sum(pair.measured_improved) == pair.d_exact == 5
+    assert pair.correction == 0
+    # c_asym = 45/4 and d_asym = 25/4, times l - 1 = 4
+    assert (pair.c_scaled, pair.d_scaled) == (45, 25)
     assert (classical.ledger.grand_total(), improved.ledger.grand_total()) == (52, 27)
 
 
@@ -236,10 +264,10 @@ def test_verify_ledgers_correction_instance():
     report = verify_ledgers(sieve_classical(f, 9, 3), sieve_improved(f, 9, 3), f, 9, 3)
     assert report.ok
     assert report.correction_total > 0
-    touched = [r for r in report.rows if r.correction]
+    touched = [p for p in pairs_of(report.pair_columns()) if p.correction]
     assert touched
-    for r in touched:
-        assert r.measured_improved == r.d_exact + r.correction
+    for p in touched:
+        assert sum(p.measured_improved) == p.d_exact + p.correction
 
 
 def test_verify_ledgers_validates_algorithm_ids():
@@ -286,13 +314,13 @@ def test_classical_phases_match_per_side_set_sizes():
     u, y = 30, 7
     classical = sieve_classical(f, u, y)
     report = verify_ledgers(classical, sieve_improved(f, u, y), f, u, y)
-    assert len(report.rows) == 85
+    assert report.pair_count == 85
     assert report.ok and report.phase_mismatches == []
-    for row in report.rows:
-        sets = recount_sets(f, u, row.b, row.l)
-        for phase, sizes in zip(PHASES, sets):
-            expected = (sizes[0] if sizes else 0) + sum(sizes)
-            assert classical.ledger.pair_phase(row.b, row.l, phase) == expected
+    for k, l in enumerate(report.primes):
+        for b in range(1, u + 1):
+            if b % l:
+                expected = [(sizes[0] if sizes else 0) + sum(sizes) for sizes in recount_sets(f, u, b, l)]
+                assert classical.ledger.attempts[k, :, b - 1].tolist() == expected, (b, l)
 
 
 @settings(deadline=None, max_examples=30)
@@ -306,13 +334,14 @@ def test_identities_hold_on_random_instances(instance):
     assert report.ok
     # classical - improved = sum over pairs of (c_exact - d_exact) - correction
     # = r1 + s1 + m1 - m2 per pair, and m2 <= m1
-    gap = sum(row.c_exact - row.d_exact for row in report.rows)
+    pairs = report.pair_columns()
+    gap = int((pairs.c_exact - pairs.d_exact).sum())
     classical_total, improved_total = classical.ledger.grand_total(), improved.ledger.grand_total()
     assert improved_total <= classical_total
     assert (improved_total < classical_total) == (gap > report.correction_total)
-    for row in report.rows:
-        if row.correction == 0:
-            assert row.d_asym <= Fraction(2, 3) * row.c_asym
+    # d_asym <= 2/3 c_asym on correction-free pairs, both times l - 1 > 0
+    c_scaled, d_scaled = pairs.scaled_asymptotic[:, pairs.correction == 0]
+    assert (3 * d_scaled <= 2 * c_scaled).all()
 
 
 def test_oracle_invariants_raise(monkeypatch):
@@ -346,28 +375,24 @@ def test_oracle_invariants_raise(monkeypatch):
 
 
 def per_pair_rows(classical, improved, f, u, y):
-    """The report's rows rebuilt pair by pair from the plain recount and the
+    """The report's pairs rebuilt one by one from the plain recount and the
     paper's formulas, with the measured counts read off the ledgers, and the
     (b, l, algorithm, phase, expected, measured) of every broken phase."""
     rows, broken = [], []
     for b in range(1, u + 1):
-        for l in primes_up_to(y):
+        for k, l in enumerate(primes_up_to(y)):
             if b % l == 0:
                 continue
-            wanted_classical, wanted_improved, correction, (c_scaled, d_scaled) = paper_formulas(
-                recount_sets(f, u, b, l), l
-            )
+            wanted_classical, wanted_improved, correction, scaled = paper_formulas(recount_sets(f, u, b, l), l)
+            measured = [outcome.ledger.attempts[k, :, b - 1].tolist() for outcome in (classical, improved)]
             broken += [
                 (b, l, outcome.algorithm, phase, want, got)
-                for outcome, wanted in zip((classical, improved), (wanted_classical, wanted_improved))
-                for phase, want in zip(PHASES, wanted)
-                if (got := outcome.ledger.pair_phase(b, l, phase)) != want
+                for outcome, wanted, got_phases in zip((classical, improved), (wanted_classical, wanted_improved), measured)
+                for phase, want, got in zip(PHASES, wanted, got_phases)
+                if got != want
             ]
-            measured = (sum(outcome.ledger.pair_phase(b, l, phase) for phase in PHASES) for outcome in (classical, improved))
-            rows.append(PairRecord(
-                b, l, *measured,
-                sum(wanted_classical), sum(wanted_improved) - correction, correction,
-                Fraction(c_scaled, l - 1), Fraction(d_scaled, l - 1),
+            rows.append(Pair(
+                b, l, *measured, sum(wanted_classical), sum(wanted_improved) - correction, correction, *scaled,
             ))
     return rows, broken
 
@@ -391,16 +416,17 @@ def test_report_rows_match_per_pair_predictions(f, u, y, dtypes):
     assert report.ok
     assert_report_matches_recount(report, f, u, y)
     expected, broken = per_pair_rows(classical, improved, f, u, y)
-    assert report.rows == expected and report.phase_mismatches == broken == []
+    assert pairs_of(report.pair_columns()) == expected and report.phase_mismatches == broken == []
+    assert report.rows == [PairRecord(p.b, p.l, p.c_exact, p.d_exact) for p in expected]
     assert report.pair_count == len(expected)
-    assert report.correction_total == sum(r.correction for r in expected)
+    assert report.correction_total == sum(p.correction for p in expected)
     # tampered ledger entries show up among the broken phases exactly where a per-pair check puts them
     k, b = len(report.primes) - 1, 1
     classical.ledger.attempts[k, 2, b - 1] += 1
     improved.ledger.attempts[k, 0, b - 1] += 1
     tampered = verify_ledgers(classical, improved, f, u, y)
     rows, broken = per_pair_rows(classical, improved, f, u, y)
-    assert tampered.rows == rows and tampered.phase_mismatches == broken
+    assert pairs_of(tampered.pair_columns()) == rows and tampered.phase_mismatches == broken
     assert tampered.mismatches == [(b, report.primes[k])] and not tampered.ok
     assert [m[2:4] for m in tampered.phase_mismatches] == [
         ("classical", "algebraic_multiple"),

@@ -87,6 +87,17 @@ def test_classify_reduces_huge_coefficients_first(lower, l):
     assert reduced == classify_roots(f, l)
 
 
+def test_classifications_with_other_slopes_differ():
+    # (x - 1)(x - 2) and (x - 1)(x - 2)(x^2 + 1) have the roots 1 and 2 mod 3,
+    # both simple, and x^2 + 1 has none; f'(1) and f'(2) swap between them
+    quadratic = classify_roots(MonicPolynomial((2, -3, 1)), 3)
+    quartic = classify_roots(MonicPolynomial((2, -3, 3, -3, 1)), 3)
+    assert quadratic.simple_roots == quartic.simple_roots == {1, 2}
+    assert (quadratic.slopes, quartic.slopes) == ({1: 2, 2: 1}, {1: 1, 2: 2})
+    assert quadratic != quartic
+    assert hash(quadratic) == hash(quartic)  # the slopes stay out of the hash
+
+
 def test_classify_at_the_largest_prime_of_the_command_line():
     from sievelab.cli import MAX_Y
 
