@@ -7,10 +7,10 @@ Two questions get an empirical treatment here:
    Such primes force while-loop passes in the improved sieve.  Sampling
    coefficients uniformly below M = prod of l^2 over primes l <= y makes
    the reductions mod each l^2 exactly uniform and mutually independent,
-   so the per-prime events multiply.  The success probability (no such
-   prime at all) is at least prod (1 - 1/l^2) > 0.6, with equality only
-   for degrees 2 and 3; at degree 1 it is 1, since a linear polynomial has
-   no multiple root.
+   so the per-prime events multiply.  success_probability gives the
+   probability of no such prime at all exactly, for every degree: it is
+   prod (1 - 1/l^2) > 0.6 for degrees 2 and 3, larger from degree 4 on,
+   and 1 at degree 1, since a linear polynomial has no multiple root.
 
 2. On correction-free instances, how far below the classical sieve's
    attempt count does the improved sieve land?  Per prime the
@@ -42,7 +42,7 @@ Trial streams are seeded per index, so any partition of the trials
 across workers reproduces the same draws.
 
 Importing this module loads neither the engine nor the oracle:
-run_comparison imports them when it runs, and reference_success_product
+run_comparison imports them when it runs, and success_probability
 imports Fraction, so a montecarlo or enumerate process loads only what
 its command runs.
 """
@@ -52,7 +52,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from math import pi, prod, sqrt
+from math import comb, pi, prod, sqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -110,10 +110,9 @@ def _block_rows(l: int) -> int:
 
 @dataclass
 class LiftEventReport:
-    """Monte Carlo counts of one model.  reference_product is prod (1 - 1/l^2)
-    over the primes l <= y: the exact success probability for degrees 2 and
-    3, a strict lower bound for degree >= 4; at degree 1 the probability is
-    1."""
+    """Monte Carlo counts of one model.  reference_product is
+    success_probability(d, y), the exact probability that no prime l <= y
+    has a liftable multiple root."""
 
     degree: int
     smooth_bound: int
@@ -142,7 +141,7 @@ class LiftEventReport:
 
     @property
     def zeta2_reciprocal(self) -> float:
-        """Limit 6/pi^2 of the reference product as the bound grows."""
+        """Limit 6/pi^2 of the success probability at degrees 2 and 3 as y grows."""
         return 6.0 / (pi * pi)
 
     def to_dict(self) -> dict:
@@ -152,12 +151,19 @@ class LiftEventReport:
                 "per_prime_failures": {str(l): n for l, n in self.per_prime_failures.items()}}
 
 
-def reference_success_product(smooth_bound: int) -> Fraction:
-    """prod over primes l <= bound of (1 - 1/l^2), exactly, as one quotient."""
+def success_probability(degree: int, smooth_bound: int) -> Fraction:
+    """The exact probability that a uniform monic polynomial of the degree
+    has no prime l <= bound with a liftable multiple root: the product of
+    1 - P_bad(d, l), where by inclusion and exclusion over the k-sets of
+    double roots mod l (each of probability l^(-3k) while 2k <= d, else 0)
+    P_bad(d, l) = sum_{k=1}^{d//2} (-1)^(k+1) C(l, k) l^(-3k)."""
     from fractions import Fraction
 
-    squares = [l * l for l in primes_up_to(smooth_bound)]
-    return Fraction(prod(s - 1 for s in squares), prod(squares))
+    factors = []  # each reduced on its own, so the one quotient below has a smaller gcd
+    for l in primes_up_to(smooth_bound):
+        top, cube = min(degree // 2, l), l**3  # C(l, k) = 0 for k > l
+        factors.append(Fraction(sum((-1) ** k * comb(l, k) * cube ** (top - k) for k in range(top + 1)), cube**top))
+    return Fraction(prod(f.numerator for f in factors), prod(f.denominator for f in factors))
 
 
 def monte_carlo(model: RandomModel, trials: int) -> LiftEventReport:
@@ -194,7 +200,7 @@ def monte_carlo(model: RandomModel, trials: int) -> LiftEventReport:
         trials=trials,
         successes=successes,
         per_prime_failures=failures,
-        reference_product=float(reference_success_product(model.smooth_bound)),
+        reference_product=float(success_probability(model.degree, model.smooth_bound)),
     )
 
 
@@ -265,9 +271,6 @@ class SweepInstance:
 
 @dataclass
 class ComparisonResult:
-    f: SievePolynomial
-    u: int
-    y: int
     trivial: SieveOutcome | None
     classical: SieveOutcome
     improved: SieveOutcome
@@ -306,10 +309,8 @@ def run_comparison(f: SievePolynomial, u: int, y: int, include_trivial: bool = T
     classical = sieve_classical(f, u, y, tables, table.copy())
     improved = sieve_improved(f, u, y, tables, table.copy() if include_trivial else table)
     trivial = sieve_trivial(f, u, y, table) if include_trivial else None
-    return ComparisonResult(
-        f=f, u=u, y=y, trivial=trivial, classical=classical, improved=improved,
-        report=verify_ledgers(classical, improved, f, u, y), tables=tables,
-    )
+    return ComparisonResult(trivial=trivial, classical=classical, improved=improved,
+                            report=verify_ledgers(classical, improved, f, u, y), tables=tables)
 
 
 @dataclass

@@ -10,9 +10,8 @@ The algebraic side of a table entry is the binary form
 so F(a, 1) = f(a) and, for l not dividing b, the l-adic valuation of
 F(a, b) is controlled by the roots of f modulo powers of l.  F has the
 same coefficients as f, so eval_norm takes f itself; it is the one
-evaluator of F, and of f(x) = F(x, 1) in exact integers for the
-ladders' Newton steps.  Roots mod l and their lifts mod l^2 come from
-the residue kernel in roots.
+evaluator of F.  The roots module evaluates f itself, reduced mod l^2
+in its residue kernel and mod l^e in the ladders' Newton steps.
 
 Arrays of table values take their dtype from a proven bound through
 exact_dtype: int64 below 2^62, exact Python integers (object) above.

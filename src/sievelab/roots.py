@@ -3,22 +3,18 @@
 A root x of f mod l is *simple* when f'(x) != 0 mod l, *multiple*
 otherwise.  A simple root lifts to exactly one root mod l^e for every e,
 by the Newton step x <- x - f(x) * f'(x)^(-1) applied one level at a
-time.  Whether a multiple root admits any lift to mod l^2 depends only
-on its residue class mod l: f is constant mod l^2 on that class, so a
-single evaluation decides for the whole class.
+time, and so does the root m of x - m, whose slope is 1: one lifter
+builds the simple and the rational ladders.  Whether a multiple root lifts
+to a root mod l^2 depends only on its residue class mod l: f is constant
+mod l^2 on that class, so a single evaluation decides for the whole class.
 
 One numpy kernel, residue_scan, answers both questions for the ladders,
 the oracle's root test (through classify_roots), Monte Carlo (through
 lift_events) and exact enumeration: a fused Horner pass over a block of
 polynomials, with coefficients mod l^2, gives f(x) mod l^2 and f'(x) mod l
-at every x mod l.
-It is exact in int64 while l^3 < 2^62, so residue_scan, classify_roots and
-build_lift_tables raise ValueError for l >= 1,664,511; the command line's
-prime bounds and work caps keep every prime below 2^19.  The Newton steps
-take f'(x) mod l from the kernel, its inverse mod l from pow(f'(x), -1, l),
-and f(x) = F(x, 1) from poly.eval_norm in exact integers, so eval_norm and
-residue_scan are the only evaluators of f.  build_lift_tables counts its
-own precompute work from the classifications it receives.
+at every x mod l.  It is exact in int64 while l^3 < 2^62, so residue_scan,
+classify_roots and build_lift_tables raise ValueError for l >= 1,664,511;
+the command line's prime bounds and work caps keep every prime below 2^19.
 
 The names of the three sieves and of the three phases their ledgers
 split into, one per entry of PrimeLadder.levels, are defined here, in a
@@ -33,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import max_exponent, primes_up_to
-from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_norm, exact_dtype, rational_bound
+from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, exact_dtype, rational_bound
 
 TRIVIAL = "trivial"
 CLASSICAL = "classical"
@@ -44,7 +40,7 @@ PHASES = ("rational", "algebraic_simple", "algebraic_multiple")
 @dataclass(frozen=True)
 class RootClassification:
     """The roots of f mod l by class; slopes[x] = f'(x) mod l at each
-    simple root x, the divisor of its Newton steps."""
+    simple root x, whose inverse mod l is the divisor of its Newton steps."""
 
     simple_roots: frozenset[int]
     multiple_roots: frozenset[int]
@@ -149,6 +145,23 @@ def classify_roots(f: MonicPolynomial, l: int) -> RootClassification:
     )
 
 
+def _lift(coefficients: tuple[int, ...], slopes: dict[int, int], l: int, depth: int) -> tuple[tuple[int, ...], ...]:
+    """Levels 1..depth of the lifts mod l^e of the simple roots x of f mod l,
+    slopes = {x: f'(x) mod l}: one Newton step per root and level, f(x) by
+    Horner reduced mod l^e.  No root, or a depth of 0, gives no level."""
+    lifts = [(x, pow(slope, -1, l)) for x, slope in slopes.items()]  # a simple root's slope is nonzero mod l
+    levels = []
+    for e in range(1, depth + 1 if lifts else 1):
+        modulus = l**e
+        for i, (x, inverse) in enumerate(lifts):
+            value = 0
+            for c in reversed(coefficients):
+                value = (value * x + c) % modulus
+            lifts[i] = ((x - value * inverse) % modulus, inverse)
+        levels.append(tuple(sorted(x for x, _ in lifts)))
+    return tuple(levels)
+
+
 def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
     """Precompute, for every prime l <= y, the levels of each phase: the
     rational targets m mod l^e, the Hensel ladders over the simple roots,
@@ -169,26 +182,12 @@ def build_lift_tables(f: SievePolynomial, u: int, y: int) -> LiftTables:
         # the precompute cost model: f at every residue, f' at each root, one lift test per multiple root
         stats.root_scan_evaluations += l + len(classification.simple_roots) + len(classification.multiple_roots)
         stats.multiple_lift_tests += len(classification.multiple_roots)
-        rational = tuple((f.m % l**e,) for e in range(1, max_exponent(l, rat_cap_bound) + 1))
-
-        cap_algebraic = max_exponent(l, alg_cap_bound)
-        simple: list[tuple[int, ...]] = []
-        if cap_algebraic >= 1 and classification.simple_roots:
-            level = sorted(classification.simple_roots)
-            simple.append(tuple(level))
-            steps = {x: pow(classification.slopes[x], -1, l) for x in level}  # a simple root's slope is nonzero mod l
-            modulus = l
-            current = {x: x for x in level}
-            for _ in range(cap_algebraic - 1):
-                modulus *= l
-                for base, value in current.items():
-                    current[base] = (value - eval_norm(f, value, 1) * steps[base]) % modulus
-                    stats.newton_lift_steps += 1
-                simple.append(tuple(sorted(current.values())))
-
+        rational = _lift((-f.m, 1), {f.m % l: 1}, l, max_exponent(l, rat_cap_bound))  # x - m has slope 1
+        simple = _lift(f.coefficients, classification.slopes, l, max_exponent(l, alg_cap_bound))
+        stats.newton_lift_steps += sum(map(len, simple[1:]))  # level 1 holds the roots themselves
         multiple = tuple(sorted(classification.multiple_roots))
         ladders[l] = PrimeLadder(
-            levels=(rational, tuple(simple), (multiple,) if multiple else ()),
+            levels=(rational, simple, (multiple,) if multiple else ()),
             liftable_multiple=tuple(sorted(classification.liftable_multiple)),
         )
     return LiftTables(u=u, y=y, ladders=ladders, stats=stats)

@@ -19,8 +19,8 @@ from sievelab.experiments import (
     enumerate_exact,
     monte_carlo,
     random_sieve_polynomial,
-    reference_success_product,
     run_comparison,
+    success_probability,
 )
 from sievelab.roots import classify_roots
 
@@ -41,7 +41,8 @@ def value_at(f, x, modulus):
 
 @pytest.fixture(scope="session")
 def instance_runs():
-    """Twenty seeded instances: d in 2..5, m in 5..50, u in 50..300, y in 10..100."""
+    """Twenty seeded instances, each (f, u, y, result): d in 2..5, m in 5..50,
+    u in 50..300, y in 10..100."""
     runs = []
     for i in range(INSTANCE_COUNT):
         rng = random.Random(f"acceptance:{i}")
@@ -50,21 +51,21 @@ def instance_runs():
         u = rng.randint(50, 300)
         y = rng.randint(10, 100)
         f = random_sieve_polynomial(d, m, rng)
-        runs.append(run_comparison(f, u, y, include_trivial=True))
+        runs.append((f, u, y, run_comparison(f, u, y, include_trivial=True)))
     return runs
 
 
 def test_criterion_1_cross_algorithm_equivalence(instance_runs):
     bad = []
-    for comp in instance_runs:
+    for f, u, y, comp in instance_runs:
         # both sides of every cell, so more than equal residual products
         tables_equal = (
             comp.trivial.table.first_difference(comp.classical.table) is None
             and comp.classical.table.first_difference(comp.improved.table) is None
         )
-        residuals_clean = not divisible_cells(comp.improved.table, primes_up_to(comp.y))
+        residuals_clean = not divisible_cells(comp.improved.table, primes_up_to(y))
         if not (tables_equal and residuals_clean):
-            bad.append((comp.f.coefficients, comp.u, comp.y))
+            bad.append((f.coefficients, u, y))
     ok = not bad
     record_acceptance(
         f"criterion 1 cross-algorithm equivalence: {_verdict(ok)} "
@@ -76,10 +77,10 @@ def test_criterion_1_cross_algorithm_equivalence(instance_runs):
 def test_criterion_2_ledger_identities(instance_runs):
     bad = []
     pairs = 0
-    for comp in instance_runs:
+    for f, _, _, comp in instance_runs:
         pairs += comp.report.pair_count
         if not comp.report.ok:
-            bad.append((comp.f.coefficients, comp.report.mismatches[:3], comp.report.stray_pairs[:3]))
+            bad.append((f.coefficients, comp.report.mismatches[:3], comp.report.stray_pairs[:3]))
     ok = not bad
     record_acceptance(
         f"criterion 2 attempt-count identities: {_verdict(ok)} "
@@ -89,10 +90,11 @@ def test_criterion_2_ledger_identities(instance_runs):
 
 
 def test_criterion_3_strict_improvement(instance_runs):
-    totals = [(comp.classical.ledger.grand_total(), comp.improved.ledger.grand_total()) for comp in instance_runs]
-    bad = [(comp.f.coefficients, c, i) for comp, (c, i) in zip(instance_runs, totals) if c > 0 and not i < c]
+    totals = [(f, comp.classical.ledger.grand_total(), comp.improved.ledger.grand_total())
+              for f, _, _, comp in instance_runs]
+    bad = [(f.coefficients, c, i) for f, c, i in totals if c > 0 and not i < c]
     ok = not bad
-    ratios = [i / c for c, i in totals if c]
+    ratios = [i / c for _, c, i in totals if c]
     record_acceptance(
         f"criterion 3 strict improvement: {_verdict(ok)} "
         f"(improved total < classical total on every instance; ratios "
@@ -104,14 +106,14 @@ def test_criterion_3_strict_improvement(instance_runs):
 def test_criterion_4a_two_thirds_bound_on_closed_forms(instance_runs):
     bad = []
     checked = 0
-    for comp in instance_runs:
+    for f, _, _, comp in instance_runs:
         pairs = comp.report.pair_columns()
         free = pairs.correction == 0
         checked += int(np.count_nonzero(free))
         # d_asym <= 2/3 c_asym, both times l - 1 > 0
         c_scaled, d_scaled = pairs.scaled_asymptotic
         broken = free & (3 * d_scaled > 2 * c_scaled)
-        bad += [(comp.f.coefficients, b, l) for b, l in zip(pairs.b[broken].tolist(), pairs.l[broken].tolist())]
+        bad += [(f.coefficients, b, l) for b, l in zip(pairs.b[broken].tolist(), pairs.l[broken].tolist())]
     ok = not bad
     record_acceptance(
         f"criterion 4a two-thirds bound on closed forms: {_verdict(ok)} "
@@ -156,13 +158,13 @@ def test_criterion_5_per_point_density():
 
 def test_criterion_6_sampled_success_probability():
     report = monte_carlo(RandomModel(degree=3, smooth_bound=30, seed=1), 2000)
-    reference = float(reference_success_product(30))
+    reference = float(success_probability(3, 30))
     limit = 6.0 / (pi * pi)
     ok = report.estimate >= 0.6 - 3 * report.stderr
     record_acceptance(
         f"criterion 6 sampled success probability: {_verdict(ok)} "
         f"(estimate {report.estimate:.4f} +/- {report.stderr:.4f}, "
-        f"reference product {reference:.4f}, limiting constant {limit:.4f})"
+        f"exact probability {reference:.4f}, limiting constant {limit:.4f})"
     )
     assert ok
     assert abs(reference - 0.612) < 1e-3
@@ -172,8 +174,7 @@ def test_criterion_6_sampled_success_probability():
 def test_criterion_7_ladders_match_exhaustive_enumeration(instance_runs):
     bad = []
     levels = 0
-    for comp in instance_runs:
-        f = comp.f
+    for f, _, _, comp in instance_runs:
         for l, ladder in comp.tables.ladders.items():
             classes = classify_roots(f, l)
             _, simple, _ = ladder.levels

@@ -632,7 +632,7 @@ def test_montecarlo_rejects_zero_trials():
 def test_montecarlo_gate_failure_is_exit_one(monkeypatch, capsys):
     # an estimate pinned to zero cannot clear the gate
     def all_failures(model, trials):
-        from sievelab.experiments import LiftEventReport, reference_success_product
+        from sievelab.experiments import LiftEventReport, success_probability
 
         return LiftEventReport(
             degree=model.degree,
@@ -641,7 +641,7 @@ def test_montecarlo_gate_failure_is_exit_one(monkeypatch, capsys):
             trials=trials,
             successes=0,
             per_prime_failures={2: trials},
-            reference_product=float(reference_success_product(model.smooth_bound)),
+            reference_product=float(success_probability(model.degree, model.smooth_bound)),
         )
 
     monkeypatch.setattr(cli, "monte_carlo", all_failures)

@@ -21,8 +21,8 @@ from sievelab.experiments import (
     monte_carlo,
     random_sieve_polynomial,
     ratio_sweep,
-    reference_success_product,
     run_comparison,
+    success_probability,
 )
 from sievelab.poly import MonicPolynomial, SievePolynomial
 from sievelab.roots import lift_events, residue_scan
@@ -198,13 +198,35 @@ def test_monte_carlo_draw_cap(monkeypatch):
 
 
 def test_reference_product_values():
-    assert reference_success_product(2) == Fraction(3, 4)
-    assert reference_success_product(3) == Fraction(3, 4) * Fraction(8, 9)
+    assert success_probability(2, 2) == Fraction(3, 4)
+    assert success_probability(3, 3) == Fraction(3, 4) * Fraction(8, 9)
     direct = Fraction(1)
     for l in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
         direct *= 1 - Fraction(1, l * l)
-    assert reference_success_product(30) == direct
+    assert success_probability(2, 30) == success_probability(3, 30) == direct
     assert abs(float(direct) - 0.612) < 1e-3
+
+
+def test_success_probability_per_degree():
+    # degree 1 has no multiple root; from degree 4 on, pairs of double roots raise the probability
+    assert success_probability(1, 100) == 1
+    assert success_probability(4, 100) == success_probability(5, 100) > success_probability(3, 100)
+    assert abs(float(success_probability(4, 100)) - 0.62517) < 1e-5
+    assert success_probability(4, 2) == 1 - (Fraction(2, 8) - Fraction(1, 64))
+
+
+def test_success_probability_matches_exact_enumeration():
+    # each prime's factor is 1 - count_bad / count_total, on every (d, l) with l^(2d+1) <= 10^6
+    checked = 0
+    for l in primes_up_to(100):
+        for d in range(1, 10):
+            if l ** (2 * d + 1) > 10**6:
+                break
+            count_bad, count_total, _ = enumerate_exact(d, l)
+            below = success_probability(d, l - 1) if l > 2 else 1
+            assert success_probability(d, l) == below * (1 - Fraction(count_bad, count_total)), (d, l)
+            checked += 1
+    assert checked == 43
 
 
 def test_monte_carlo_tiny():

@@ -17,12 +17,16 @@ from sievelab.roots import build_lift_tables, classify_roots
 ENUM_LIMIT = 10**4
 # u^2 >= ENUM_LIMIT, so every ladder reaches l^e = ENUM_LIMIT
 LADDER_U = 100
+# the command line's largest m: from m = ENUM_LIMIT up, most draws hold a
+# coefficient above every l^e the enumeration reaches, which a Horner
+# reduced mod l^e must reduce, negative ones included
+HUGE_M = 10**15
 
 
 @st.composite
-def sieve_polys(draw, max_degree=5, max_m=20):
+def sieve_polys(draw, max_degree=5, max_m=20, min_m=1):
     d = draw(st.integers(min_value=2, max_value=max_degree))
-    m = draw(st.integers(min_value=1, max_value=max_m))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
     lower = tuple(draw(st.integers(min_value=-m, max_value=m)) for _ in range(d))
     return SievePolynomial(coefficients=lower + (1,), m=m)
 
@@ -142,7 +146,10 @@ def test_hensel_examples():
 
 
 @settings(deadline=None)
-@given(sieve_polys(), st.sampled_from(primes_up_to(20)))
+@given(
+    st.one_of(sieve_polys(), sieve_polys(max_degree=16, min_m=ENUM_LIMIT, max_m=HUGE_M)),
+    st.sampled_from(primes_up_to(20)),
+)
 def test_hensel_agrees_with_exhaustive_enumeration(f, l):
     """Each simple root owns exactly one root mod l^e, the lifted one."""
     rc = classify_roots(f, l)
@@ -230,7 +237,11 @@ def test_build_tables_counts_precompute_work():
 
 
 @settings(deadline=None, max_examples=60)
-@given(sieve_polys(max_degree=4, max_m=12), st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=20))
+@given(
+    st.one_of(sieve_polys(max_degree=4, max_m=12), sieve_polys(max_degree=4, min_m=ENUM_LIMIT, max_m=HUGE_M)),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=2, max_value=20),
+)
 def test_ladder_levels_are_roots_and_chain(f, u, y):
     tables = build_lift_tables(f, u, y)
     for l, ladder in tables.ladders.items():
