@@ -205,14 +205,10 @@ def test_reference_product_values():
         direct *= 1 - Fraction(1, l * l)
     assert success_probability(2, 30) == success_probability(3, 30) == direct
     assert abs(float(direct) - 0.612) < 1e-3
-
-
-def test_success_probability_per_degree():
     # degree 1 has no multiple root; from degree 4 on, pairs of double roots raise the probability
     assert success_probability(1, 100) == 1
     assert success_probability(4, 100) == success_probability(5, 100) > success_probability(3, 100)
     assert abs(float(success_probability(4, 100)) - 0.62517) < 1e-5
-    assert success_probability(4, 2) == 1 - (Fraction(2, 8) - Fraction(1, 64))
 
 
 def test_success_probability_matches_exact_enumeration():
