@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arith import InvariantViolation
+from .arith import InvariantViolation, limb_values, to_limbs
 from .experiments import (
     RandomModel,
     SweepInstance,
@@ -364,9 +364,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _smooth_rows(table: SieveTable) -> list[list[int]]:
     """[b, a, residual] of every cell whose residual is +-1, in row-major
     order: both sides are +-1 there, and only those cells are multiplied."""
-    cells = np.flatnonzero((abs(table.rational) == 1) & (abs(table.algebraic) == 1))
+    # each side with a limb axis first, one limb for words
+    sides = [side.reshape((-1, side.shape[-2] * side.shape[-1])) for side in (table.rational, table.algebraic)]
+    cells = np.flatnonzero(np.logical_and.reduce([
+        (side[:, :, None] == to_limbs(np.array([1, -1]), len(side))[:, None]).all(axis=0).any(axis=1)
+        for side in sides
+    ]))
     rows, columns = np.divmod(cells, 2 * table.u + 1)
-    residuals = table.rational.ravel()[cells] * table.algebraic.ravel()[cells]
+    residuals = limb_values(sides[0][:, cells]) * limb_values(sides[1][:, cells])
     return [[row + 1, column - table.u, residual]
             for row, column, residual in zip(rows.tolist(), columns.tolist(), residuals.tolist())]
 

@@ -2,15 +2,18 @@
 
 The table covers 1 <= b <= u, |a| <= u and keeps the two factors of each
 cell apart, as two-sided sievers do: a (u, 2u+1) array of rational
-factors a - b*m and one of algebraic factors F(a, b), each of dtype int64
-when its own proven bound stays below 2^62 and of exact Python integers
-above; build_table takes both from poly.table_factors.  Every test and
-division by a prime goes through arith.fused_divide: one wrapping
-multiply per cell on an int64 side, exact % and // on an object side.
+factors a - b*m and one of algebraic factors F(a, b), each an int64 array
+of words when its own proven bound stays below 2^62 and a (k, u, 2u+1)
+int64 array of k limbs above (arith); build_table takes both from
+poly.table_factors.  Every pass gathers, scatters and masks along the
+limb axis, through _flat's (cells,) or (k, cells) view, so a word side
+pays nothing for it.  Every division by a prime goes through
+arith.fused_divide: one wrapping multiply per cell on words, and on limbs
+one floor division of each limb above the lowest, whose word r*2^32 +
+limb stays below l*2^32 <= 2^44, and one wrapping multiply on the last.
 The one exception is the trivial sieve, which tests the int64 residues
-that arith.int64_residues gives of each side and divides the hits they
-prove once with a plain //, so exact % runs only on the cells that l
-already divided.
+that arith.int64_residues gives of each side with arith.fused_test and
+while-loops only at the hits they prove.
 A cell is dead when gcd(a, b) > 1 or either factor vanishes; dead cells
 hold 0 on both sides and every pass below skips them, since repeatedly
 dividing 0 would never terminate.  The classical and improved sieves
@@ -67,17 +70,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import InvariantViolation, fused_divide, int64_residues, primes_up_to
+from .arith import InvariantViolation, fused_divide, fused_test, int64_residues, limb_values, primes_up_to
 from .poly import SievePolynomial, exact_dtype, table_factors
 from .roots import CLASSICAL, IMPROVED, PHASES, TRIVIAL, LiftTables, build_lift_tables
 
-_TRIVIAL_BLOCK = 1 << 16  # live cells per gather; bounds the exact integers a gathered copy keeps alive
+_TRIVIAL_BLOCK = 1 << 16  # live cells per gather; bounds the residue buffers a gathered copy of limbs needs
 
 
 @dataclass(eq=False)
 class SieveTable:
     """rational[b-1, a+u] = a - b*m and algebraic[b-1, a+u] = F(a, b) on
-    live cells, 0 on both sides of dead ones; sieving divides them down."""
+    live cells, 0 on both sides of dead ones; sieving divides them down.
+    A side is an int64 (u, 2u+1) array of words, or a (k, u, 2u+1) one of
+    limbs (arith) when its proven bound reaches 2^62."""
 
     u: int
     rational: np.ndarray
@@ -88,7 +93,7 @@ class SieveTable:
         """Residual products as Python ints; entries[b-1][a+u] holds T(b, a).
         Only the benchmark's layer tracer reads this; the program and the
         tests read the two sides."""
-        return (self.rational.astype(object) * self.algebraic.astype(object)).tolist()
+        return (_exact(self.rational) * _exact(self.algebraic)).tolist()
 
     def copy(self) -> "SieveTable":
         return SieveTable(self.u, self.rational.copy(), self.algebraic.copy())
@@ -96,7 +101,8 @@ class SieveTable:
     def first_difference(self, other: "SieveTable") -> tuple[int, int] | None:
         """(b, a) of the first cell, in row-major order, where either side
         differs from the same side of another table of this u; None if none."""
-        differ = np.flatnonzero((self.rational != other.rational) | (self.algebraic != other.algebraic))
+        differ = np.flatnonzero(_any_limb(_flat(self.rational != other.rational))
+                                | _any_limb(_flat(self.algebraic != other.algebraic)))
         if not differ.size:
             return None
         b, i = divmod(int(differ[0]), 2 * self.u + 1)
@@ -149,9 +155,39 @@ def build_table(f: SievePolynomial, u: int) -> SieveTable:
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
     rational, algebraic, live = table_factors(f, u, np.arange(1, u + 1, dtype=np.int64)[:, None])
-    rational[~live] = 0
-    algebraic[~live] = 0
+    for side in (rational, algebraic):
+        side[_at(side, ~live)] = 0
     return SieveTable(u=u, rational=rational, algebraic=algebraic)
+
+
+def _flat(side: np.ndarray) -> np.ndarray:
+    """A view of a table side, or of a mask of its shape, with the cells on
+    one axis: (cells,) for words, (k, cells) for limbs."""
+    return side.reshape(side.shape[:-2] + (-1,))
+
+
+def _at(side: np.ndarray, index: np.ndarray):
+    """`index` into a side's cells, past its limb axis if it has one.  Words
+    take the index as it is: numpy's plain fancy indexing is faster than
+    side[..., index]."""
+    return index if side.ndim == index.ndim else (slice(None), index)
+
+
+def _gather(side: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """A flat side's values at `cells`: plain fancy indexing on words, and
+    take along the cell axis on limbs, 2.5 times as fast as side[:, cells]
+    at k = 2."""
+    return side[cells] if side.ndim == 1 else side.take(cells, axis=1)
+
+
+def _any_limb(flat: np.ndarray) -> np.ndarray:
+    """Per cell, whether any limb of a flat mask holds."""
+    return flat if flat.ndim == 1 else flat.any(axis=0)
+
+
+def _exact(side: np.ndarray) -> np.ndarray:
+    """A table side's values as Python ints, for the layer tracer."""
+    return limb_values(side.reshape((-1,) + side.shape[-2:]))
 
 
 def _cells(rows: np.ndarray, residues: tuple[int, ...], modulus: int, u: int) -> np.ndarray:
@@ -174,7 +210,7 @@ def _cells(rows: np.ndarray, residues: tuple[int, ...], modulus: int, u: int) ->
 def _live_mask(table: SieveTable) -> np.ndarray:
     """Flat mask of the cells nonzero on both sides, the only ones a pass may
     divide: a zero on either side would never leave _divide_out's loop."""
-    return ((table.rational != 0) & (table.algebraic != 0)).reshape(-1)
+    return _any_limb(_flat(table.rational != 0)) & _any_limb(_flat(table.algebraic != 0))
 
 
 def _live_cells(live: np.ndarray, rows: np.ndarray, residues: tuple[int, ...], modulus: int, u: int) -> np.ndarray:
@@ -191,13 +227,13 @@ def _divide_out(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarr
     """Divide each of `cells`, all live, by l as long as l divides; returns
     the successful divisions per row."""
     done = np.zeros(u, dtype=np.int64)
-    values = side[cells]
+    values = _gather(side, cells)
     while True:
         keep, values = fused_divide(values, l)
         cells = cells[keep]
         if not cells.size:
             return done
-        side[cells] = values
+        side[_at(side, cells)] = values
         done += _per_row(cells, u)
 
 
@@ -210,13 +246,13 @@ def _while_loop(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarr
 def _divide_once(side: np.ndarray, cells: np.ndarray, l: int, u: int, phase: str, modulus: int) -> np.ndarray:
     """One unconditional division at each of `cells`, all live, which must
     succeed.  Returns the divisions per row."""
-    divisible, quotients = fused_divide(side[cells], l)
-    if quotients.size < cells.size:
+    divisible, quotients = fused_divide(_gather(side, cells), l)
+    if quotients.shape[-1] < cells.size:
         b, i = divmod(int(cells[np.argmin(divisible)]), 2 * u + 1)
         raise InvariantViolation(
             f"{phase} division missed at b={b + 1}, a={i - u}, l={l}, level modulus {modulus}"
         )
-    side[cells] = quotients
+    side[_at(side, cells)] = quotients
     return _per_row(cells, u)
 
 
@@ -231,15 +267,14 @@ def sieve_trivial(f: SievePolynomial, u: int, y: int, table: SieveTable | None =
     each side of a block of live cells meets the primes as int64 residues."""
     primes = primes_up_to(y)
     table = _table_for(f, u, table)
-    live = np.flatnonzero(table.rational)
+    live = np.flatnonzero(_any_limb(_flat(table.rational != 0)))
     counts = np.zeros((len(primes), 1, u), dtype=np.int64)
     counts[:, 0] = _per_row(live, u)
     for block in np.split(live, range(_TRIVIAL_BLOCK, live.size, _TRIVIAL_BLOCK)):
-        for side in (table.rational.reshape(-1), table.algebraic.reshape(-1)):
-            for k, (l, residues) in enumerate(zip(primes, int64_residues(side[block], primes))):
-                hits = block[fused_divide(residues, l)[0]]
-                side[hits] //= l  # the residues proved that l divides every hit
-                counts[k, 0] += _per_row(hits, u) + _divide_out(side, hits, l, u)
+        for side in (_flat(table.rational), _flat(table.algebraic)):
+            for k, (l, residues) in enumerate(zip(primes, int64_residues(_gather(side, block), primes))):
+                # the residues proved that l divides every hit, so its first division succeeds
+                counts[k, 0] += _divide_out(side, block[fused_test(residues, l)], l, u)
     return SieveOutcome(TRIVIAL, table, CostLedger(tuple(primes), ("total",), counts))
 
 
@@ -249,7 +284,7 @@ def sieve_classical(
     """Per (b, l) progressions at level 1 only, while-loop at every stop."""
     tables = _tables_for(f, u, y, tables)
     table = _table_for(f, u, table)
-    rational, algebraic = table.rational.reshape(-1), table.algebraic.reshape(-1)
+    rational, algebraic = _flat(table.rational), _flat(table.algebraic)
     live = _live_mask(table)
     counts = np.zeros((len(tables.ladders), len(PHASES), u), dtype=np.int64)
     for k, (l, ladder) in enumerate(tables.ladders.items()):
@@ -267,7 +302,7 @@ def sieve_improved(
     while-loop pass over the liftable multiple-root progressions."""
     tables = _tables_for(f, u, y, tables)
     table = _table_for(f, u, table)
-    rational, algebraic = table.rational.reshape(-1), table.algebraic.reshape(-1)
+    rational, algebraic = _flat(table.rational), _flat(table.algebraic)
     live = _live_mask(table)
     counts = np.zeros((len(tables.ladders), len(PHASES), u), dtype=np.int64)
     for k, (l, ladder) in enumerate(tables.ladders.items()):

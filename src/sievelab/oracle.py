@@ -10,20 +10,24 @@ per level e >= 1:
   multiple[e-1]  same with a multiple root
 
 verify_ledgers is the one way in.  It builds both factors itself, block
-of rows by block, with poly.table_factors (each side int64 when its
-proven bound stays below 2^62, exact integers above, and F evaluated in
-int64 up to the Horner step whose partial bound reaches 2^62) and never
-reads the engine's tables or walks the ladders it uses.  Per block it
-goes one prime at a time: a test over the whole block finds the cells
-divisible by l, repeated division of the exact values of those cells
-gives their valuations, a test of a = b*x (mod l) against each of the at
-most d roots x that classify_roots returns (one row of the residue
-kernel of roots, the same one the ladders read) sorts the algebraic hits
-by root class, and counting per row gives the sizes of every pair in
-the block at once.  Each prime's test runs on the int64 residues that
-arith.int64_residues gives of each side, one reduction of an exact side
-per group of primes, and tests and divisions go through
-arith.fused_divide, one wrapping multiply per int64 value.
+of rows by block, with poly.table_factors (each side int64 words when
+its proven bound stays below 2^62 and int64 limbs above, and F evaluated
+on words up to the Horner step whose partial bound reaches 2^62) and
+never reads the engine's tables or walks the ladders it uses.  Per block
+it goes one prime at a time: a test over the whole block finds the cells
+divisible by l, repeated division of the values of those cells gives
+their valuations, a test of a = b*x (mod l) against each of the at most d
+roots x that classify_roots returns (one row of the residue kernel of
+roots, the same one the ladders read) sorts the algebraic hits by root
+class, and counting per row gives the sizes of every pair in the block
+at once.  Each prime's test is arith.fused_test, one wrapping multiply,
+add and unsigned compare per value, on the int64 residues that
+arith.int64_residues gives of each side: a word side as it is, a limb
+side reduced by Horner once per group of primes with product below 2^31,
+so that each step r*2^32 + limb stays below 2^63.  Divisions go through
+arith.fused_divide, which divides limbs by long division from the top
+limb; the oracle gathers, compares and masks along the limb axis as the
+engine does.
 
 Only the level-1 sizes, the level sums and multiple[1] enter the
 formulas, so the oracle keeps just those, as the (primes, u) arrays of a
@@ -56,13 +60,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import InvariantViolation, fused_divide, int64_residues, max_exponent, primes_up_to
+from .arith import InvariantViolation, fused_divide, fused_test, int64_residues, max_exponent, primes_up_to
 from .engine import CLASSICAL, IMPROVED, PHASES, SieveOutcome
 from .poly import SievePolynomial, algebraic_bound, rational_bound, table_factors
 from .roots import classify_roots
 
 # rows per block of the oracle's own factor arrays: about this many cells,
-# so exact-integer sides stay small next to the engine's tables
+# so a block's sides and their residues stay small next to the engine's tables
 _BLOCK_CELLS = 1 << 14
 # the first axis of a LedgerReport's arrays
 ALGORITHMS = (CLASSICAL, IMPROVED)
@@ -103,9 +107,9 @@ def scaled_asymptotic(z: LevelSums, l) -> tuple:
 
 
 def _valuations(side: np.ndarray, cells: np.ndarray, l: int, depth: int) -> np.ndarray:
-    """v_l of the exact values at the cells; a valuation above the proven
-    depth is an invariant violation."""
-    values = side.reshape(-1)[cells]
+    """v_l of the values of a flat side, words or limbs, at the cells; a
+    valuation above the proven depth is an invariant violation."""
+    values = side.take(cells, axis=-1)
     valuation = np.zeros(cells.size, dtype=np.int64)
     index = np.arange(cells.size)
     for level in range(depth + 1):
@@ -127,14 +131,15 @@ def _hits(
     depths: tuple[int, int],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(row, v_l) of every rational, simple-root and multiple-root hit of the
-    rows b (a column) that l does not divide; residues holds an int64 array
+    rows b (a column) that l does not divide; factors holds the two sides,
+    flat (words or limbs), and the live mask, residues an int64 array
     congruent to each side mod l, and roots the simple and the multiple
     roots of f mod l, each as a column."""
     rational, algebraic, live = factors
     width = 2 * u + 1
-    live = live & (b % l != 0)
-    rational_hits = np.flatnonzero(live & fused_divide(residues[0], l)[0])
-    norm_hits = np.flatnonzero(live & fused_divide(residues[1], l)[0])
+    live = (live & (b % l != 0)).reshape(-1)
+    rational_hits = np.flatnonzero(live & fused_test(residues[0], l))
+    norm_hits = np.flatnonzero(live & fused_test(residues[1], l))
 
     hit_b = b[norm_hits // width, 0]
     hit_a = norm_hits % width - u
@@ -185,7 +190,8 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
     step = max(1, _BLOCK_CELLS // (2 * u + 1))
     for first in range(1, u + 1, step):
         b = np.arange(first, min(first + step, u + 1), dtype=np.int64)[:, None]
-        factors = table_factors(f, u, b)
+        rational, algebraic, live = table_factors(f, u, b)
+        factors = (*(x.reshape(x.shape[:-2] + (-1,)) for x in (rational, algebraic)), live)  # sides: one axis of cells
         residues = zip(primes, int64_residues(factors[0], primes), int64_residues(factors[1], primes))
         for k, (l, *sides) in enumerate(residues):
             hits = _hits(u, b, l, factors, sides, roots[k], depths[k])
@@ -331,7 +337,7 @@ def verify_ledgers(
         primes=primes,
         measured=np.stack([classical.ledger.attempts, improved.ledger.attempts]),
         expected=np.array(phase_attempts(sums)).transpose(0, 2, 1, 3),
-        correction=sums.m2,
+        correction=sums.m2.copy(),  # a view of one field would keep all seven level-sum arrays alive
         scaled_asymptotic=np.array(scaled_asymptotic(sums, l)),
         checked=np.arange(1, u + 1) % l != 0,
     )

@@ -13,21 +13,24 @@ same coefficients as f, so eval_norm takes f itself; it is the one
 evaluator of F.  The roots module evaluates f itself, reduced mod l^2
 in its residue kernel and mod l^e in the ladders' Newton steps.
 
-Arrays of table values take their dtype from a proven bound through
-exact_dtype: int64 below 2^62, exact Python integers (object) above.
-eval_norm applies that rule step by step: each Horner step has its own
-partial bound, so an evaluation runs in int64 up to the first step whose
-bound reaches 2^62 and in exact integers only from there on.
-table_factors builds both factors of a block of table rows and their
-live mask that way; it is the one builder of cell factors, used by the
-engine for the whole table and by the oracle block by block.
+Arrays of table values are int64 throughout, in the form arith gives a
+value's proven bound: one word below 2^62, limb_count(bound) limbs of 32
+bits with a signed top limb above.  eval_norm applies that rule step by
+step: each Horner step has its own partial bound, so an evaluation runs
+on int64 words up to the first step whose bound reaches 2^62 and on limbs
+only from there on, with each row's exact term c * b^(k+1) computed once.
+exact_dtype is the same rule for values held once per row or per prime,
+which stay exact Python integers above 2^62.  table_factors builds both
+factors of a block of table rows and their live mask that way; it is the
+one builder of cell factors, used by the engine for the whole table and
+by the oracle block by block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import INT64_BOUND
+from .arith import INT64_BOUND, carry, limb_count, to_limbs
 
 
 @dataclass(frozen=True)
@@ -74,28 +77,52 @@ def eval_norm(f: SievePolynomial, a, b):
     (a row of a values and a column of b values give the whole table).
     Step k = 0..d-1 multiplies by a and adds c_(d-1-k) * b^(k+1), leaving
     the k+2 leading terms of F, so with u the largest |a| or |b| every
-    intermediate of step k is bounded by m*(k+2)*u^(k+1).  On int64 arrays
-    the steps run in int64 while that partial bound stays below 2^62, and
-    from the first step past it in exact Python integers (object).  The
-    last step's bound is algebraic_bound(f, u), so the result dtype is
-    exact_dtype(algebraic_bound(f, u)).  Ints and object arrays stay exact
+    intermediate of step k is bounded by m*(k+2)*u^(k+1).  Given an int64
+    array, the steps run on int64 words while that partial bound stays below
+    2^62, and from the first step past it on the limbs of arith, as many as
+    the last step's bound, algebraic_bound(f, u), needs: the result is an
+    int64 array of words, or of shape (k, ...) with k = limb_count(
+    algebraic_bound(f, u)) >= 2.  Ints (and object arrays) stay exact
     throughout.
+
+    A limb step multiplies every limb by a, adds the limbs of the row term
+    c * b^(k+1), computed exactly once per entry of b, and carries.  With
+    |a| < 2^30, a lower limb stays below (2^32 - 1)*(|a| + 1) + |carry| <
+    2^63 before its carry, and the carry below |a| + 2; the top limb only
+    meets multiplications and additions, which wrap mod 2^64, and ends at
+    the floor of the step's value / 2^(32(k-1)), which the bound keeps in
+    [-2^62, 2^62).
     """
-    switch = f.degree  # the first step that runs in exact integers
-    if any(isinstance(x, np.ndarray) and x.dtype == np.int64 for x in (a, b)):
-        u = int(max(np.max(np.abs(a), initial=0), np.max(np.abs(b), initial=0)))
-        switch = next((k for k in range(f.degree) if exact_dtype(f.m * (k + 2) * u ** (k + 1)) is object), switch)
     coeffs = f.coefficients
+    switch = f.degree  # the first step on limbs
+    if any(isinstance(x, np.ndarray) and x.dtype == np.int64 for x in (a, b)):
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        u = int(max(np.max(np.abs(a), initial=0), np.max(np.abs(b), initial=0)))
+        bounds = [f.m * (k + 2) * u ** (k + 1) for k in range(f.degree)]
+        switch = next((k for k, bound in enumerate(bounds) if bound >= INT64_BOUND), switch)
     if switch == 0:
-        a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
-    acc, bp = coeffs[-1] * a + coeffs[-2] * b, b  # step 0; a fresh array, updated in place below
-    for k in range(1, f.degree):
-        if k == switch:
-            a, b, acc, bp = (np.asarray(x, dtype=object) for x in (a, b, acc, bp))
-        bp = bp * b
-        acc *= a
-        acc += coeffs[-2 - k] * bp
+        acc = np.ones(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)  # c_d, before step 0
+    else:
+        acc, bp = coeffs[-1] * a + coeffs[-2] * b, b  # step 0; a fresh array, updated in place below
+        for k in range(1, switch):
+            bp = bp * b
+            acc *= a
+            acc += coeffs[-2 - k] * bp
+    if switch < f.degree:
+        if np.max(np.abs(a), initial=0) >= 2**30:
+            raise ValueError(f"limb steps need |a| < 2^30, got {np.max(np.abs(a))}")
+        acc = to_limbs(acc, limb_count(bounds[-1]))
+        for k in range(switch, f.degree):
+            _limb_step(acc, a, coeffs[-2 - k], b, k + 1)
     return acc
+
+
+def _limb_step(acc: np.ndarray, a: np.ndarray, c: int, b: np.ndarray, power: int) -> None:
+    """acc = acc * a + c * b^power in place on the (k, ...) limbs acc."""
+    acc *= a
+    terms = to_limbs(np.array([c * x**power for x in b.ravel().tolist()], dtype=object).reshape(b.shape), len(acc))
+    acc += terms.reshape(terms.shape[:1] + (1,) * (acc.ndim - terms.ndim) + terms.shape[1:])
+    carry(acc)
 
 
 def rational_bound(f: SievePolynomial, u: int) -> int:
@@ -113,19 +140,31 @@ def algebraic_bound(f: SievePolynomial, u: int) -> int:
 
 
 def exact_dtype(bound: int):
-    """np.int64 when |values| <= bound < 2^62, else object (exact Python integers)."""
+    """np.int64 when |values| <= bound < 2^62, else object (exact Python
+    integers): for values held once per row or per prime."""
     return np.int64 if bound < INT64_BOUND else object
 
 
 def table_factors(f: SievePolynomial, u: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """a - b*m and F(a, b) for a in [-u, u] and the rows b (a column), with
-    the live mask: gcd(a, b) = 1 and both factors nonzero.  Each side has
-    the dtype its proven bound over the whole table allows; eval_norm runs
-    in int64 up to the Horner step where the algebraic side's partial
-    bound reaches 2^62."""
+    the live mask: gcd(a, b) = 1 and both factors nonzero.  Each side is an
+    int64 array of words of shape (rows, 2u+1), or of shape (k, rows, 2u+1)
+    with k = limb_count of its proven bound over the whole table when that
+    bound reaches 2^62; eval_norm runs on words up to the Horner step where
+    the algebraic side's partial bound reaches 2^62.  A rational side in
+    limbs is one limb step, 1 * a - m * b."""
     a = np.arange(-u, u + 1, dtype=np.int64)
-    rat_t = exact_dtype(rational_bound(f, u))
-    rational = a.astype(rat_t) - b.astype(rat_t) * f.m
+    k = limb_count(rational_bound(f, u))
+    if k == 1:
+        rational = a - b * f.m
+    else:
+        rational = to_limbs(np.ones((b.shape[0], a.size), dtype=np.int64), k)
+        _limb_step(rational, a, -f.m, b, 1)
     algebraic = eval_norm(f, a, b)
-    live = (np.gcd(a, b) == 1) & (rational != 0) & (algebraic != 0)
+    live = (np.gcd(a, b) == 1) & _nonzero(rational) & _nonzero(algebraic)
     return rational, algebraic, live
+
+
+def _nonzero(side: np.ndarray) -> np.ndarray:
+    """The mask of the nonzero entries of a (rows, width) side, words or limbs."""
+    return side != 0 if side.ndim == 2 else side.any(axis=0)

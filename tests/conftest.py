@@ -4,6 +4,8 @@ sieve suites share one check of a sieved table against its factor base."""
 
 import numpy as np
 
+from sievelab.arith import limb_values
+
 _acceptance_lines: list[str] = []
 
 
@@ -18,13 +20,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def exact_values(side: np.ndarray) -> np.ndarray:
+    """The values of a table side, words or limbs, as a (rows, width)
+    object array of Python ints."""
+    return limb_values(side.reshape((-1,) + side.shape[-2:]))
+
+
+def limbs_of(side: np.ndarray) -> int:
+    """The limb count of a (rows, width) table side: 1 for int64 words."""
+    assert side.dtype == np.int64 and side.ndim in (2, 3)
+    return 1 if side.ndim == 2 else side.shape[0]
+
+
 def divisible_cells(table, primes) -> list[tuple[int, int, int]]:
     """(b, a, l) of every live cell of a SieveTable where a prime l of
     primes divides either side; a sieved table has none.  For a prime l
     this is l dividing the cell's residual product."""
-    live = table.rational != 0  # a dead cell holds 0 on both sides, a live one on neither
+    rational, algebraic = exact_values(table.rational), exact_values(table.algebraic)
+    live = rational != 0  # a dead cell holds 0 on both sides, a live one on neither
     found = []
     for l in primes:
-        rows, columns = np.nonzero(live & ((table.rational % l == 0) | (table.algebraic % l == 0)))
+        rows, columns = np.nonzero(live & ((rational % l == 0) | (algebraic % l == 0)))
         found += [(b + 1, i - table.u, l) for b, i in zip(rows.tolist(), columns.tolist())]
     return found

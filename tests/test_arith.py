@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sievelab.arith import fused_divide, int64_residues, max_exponent, primes_up_to
+from sievelab.arith import (
+    carry,
+    fused_divide,
+    fused_test,
+    int64_residues,
+    limb_count,
+    limb_values,
+    max_exponent,
+    primes_up_to,
+    to_limbs,
+)
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # 3931 is the largest prime <= cli.MAX_Y
@@ -78,9 +88,20 @@ def reference_divide(values: list[int], l: int) -> tuple[list[bool], list[int]]:
     return divisible, [x // l for x, keep in zip(values, divisible) if keep]
 
 
-def check_fused_divide(values: list[int], l: int, dtype) -> None:
-    divisible, quotients = fused_divide(np.array(values, dtype=dtype), l)
-    assert quotients.dtype == dtype
+def check_fused_divide(values: list[int], l: int, k: int = 1) -> None:
+    """fused_divide of the values as words (k = 1) or as k limbs, and
+    fused_test of the words, against Python's % and //."""
+    if k == 1:
+        array = np.array(values, dtype=np.int64)
+        assert fused_test(array, l).tolist() == reference_divide(values, l)[0]
+        divisible, quotients = fused_divide(array, l)
+        assert quotients.dtype == np.int64 and quotients.ndim == 1
+    else:
+        divisible, limbs = fused_divide(to_limbs(np.array(values, dtype=object), k), l)
+        assert limbs.dtype == np.int64 and limbs.shape == (k, np.count_nonzero(divisible))
+        # the quotients keep the normal form: lower limbs in [0, 2^32), the top one below 2^62
+        assert ((limbs[:-1] >= 0) & (limbs[:-1] < 2**32)).all() and (abs(limbs[-1]) <= 2**62).all()
+        quotients = limb_values(limbs)
     assert (divisible.tolist(), quotients.tolist()) == reference_divide(values, l)
 
 
@@ -99,7 +120,7 @@ def edge_values(l: int) -> list[int]:
 def test_fused_divide_at_the_ends_of_the_int64_range(l):
     values = edge_values(l)
     assert l * (INT64_MAX // l) in values and -l * (2**63 // l) in values
-    check_fused_divide(values, l, np.int64)
+    check_fused_divide(values, l)
 
 
 @pytest.mark.parametrize("l", DIVISORS)
@@ -109,10 +130,10 @@ def test_fused_divide_matches_python_division(l, data):
     multiples = st.integers(INT64_MIN // l + 1, INT64_MAX // l).map(lambda q: q * l)
     values = data.draw(st.lists(st.one_of(int64, multiples, st.sampled_from([0, INT64_MIN, INT64_MAX, -INT64_MAX])),
                                 max_size=40))
-    check_fused_divide(values, l, np.int64)
+    check_fused_divide(values, l)
     big = data.draw(st.lists(st.one_of(int64, st.integers(-(10**40), 10**40), multiples.map(lambda x: x * 10**30)),
                              max_size=20))
-    check_fused_divide(big, l, object)
+    check_fused_divide(big, l, limb_count(2**63 * 10**30))
 
 
 def test_fused_divide_rejects_unsupported_inputs():
@@ -122,8 +143,15 @@ def test_fused_divide_rejects_unsupported_inputs():
         fused_divide(np.arange(4, dtype=np.int64), 4)
     with pytest.raises(TypeError):
         fused_divide(np.arange(4, dtype=np.int32), 3)
-    divisible, quotients = fused_divide(np.arange(8, dtype=object), 4)  # exact division takes any l
-    assert divisible.tolist() == [x % 4 == 0 for x in range(8)] and quotients.tolist() == [0, 1]
+    with pytest.raises(TypeError):  # exact integers are limbs now, never an object array
+        fused_divide(np.arange(8, dtype=object), 3)
+    with pytest.raises(ValueError):  # a limb remainder times 2^32 must stay in int64
+        fused_divide(np.zeros((2, 3), dtype=np.int64), 2**31 + 11)
+    with pytest.raises(ValueError):
+        fused_divide(np.zeros((2, 3, 4), dtype=np.int64), 3)
+    for bad in ((1, np.int64), (4, np.int64), (3, np.int32)):
+        with pytest.raises((ValueError, TypeError)):
+            fused_test(np.arange(4, dtype=bad[1]), bad[0])
 
 
 def check_int64_residues(values: list[int], moduli: list[int]) -> list[np.ndarray]:
@@ -196,3 +224,104 @@ def test_int64_residues_reject_moduli_outside_the_range():
 )
 def test_int64_residues_match_python_remainder_on_random_input(values, moduli):
     check_int64_residues(values, moduli)
+
+
+def limb_bound(k: int) -> int:
+    """2^(32(k-1)+62): every value below it in absolute value has k limbs."""
+    return 2 ** (32 * (k - 1) + 62)
+
+
+def test_limb_count_at_its_boundaries():
+    assert [limb_count(n) for n in (0, 1, 2**62 - 1)] == [1, 1, 1]
+    for k in range(2, 8):
+        assert limb_count(limb_bound(k - 1)) == k and limb_count(limb_bound(k) - 1) == k
+    # the sweep's norm bounds (m = 10^12, d = 8, u = 80) and the joint cap (m = 10^15, d = 16, u = 1023)
+    assert limb_count(10**12 * 9 * 80**8) == 2 and limb_count(10**15 * 17 * 1023**16) == 6
+
+
+def limb_edge_values(k: int, l: int) -> list[int]:
+    """0, +-1, +-(2^32 - 1), +-2^32, the values whose top limb is at either
+    end, -2^62 and 2^62 - 1, and the multiples of l next to each."""
+    top = limb_bound(k)
+    edges = [0, 1, -1, 2**32 - 1, -(2**32 - 1), 2**32, -(2**32), top - 1, -top, -top + 1, top - 2**32, 2**62, -(2**62)]
+    edges += [l * (x // l) for x in edges] + [l * -(-x // l) for x in edges]
+    return [x for x in edges if -top <= x < top]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_limbs_round_trip_at_the_edges(k):
+    values = limb_edge_values(k, 3)
+    for array in (np.array(values, dtype=object), np.array([x for x in values if abs(x) < 2**63], dtype=np.int64)):
+        limbs = to_limbs(array, k)
+        assert limbs.dtype == np.int64 and limbs.shape == (k, array.size)
+        assert ((limbs[:-1] >= 0) & (limbs[:-1] < 2**32)).all() and (limbs[-1] >= -(2**62)).all()
+        assert (limbs[-1] < 2**62).all()
+        assert limb_values(limbs).tolist() == array.tolist()
+    # carry restores the normal form of limbs pushed out of it, keeping the value
+    limbs = to_limbs(np.array(values, dtype=object), k)
+    spread = limbs.copy()
+    for i in range(k - 1):
+        shift = (-1) ** i * 2**20  # borrow from the next limb, or lend to it
+        spread[i] += shift << 32
+        spread[i + 1] -= shift
+    assert limb_values(spread).tolist() == values
+    carry(spread)
+    assert np.array_equal(spread, limbs)
+
+
+@pytest.mark.parametrize("l", DIVISORS)
+@pytest.mark.parametrize("k", range(2, 7))
+def test_fused_divide_on_limbs_at_the_edges(l, k):
+    check_fused_divide(limb_edge_values(k, l), l, k)
+
+
+@pytest.mark.parametrize("l", DIVISORS)
+@given(data=st.data())
+def test_fused_divide_on_limbs_matches_python_division(l, data):
+    k = data.draw(st.integers(1, 6))
+    top = limb_bound(k)
+    values = data.draw(st.lists(st.one_of(
+        st.integers(-top, top - 1),
+        st.integers(-top // l, (top - 1) // l).map(lambda q: q * l),
+        st.integers(-(2**40), 2**40),
+    ), max_size=30))
+    check_fused_divide(values, l, k)
+
+
+def check_limb_residues(values: list[int], moduli: list[int], k: int) -> list[np.ndarray]:
+    """int64_residues of values as k limbs against Python %, modulus by modulus."""
+    limbs = to_limbs(np.array(values, dtype=object), k)
+    residues = list(int64_residues(limbs, moduli))
+    assert len(residues) == len(moduli)
+    for n, reduced in zip(moduli, residues):
+        assert reduced.dtype == np.int64 and reduced.shape == (len(values),)
+        assert [int(r) % n for r in reduced] == [x % n for x in values], n
+    return residues
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_int64_residues_of_limbs_at_the_edges(k):
+    values = limb_edge_values(k, 3931)
+    # two moduli next to 2^31 fill a group alone; 46337 * 46339 lies just below 2^31
+    check_limb_residues(values, [2**31 - 1, 46337, 46339, 2, 3, 3931, 1], k)
+    check_limb_residues(values, list(primes_up_to(3942)), k)
+
+
+def test_int64_residues_group_limbs_below_2_to_the_31():
+    values = to_limbs(np.array(WIDE_VALUES[:5], dtype=object), limb_count(max(map(abs, WIDE_VALUES[:5]))))
+    residues = list(int64_residues(values, [2**16, 2**15 - 1, 2**16, 2**15, 2**31 - 1]))
+    groups = [r is residues[i - 1] if i else False for i, r in enumerate(residues)]
+    # 2^16 * (2^15 - 1) < 2^31 shares a group, 2^16 * 2^15 = 2^31 does not
+    assert groups == [False, True, False, False, False]
+    with pytest.raises(ValueError):
+        list(int64_residues(values, [5, 2**31]))
+
+
+@given(
+    st.integers(2, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(-limb_bound(k), limb_bound(k) - 1), max_size=12))),
+    st.lists(st.one_of(st.integers(1, 2**31 - 1), st.integers(1, 2**12)), max_size=10),
+)
+def test_int64_residues_of_limbs_match_python_remainder(drawn, moduli):
+    k, values = drawn
+    check_limb_residues(values, moduli, k)

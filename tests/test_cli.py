@@ -26,7 +26,9 @@ from sievelab import cli
 from sievelab.arith import InvariantViolation, primes_up_to
 from sievelab.cli import EXIT_GATE_FAILED, EXIT_OK, EXIT_VIOLATION, PAIR_COLUMNS, _format_column, main
 from sievelab.engine import sieve_improved
-from sievelab.poly import SievePolynomial
+from sievelab.poly import SievePolynomial, algebraic_bound, exact_dtype
+
+from conftest import exact_values, limbs_of
 
 WORKED = ["--poly", "1,0,1", "--m", "4", "--u", "3", "--y", "5"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -540,7 +542,7 @@ def test_readme_examples_run(tmp_path, capsys):
     pinned = json.loads(README_OUTPUTS.read_text())
     commands = readme_commands()
     assert [argv[0] for argv in commands] == ["compare", "sieve", "montecarlo", "enumerate", "sweep",
-                                               "sweep", "montecarlo"]
+                                               "compare", "sieve", "sweep", "montecarlo"]
     assert commands == [entry["argv"] for entry in pinned]
     for k, (argv, entry) in enumerate(zip(commands, pinned)):
         out = tmp_path / f"run{k}"
@@ -577,10 +579,14 @@ def test_sieve_subcommand(tmp_path, capsys):
     ((1,) * 9, 1, 170, 400, object),  # 9·170^8 >= 2^62: an int64 rational side, an exact algebraic side
 ])
 def test_smooth_rows_match_the_entries_scan(coefficients, m, u, y, algebraic_dtype):
-    table = sieve_improved(SievePolynomial(coefficients, m), u, y).table
-    assert table.rational.dtype == np.int64 and table.algebraic.dtype == algebraic_dtype
+    f = SievePolynomial(coefficients, m)
+    table = sieve_improved(f, u, y).table
+    # an exact algebraic side is two int64 limbs a cell
+    assert exact_dtype(algebraic_bound(f, u)) == algebraic_dtype
+    assert limbs_of(table.rational) == 1 and limbs_of(table.algebraic) == (1 if algebraic_dtype is np.int64 else 2)
+    sides = zip(exact_values(table.rational).tolist(), exact_values(table.algebraic).tolist())
     scanned = [[b, i - u, r * g]
-               for b, (rational, algebraic) in enumerate(zip(table.rational.tolist(), table.algebraic.tolist()), start=1)
+               for b, (rational, algebraic) in enumerate(sides, start=1)
                for i, (r, g) in enumerate(zip(rational, algebraic)) if r * g in (1, -1)]
     assert scanned and cli._smooth_rows(table) == scanned
     assert all(type(value) is int for row in cli._smooth_rows(table) for value in row)
@@ -774,7 +780,11 @@ def test_table_mismatch_maps_to_exit_three(monkeypatch, capsys, caplog):
 
     def doctored(*args, **kwargs):
         comp = real(*args, **kwargs)
-        comp.improved.table.algebraic[1, 4] += 7  # cell (b, a) = (2, 4 - u)
+        side = comp.improved.table.algebraic
+        assert limbs_of(side) == 1  # one int64 word a cell, so 7 is added to the value itself
+        before = exact_values(side)
+        side[1, 4] += 7  # cell (b, a) = (2, 4 - u)
+        assert (exact_values(side) - before != 0).sum() == 1 and exact_values(side)[1, 4] == before[1, 4] + 7
         return comp
 
     monkeypatch.setattr(cli, "run_comparison", doctored)

@@ -27,7 +27,7 @@ from sievelab.oracle import verify_ledgers
 from sievelab.poly import SievePolynomial, algebraic_bound, eval_norm
 from sievelab.roots import build_lift_tables
 
-from conftest import divisible_cells
+from conftest import divisible_cells, exact_values, limbs_of
 
 F_SQUARE_PLUS_ONE = SievePolynomial((1, 0, 1), m=4)
 
@@ -247,15 +247,19 @@ def test_improved_sieve_stops_at_the_first_level_without_live_cells(monkeypatch)
 
 
 def test_corrupted_ladder_root_is_an_invariant_violation():
-    f = SievePolynomial((1, 0, 1), m=4)
-    tables = build_lift_tables(f, 12, 5)
-    ladder = tables.ladders[5]
-    rational, simple, multiple = ladder.levels
-    assert simple[1] == (7, 18)
-    # 12 lies over the root 2 mod 5 but is no root mod 25: F(12, 1) = 145
-    tables.ladders[5] = dataclasses.replace(ladder, levels=(rational, (simple[0], (12, 18), *simple[2:]), multiple))
-    with pytest.raises(InvariantViolation, match=r"algebraic_simple division missed at b=1, a=12, l=5, level modulus 25"):
-        sieve_improved(f, 12, 5, tables)
+    # m = 4 keeps both sides int64 words; m = 10^18 puts both past 2^62, two limbs a cell
+    for m, limbs in ((4, 1), (10**18, 2)):
+        f = SievePolynomial((1, 0, 1), m=m)
+        assert limbs_of(build_table(f, 12).algebraic) == limbs_of(build_table(f, 12).rational) == limbs
+        tables = build_lift_tables(f, 12, 5)
+        ladder = tables.ladders[5]
+        rational, simple, multiple = ladder.levels
+        assert simple[1] == (7, 18)
+        # 12 lies over the root 2 mod 5 but is no root mod 25: F(12, 1) = 145
+        tables.ladders[5] = dataclasses.replace(ladder, levels=(rational, (simple[0], (12, 18), *simple[2:]), multiple))
+        with pytest.raises(InvariantViolation,
+                           match=r"algebraic_simple division missed at b=1, a=12, l=5, level modulus 25"):
+            sieve_improved(f, 12, 5, tables)
 
 
 def test_classical_sieve_reads_its_rational_target_from_the_ladder():
@@ -284,9 +288,10 @@ def test_mixed_dtype_instance_matches_direct_products():
     )
     classical = sieve_classical(f, u, y, tables)
     improved = sieve_improved(f, u, y, tables)
-    for outcome in (classical, improved, sieve_trivial(f, u, y)):
-        assert outcome.table.rational.dtype == np.int64
-        assert outcome.table.algebraic.dtype == object
+    trivial = sieve_trivial(f, u, y)
+    for outcome in (classical, improved, trivial):
+        assert limbs_of(outcome.table.rational) == 1  # int64 words
+        assert limbs_of(outcome.table.algebraic) == 2  # two int64 limbs a cell
     assert verify_ledgers(classical, improved, f, u, y).ok
     primes = primes_up_to(y)
     expected = np.zeros((2, u, 2 * u + 1), dtype=object)  # the rational and the algebraic side
@@ -300,24 +305,26 @@ def test_mixed_dtype_instance_matches_direct_products():
                     while value % l == 0:
                         value //= l
                 expected[side, b - 1, a + u] = value
-    for outcome in (classical, improved):
-        assert [outcome.table.rational.tolist(), outcome.table.algebraic.tolist()] == expected.tolist()
+    for outcome in (classical, improved, trivial):
+        sides = [exact_values(outcome.table.rational), exact_values(outcome.table.algebraic)]
+        assert [side.tolist() for side in sides] == expected.tolist()
 
 
 def test_trivial_sieve_on_exact_sides_matches_recount():
-    # both sides exact integers; the 17 primes up to 59 span two int64 groups
+    # both sides past 2^62; the 17 primes up to 59 span several limb residue groups (products below 2^31)
     f = random_sieve_polynomial(4, 10**18, random.Random("columns:object"))
     u, y = 12, 59
     primes = primes_up_to(y)
     assert algebraic_bound(f, u) >= 2**62 and prod(primes) >= 2**62
     outcome = sieve_trivial(f, u, y)
-    assert outcome.table.rational.dtype == outcome.table.algebraic.dtype == object
+    assert limbs_of(outcome.table.rational) == limbs_of(outcome.table.algebraic) == 2
+    rational, algebraic = exact_values(outcome.table.rational), exact_values(outcome.table.algebraic)
     expected = np.zeros((len(primes), 1, u), dtype=np.int64)
     for b in range(1, u + 1):
         for a in range(-u, u + 1):
             sides = [a - b * f.m, eval_norm(f, a, b)]
             if gcd(a, b) != 1 or 0 in sides:
-                assert outcome.table.rational[b - 1, a + u] == outcome.table.algebraic[b - 1, a + u] == 0
+                assert rational[b - 1, a + u] == algebraic[b - 1, a + u] == 0
                 continue
             for k, l in enumerate(primes):
                 expected[k, 0, b - 1] += 1  # live(b): the final failed test
@@ -326,7 +333,7 @@ def test_trivial_sieve_on_exact_sides_matches_recount():
                         value //= l
                         expected[k, 0, b - 1] += 1
                     sides[i] = value
-            assert [outcome.table.rational[b - 1, a + u], outcome.table.algebraic[b - 1, a + u]] == sides
+            assert [rational[b - 1, a + u], algebraic[b - 1, a + u]] == sides
     assert np.array_equal(outcome.ledger.attempts, expected)
 
 

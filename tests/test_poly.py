@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import exact_values, limbs_of
+from sievelab.arith import limb_count
 from sievelab.poly import (
     MonicPolynomial,
     SievePolynomial,
@@ -151,14 +153,18 @@ def test_table_factors_of_a_block_of_rows(m, dtypes):
     u = 6
     whole = table_factors(f, u, np.arange(1, u + 1, dtype=np.int64)[:, None])
     block = table_factors(f, u, np.array([[4], [5]], dtype=np.int64))
-    assert (whole[0].dtype, whole[1].dtype) == dtypes
+    bounds = (rational_bound(f, u), algebraic_bound(f, u))
+    assert tuple(exact_dtype(bound) for bound in bounds) == dtypes
+    # a side past 2^62 is int64 limbs, as many as its bound needs: here 2
+    assert [limbs_of(side) for side in whole[:2]] == [limb_count(bound) for bound in bounds] == [
+        1 if dtype is np.int64 else 2 for dtype in dtypes]
     for side_of_block, side in zip(block, whole):
-        assert side_of_block.tolist() == side[3:5].tolist()
+        assert side_of_block.tolist() == side[..., 3:5, :].tolist()
+    rational, algebraic = (exact_values(side) for side in whole[:2])
     for row, b in enumerate(range(1, u + 1)):
         for i, a in enumerate(range(-u, u + 1)):
-            rational, algebraic = a - b * m, fraction_norm(f, a, b)
-            assert whole[0][row, i] == rational and whole[1][row, i] == algebraic
-            assert whole[2][row, i] == (gcd(a, b) == 1 and rational != 0 and algebraic != 0)
+            assert rational[row, i] == a - b * m and algebraic[row, i] == fraction_norm(f, a, b)
+            assert whole[2][row, i] == (gcd(a, b) == 1 and a - b * m != 0 and algebraic[row, i] != 0)
 
 
 # name: (d, m, u, first Horner step whose partial bound m*(k+2)*u^(k+1) reaches 2^62, d for none)
@@ -170,6 +176,8 @@ SWITCH_CASES = {
     "last step, bound exactly 2^62": (3, 2**57, 2, 2),
     "never, final bound exactly 2^62 - 1": (2, (2**62 - 1) // 3, 1, 2),
     "never": (5, 20, 40, 5),
+    # at u = 3, the least m whose partial bound m*(s+2)*3^(s+1) reaches 2^62 first at step s of 6
+    **{f"step {s} of 6": (6, -(-(2**62) // ((s + 2) * 3 ** (s + 1))), 3, s) for s in range(6)},
 }
 
 
@@ -188,5 +196,32 @@ def test_eval_norm_leaves_int64_at_the_proven_step(d, m, u, switch):
     rows = np.arange(1, u + 1, dtype=np.int64)[:, None]
     values = eval_norm(f, np.arange(-u, u + 1, dtype=np.int64), rows)
     algebraic = table_factors(f, u, rows)[1]
-    assert values.dtype == algebraic.dtype == dtype
-    assert values.tolist() == algebraic.tolist() == direct
+    # words up to 2^62, then the limbs the final bound needs
+    k = limb_count(algebraic_bound(f, u))
+    assert values.dtype == algebraic.dtype == np.int64 and (k == 1) == (switch == d)
+    assert values.shape == algebraic.shape == (k,) * (k > 1) + (u, 2 * u + 1)
+    assert exact_values(values).tolist() == exact_values(algebraic).tolist() == direct
+
+
+@given(
+    st.integers(2, 16),
+    st.one_of(st.integers(1, 2**62), st.integers(1, 10**60)),
+    st.integers(1, 30),
+    st.data(),
+)
+def test_eval_norm_in_limbs_matches_python_ints(d, m, u, data):
+    # coefficients near +-m bring the values close to the partial bounds;
+    # the final bound spans one word to six limbs and more
+    lower = data.draw(st.lists(st.sampled_from([m, -m, 0, 1, -1]) | st.integers(-m, m), min_size=d, max_size=d))
+    f = SievePolynomial(tuple(lower) + (1,), m=m)
+    rows = np.array(data.draw(st.lists(st.integers(1, u), min_size=1, max_size=3)), dtype=np.int64)[:, None]
+    values = eval_norm(f, np.arange(-u, u + 1, dtype=np.int64), rows)
+    k = limb_count(algebraic_bound(f, u))
+    assert values.dtype == np.int64 and limbs_of(values) == k
+    if k > 1:  # the normal form: lower limbs in [0, 2^32), the top one in [-2^62, 2^62)
+        assert ((values[:-1] >= 0) & (values[:-1] < 2**32)).all() and (abs(values[-1]) <= 2**62).all()
+    direct = [[eval_norm(f, a, b) for a in range(-u, u + 1)] for b in rows[:, 0].tolist()]
+    assert exact_values(values).tolist() == direct
+    rational = table_factors(f, u, rows)[0]
+    assert limbs_of(rational) == limb_count(rational_bound(f, u))
+    assert exact_values(rational).tolist() == [[a - b * m for a in range(-u, u + 1)] for b in rows[:, 0].tolist()]
