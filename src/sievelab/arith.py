@@ -218,13 +218,13 @@ def int64_residues(values: np.ndarray, moduli: Iterable[int]) -> Iterator[np.nda
         groups[-1].append(n)
         product *= n
     for group in groups:
-        reduced = values
+        reduced, modulus = values, prod(group)
         if limbs:
-            reduced = values[-1] % prod(group)
+            reduced = values[-1] % modulus
             for limb in values[-2::-1]:
                 reduced <<= LIMB_BITS
                 reduced |= limb
-                reduced %= prod(group)
+                reduced %= modulus
         elif values.dtype == object:
-            reduced = np.remainder(values, prod(group), out=np.empty(values.shape, np.int64), casting="unsafe")
+            reduced = np.remainder(values, modulus, out=np.empty(values.shape, np.int64), casting="unsafe")
         yield from [reduced] * len(group)
