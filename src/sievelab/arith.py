@@ -4,20 +4,20 @@ primes_up_to and max_exponent work on native Python integers, so bounds
 may exceed machine word size without any special handling.  Modular
 inverses are Python's own pow(x, -1, m).
 
-Table values are int64 throughout.  A value whose proven bound stays
-below 2^62 is one int64 word.  Past that it is k limbs, k = limb_count
-(bound): value = limb_0 + limb_1*2^32 + ... + limb_(k-1)*2^(32(k-1)), with
-limbs 0..k-2 in [0, 2^32) and the top limb signed, -2^62 <= top < 2^62
-(the floor of value / 2^(32(k-1))).  An array of n values is an (n,) int64
-array of words when k = 1 and a (k, n) int64 array of limbs when k >= 2;
-fused_divide and int64_residues tell the two apart by the number of axes.
-to_limbs, carry and limb_values convert between words, limbs and exact
-Python integers; exact integers appear only once per row or per prime,
-never once per cell.
+Table values are int64 throughout, in one form: a value whose proven
+bound is below 2^(32(k-1)+62) is k = limb_count(bound) >= 1 limbs, value
+= limb_0 + limb_1*2^32 + ... + limb_(k-1)*2^(32(k-1)), with limbs 0..k-2
+in [0, 2^32) and the top limb signed, -2^62 <= top < 2^62 (the floor of
+value / 2^(32(k-1))).  A bound below 2^62 gives k = 1, one signed word.
+An array of n values is a (k, n) int64 array.  to_limbs, carry and
+limb_values convert between int64 words, limbs and exact Python
+integers; exact integers appear only once per row or per prime, never
+once per cell.
 
-fused_divide is the one test-and-divide of an array by a prime, one
-wrapping multiply per word; fused_test gives its mask alone.
-int64_residues is the one way an array meets many small moduli.
+fused_divide is the one test-and-divide of a limb array by a prime: long
+division down to the last word, then one wrapping multiply on it;
+fused_test is that last step's mask alone, on words.  int64_residues is
+the one way an array meets many small moduli.
 """
 
 from collections.abc import Iterable, Iterator
@@ -130,15 +130,21 @@ def fused_test(values: np.ndarray, l: int) -> np.ndarray:
 
 
 def fused_divide(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """(divisible, quotients): the mask of the entries of `values` that l
-    divides, and those entries divided by l, in order, in the same form:
-    values is an (n,) int64 array of words or a (k, n) one of limbs.
+    """(divisible, quotients): the mask of the n values of a (k, n) int64
+    limb array that l divides, and those values divided by l, in order, as
+    a (k, divisible) limb array in the same normal form.
 
-    On words no division runs:
+    Long division from the top limb (Knuth's short division, TAOCP vol. 2,
+    section 4.3.1): the top limb's floor quotient and a remainder r in
+    [0, l), then for each lower limb above limb 0 the word r*2^32 + limb,
+    below l*2^32 <= 2^63 for l < 2^31, gives a quotient limb in [0, 2^32)
+    and the next remainder.  l divides the value exactly when it divides
+    the last word, limb 0's: r*2^32 + limb_0, or the one row as it is at
+    k = 1, so there any int64 value is valid.  No division runs on it:
 
       * l = 2: the low bit decides, and an arithmetic shift divides.
-      * odd l: let q be the product of the entry with l^(-1) mod 2^64,
-        wrapped to 64 bits and read as int64.  The entry x is divisible
+      * odd l: let q be the product of the word with l^(-1) mod 2^64,
+        wrapped to 64 bits and read as int64.  The word x is divisible
         exactly when -floor(2^63/l) <= q <= floor((2^63-1)/l), and then q
         is the quotient (Granlund and Montgomery, "Division by Invariant
         Integers using Multiplication", PLDI 1994, section 9).
@@ -150,34 +156,25 @@ def fused_divide(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
         congruent to x mod 2^64; two int64 values congruent mod 2^64 are
         equal, so x = l*q.
 
-    On limbs, long division from the top limb (Knuth's short division,
-    TAOCP vol. 2, section 4.3.1): the top limb's floor quotient and a
-    remainder r in [0, l), then for each lower limb the word r*2^32 + limb,
-    below l*2^32 <= 2^63 for l <= 2^31, gives a quotient limb in [0, 2^32)
-    and the next remainder.  The last word, limb 0's, is tested and divided
-    as a word above: l divides the value exactly when it divides that word.
-    The quotients keep k limbs, in the same normal form.
-
-    Any other even l is a ValueError, any other dtype a TypeError.
+    Any other even l, an l from 2^31 on or an array of another shape is a
+    ValueError, any other dtype a TypeError.
     """
     _check_divisor(values, l)
-    if values.ndim == 1:
-        if l == 2:
-            divisible = (values & 1) == 0
-            return divisible, values[divisible] >> 1
-        q = (values.view(np.uint64) * np.uint64(pow(l, -1, 2**64))).view(np.int64)
-        divisible = (q >= -(2**63 // l)) & (q <= (2**63 - 1) // l)
-        return divisible, q[divisible]
     if values.ndim != 2 or l >= _LIMB_MODULUS_BOUND:
-        raise ValueError(f"limb division needs a (k, n) array and l < 2^31, got shape {values.shape} and l = {l}")
+        raise ValueError(f"test-and-divide needs a (k, n) array and l < 2^31, got shape {values.shape} and l = {l}")
     quotients = np.empty_like(values)
-    quotients[-1], remainder = _divmod(values[-1], l)
-    for i in range(len(values) - 2, 0, -1):
-        quotients[i], remainder = _divmod((remainder << LIMB_BITS) | values[i], l)
-    divisible, last = fused_divide((remainder << LIMB_BITS) | values[0], l)
-    quotients = quotients[:, divisible]
-    quotients[0] = last
-    return divisible, quotients
+    word = values[-1]
+    for i in range(len(values) - 1, 0, -1):
+        quotients[i], remainder = _divmod(word, l)
+        word = (remainder << LIMB_BITS) | values[i - 1]
+    last = quotients[0]
+    if l == 2:
+        np.right_shift(word, 1, out=last)
+        divisible = (word & 1) == 0
+    else:
+        np.multiply(word.view(np.uint64), np.uint64(pow(l, -1, 2**64)), out=last.view(np.uint64))
+        divisible = (last >= -(2**63 // l)) & (last <= (2**63 - 1) // l)
+    return divisible, quotients.compress(divisible, axis=1)
 
 
 def _check_divisor(values: np.ndarray, l: int) -> None:
@@ -190,41 +187,43 @@ def _check_divisor(values: np.ndarray, l: int) -> None:
 
 
 def int64_residues(values: np.ndarray, moduli: Iterable[int]) -> Iterator[np.ndarray]:
-    """For each modulus in order, each in [1, 2^62), an int64 array of
-    values' shape congruent to values modulo it:
+    """For each modulus in order, an int64 array congruent to values
+    modulo it:
 
-      * an (n,) int64 array of words as it is;
-      * a (k, n) int64 array of limbs reduced once per group of consecutive
-        moduli with product P below 2^31, by Horner from the top limb:
-        r = top mod P, then r = (r*2^32 + limb) mod P for each lower limb,
-        where r*2^32 + limb < 2^31 * 2^32 = 2^63 (each modulus must then lie
-        below 2^31);
-      * an object array of exact integers (Monte Carlo's draws, one per
-        trial) reduced once per group of consecutive moduli with product
-        below 2^62.
+      * of a (k, n) int64 limb array, the (n,) words of a Horner pass from
+        the top limb, once per group of consecutive moduli with product P:
+        r = top, then r = (r mod P)*2^32 + limb for each lower limb, where
+        (r mod P)*2^32 + limb < P*2^32 <= 2^63 when P is below 2^31 (each
+        modulus must then lie in [1, 2^31)).  At k = 1 that is the row as
+        it is, for every modulus in [1, 2^62);
+      * of an object array of exact integers (Monte Carlo's draws, one per
+        trial), an array of its shape reduced once per group of
+        consecutive moduli, each in [1, 2^62), with product below 2^62.
 
     Every reduction goes into a fresh int64 buffer.  Dividing an entry by
     one prime leaves its divisibility by the others, so a caller may divide
     as it goes."""
-    limbs = values.dtype == np.int64 and values.ndim == 2
-    bound = _LIMB_MODULUS_BOUND if limbs else INT64_BOUND
+    limbs = values.dtype == np.int64
+    if limbs and values.ndim != 2:
+        raise ValueError(f"residues of int64 limbs need a (k, n) array, got shape {values.shape}")
+    bound = _LIMB_MODULUS_BOUND if limbs and len(values) > 1 else INT64_BOUND
     groups, product = [], bound
     for n in moduli:
         if not 1 <= n < bound:
-            raise ValueError(f"modulus must lie in [1, {'2^31' if limbs else '2^62'}), got {n}")
+            raise ValueError(f"modulus must lie in [1, 2^{bound.bit_length() - 1}), got {n}")
         if product * n >= bound:
             groups.append([])
             product = 1
         groups[-1].append(n)
         product *= n
     for group in groups:
-        reduced, modulus = values, prod(group)
+        modulus = prod(group)
         if limbs:
-            reduced = values[-1] % modulus
+            reduced = values[-1]
             for limb in values[-2::-1]:
+                reduced = reduced % modulus
                 reduced <<= LIMB_BITS
                 reduced |= limb
-                reduced %= modulus
-        elif values.dtype == object:
+        else:
             reduced = np.remainder(values, modulus, out=np.empty(values.shape, np.int64), casting="unsafe")
         yield from [reduced] * len(group)

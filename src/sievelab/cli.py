@@ -313,17 +313,13 @@ def _check_out(args: argparse.Namespace) -> None:
 
 def _pair_rows(report: LedgerReport) -> Iterator[list]:
     """pairs rows in PAIR_COLUMNS order: per pair, classical then improved,
-    formatted from slices of _PAIR_CHUNK pairs, so no list of every row is held."""
-    pairs = report.pair_columns()
-    for start in range(0, pairs.b.size, _PAIR_CHUNK):
-        chunk = slice(start, start + _PAIR_CHUNK)
-        primes = pairs.l[chunk]
-        c_asym, d_asym = (_format_column(scaled[chunk], primes - 1) for scaled in pairs.scaled_asymptotic)
-        common = zip(pairs.b[chunk].tolist(), primes.tolist(), pairs.c_exact[chunk].tolist(),
-                     pairs.d_exact[chunk].tolist(), pairs.correction[chunk].tolist(), c_asym, d_asym)
-        for (b, l, c_exact, d_exact, correction, c, d), classical, improved in zip(
-            common, *pairs.measured[:, chunk].tolist()
-        ):
+    gathered and formatted _PAIR_CHUNK pairs at a time, so no column or list
+    of every pair is held."""
+    for pairs in report.pair_chunks(_PAIR_CHUNK):
+        c_asym, d_asym = (_format_column(scaled, pairs.l - 1) for scaled in pairs.scaled_asymptotic)
+        common = zip(pairs.b.tolist(), pairs.l.tolist(), pairs.c_exact.tolist(),
+                     pairs.d_exact.tolist(), pairs.correction.tolist(), c_asym, d_asym)
+        for (b, l, c_exact, d_exact, correction, c, d), classical, improved in zip(common, *pairs.measured.tolist()):
             yield [0, b, l, CLASSICAL, *classical, c_exact, d_exact, correction, c, d]
             yield [0, b, l, IMPROVED, *improved, c_exact, d_exact, correction, c, d]
 
@@ -364,14 +360,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _smooth_rows(table: SieveTable) -> list[list[int]]:
     """[b, a, residual] of every cell whose residual is +-1, in row-major
     order: both sides are +-1 there, and only those cells are multiplied."""
-    # each side with a limb axis first, one limb for words
-    sides = [side.reshape((-1, side.shape[-2] * side.shape[-1])) for side in (table.rational, table.algebraic)]
+    sides = [side.reshape(len(side), -1) for side in (table.rational, table.algebraic)]  # (k, cells)
     cells = np.flatnonzero(np.logical_and.reduce([
         (side[:, :, None] == to_limbs(np.array([1, -1]), len(side))[:, None]).all(axis=0).any(axis=1)
         for side in sides
     ]))
     rows, columns = np.divmod(cells, 2 * table.u + 1)
-    residuals = limb_values(sides[0][:, cells]) * limb_values(sides[1][:, cells])
+    residuals = limb_values(sides[0].take(cells, axis=1)) * limb_values(sides[1].take(cells, axis=1))
     return [[row + 1, column - table.u, residual]
             for row, column, residual in zip(rows.tolist(), columns.tolist(), residuals.tolist())]
 

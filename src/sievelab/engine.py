@@ -1,16 +1,15 @@
 """Three line sieves over the same table, instrumented to the division attempt.
 
 The table covers 1 <= b <= u, |a| <= u and keeps the two factors of each
-cell apart, as two-sided sievers do: a (u, 2u+1) array of rational
-factors a - b*m and one of algebraic factors F(a, b), each an int64 array
-of words when its own proven bound stays below 2^62 and a (k, u, 2u+1)
-int64 array of k limbs above (arith); build_table takes both from
-poly.table_factors.  Every pass gathers, scatters and masks along the
-limb axis, through _flat's (cells,) or (k, cells) view, so a word side
-pays nothing for it.  Every division by a prime goes through
-arith.fused_divide: one wrapping multiply per cell on words, and on limbs
-one floor division of each limb above the lowest, whose word r*2^32 +
-limb stays below l*2^32 <= 2^44, and one wrapping multiply on the last.
+cell apart, as two-sided sievers do: rational factors a - b*m and
+algebraic factors F(a, b), each a (k, u, 2u+1) int64 array of the k =
+limb_count >= 1 limbs its own proven bound needs (arith), one limb below
+2^62; build_table takes both from poly.table_factors.  Every pass sees a
+side as its (k, cells) view, gathers cells with take along the cell axis
+and scatters them one limb at a time.  Every division by a prime goes
+through arith.fused_divide: one floor division of each limb above the
+lowest, whose word r*2^32 + limb stays below l*2^32 <= 2^44, and one
+wrapping multiply on the last word, at k = 1 the cell's value itself.
 The one exception is the trivial sieve, which tests the int64 residues
 that arith.int64_residues gives of each side with arith.fused_test and
 while-loops only at the hits they prove.
@@ -79,10 +78,11 @@ _TRIVIAL_BLOCK = 1 << 16  # live cells per gather; bounds the residue buffers a 
 
 @dataclass(eq=False)
 class SieveTable:
-    """rational[b-1, a+u] = a - b*m and algebraic[b-1, a+u] = F(a, b) on
-    live cells, 0 on both sides of dead ones; sieving divides them down.
-    A side is an int64 (u, 2u+1) array of words, or a (k, u, 2u+1) one of
-    limbs (arith) when its proven bound reaches 2^62."""
+    """rational[:, b-1, a+u] holds the limbs of a - b*m and
+    algebraic[:, b-1, a+u] those of F(a, b) on live cells, 0 on both sides
+    of dead ones; sieving divides them down.  A side is a (k, u, 2u+1)
+    int64 array of limbs (arith), k = 1 when its proven bound is below
+    2^62."""
 
     u: int
     rational: np.ndarray
@@ -93,7 +93,7 @@ class SieveTable:
         """Residual products as Python ints; entries[b-1][a+u] holds T(b, a).
         Only the benchmark's layer tracer reads this; the program and the
         tests read the two sides."""
-        return (_exact(self.rational) * _exact(self.algebraic)).tolist()
+        return (limb_values(self.rational) * limb_values(self.algebraic)).tolist()
 
     def copy(self) -> "SieveTable":
         return SieveTable(self.u, self.rational.copy(), self.algebraic.copy())
@@ -101,8 +101,8 @@ class SieveTable:
     def first_difference(self, other: "SieveTable") -> tuple[int, int] | None:
         """(b, a) of the first cell, in row-major order, where either side
         differs from the same side of another table of this u; None if none."""
-        differ = np.flatnonzero(_any_limb(_flat(self.rational != other.rational))
-                                | _any_limb(_flat(self.algebraic != other.algebraic)))
+        differ = np.flatnonzero(_flat(self.rational != other.rational).any(axis=0)
+                                | _flat(self.algebraic != other.algebraic).any(axis=0))
         if not differ.size:
             return None
         b, i = divmod(int(differ[0]), 2 * self.u + 1)
@@ -155,39 +155,23 @@ def build_table(f: SievePolynomial, u: int) -> SieveTable:
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
     rational, algebraic, live = table_factors(f, u, np.arange(1, u + 1, dtype=np.int64)[:, None])
-    for side in (rational, algebraic):
-        side[_at(side, ~live)] = 0
+    rational *= live
+    algebraic *= live
     return SieveTable(u=u, rational=rational, algebraic=algebraic)
 
 
 def _flat(side: np.ndarray) -> np.ndarray:
-    """A view of a table side, or of a mask of its shape, with the cells on
-    one axis: (cells,) for words, (k, cells) for limbs."""
-    return side.reshape(side.shape[:-2] + (-1,))
+    """The (k, cells) view of a table side, or of a mask of its shape."""
+    return side.reshape(len(side), -1)
 
 
-def _at(side: np.ndarray, index: np.ndarray):
-    """`index` into a side's cells, past its limb axis if it has one.  Words
-    take the index as it is: numpy's plain fancy indexing is faster than
-    side[..., index]."""
-    return index if side.ndim == index.ndim else (slice(None), index)
-
-
-def _gather(side: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """A flat side's values at `cells`: plain fancy indexing on words, and
-    take along the cell axis on limbs, 2.5 times as fast as side[:, cells]
-    at k = 2."""
-    return side[cells] if side.ndim == 1 else side.take(cells, axis=1)
-
-
-def _any_limb(flat: np.ndarray) -> np.ndarray:
-    """Per cell, whether any limb of a flat mask holds."""
-    return flat if flat.ndim == 1 else flat.any(axis=0)
-
-
-def _exact(side: np.ndarray) -> np.ndarray:
-    """A table side's values as Python ints, for the layer tracer."""
-    return limb_values(side.reshape((-1,) + side.shape[-2:]))
+def _scatter(side: np.ndarray, cells: np.ndarray, values: np.ndarray) -> None:
+    """Write (k, cells) values back to a flat side one limb at a time with
+    plain fancy indexing, which is faster than side[:, cells] = values, as
+    the side.take(cells, axis=1) every pass gathers with is faster than
+    side[:, cells]."""
+    for limb, value in zip(side, values):
+        limb[cells] = value
 
 
 def _cells(rows: np.ndarray, residues: tuple[int, ...], modulus: int, u: int) -> np.ndarray:
@@ -210,7 +194,7 @@ def _cells(rows: np.ndarray, residues: tuple[int, ...], modulus: int, u: int) ->
 def _live_mask(table: SieveTable) -> np.ndarray:
     """Flat mask of the cells nonzero on both sides, the only ones a pass may
     divide: a zero on either side would never leave _divide_out's loop."""
-    return _any_limb(_flat(table.rational != 0)) & _any_limb(_flat(table.algebraic != 0))
+    return _flat(table.rational).any(axis=0) & _flat(table.algebraic).any(axis=0)
 
 
 def _live_cells(live: np.ndarray, rows: np.ndarray, residues: tuple[int, ...], modulus: int, u: int) -> np.ndarray:
@@ -227,13 +211,13 @@ def _divide_out(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarr
     """Divide each of `cells`, all live, by l as long as l divides; returns
     the successful divisions per row."""
     done = np.zeros(u, dtype=np.int64)
-    values = _gather(side, cells)
+    values = side.take(cells, axis=1)
     while True:
         keep, values = fused_divide(values, l)
         cells = cells[keep]
         if not cells.size:
             return done
-        side[_at(side, cells)] = values
+        _scatter(side, cells, values)
         done += _per_row(cells, u)
 
 
@@ -246,13 +230,13 @@ def _while_loop(side: np.ndarray, cells: np.ndarray, l: int, u: int) -> np.ndarr
 def _divide_once(side: np.ndarray, cells: np.ndarray, l: int, u: int, phase: str, modulus: int) -> np.ndarray:
     """One unconditional division at each of `cells`, all live, which must
     succeed.  Returns the divisions per row."""
-    divisible, quotients = fused_divide(_gather(side, cells), l)
+    divisible, quotients = fused_divide(side.take(cells, axis=1), l)
     if quotients.shape[-1] < cells.size:
         b, i = divmod(int(cells[np.argmin(divisible)]), 2 * u + 1)
         raise InvariantViolation(
             f"{phase} division missed at b={b + 1}, a={i - u}, l={l}, level modulus {modulus}"
         )
-    side[_at(side, cells)] = quotients
+    _scatter(side, cells, quotients)
     return _per_row(cells, u)
 
 
@@ -267,14 +251,15 @@ def sieve_trivial(f: SievePolynomial, u: int, y: int, table: SieveTable | None =
     each side of a block of live cells meets the primes as int64 residues."""
     primes = primes_up_to(y)
     table = _table_for(f, u, table)
-    live = np.flatnonzero(_any_limb(_flat(table.rational != 0)))
+    live = np.flatnonzero(_flat(table.rational).any(axis=0))
     counts = np.zeros((len(primes), 1, u), dtype=np.int64)
     counts[:, 0] = _per_row(live, u)
     for block in np.split(live, range(_TRIVIAL_BLOCK, live.size, _TRIVIAL_BLOCK)):
         for side in (_flat(table.rational), _flat(table.algebraic)):
-            for k, (l, residues) in enumerate(zip(primes, int64_residues(_gather(side, block), primes))):
+            residues = int64_residues(side.take(block, axis=1), primes)
+            for k, (l, residue) in enumerate(zip(primes, residues)):
                 # the residues proved that l divides every hit, so its first division succeeds
-                counts[k, 0] += _divide_out(side, block[fused_test(residues, l)], l, u)
+                counts[k, 0] += _divide_out(side, block[fused_test(residue, l)], l, u)
     return SieveOutcome(TRIVIAL, table, CostLedger(tuple(primes), ("total",), counts))
 
 

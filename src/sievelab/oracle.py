@@ -10,24 +10,23 @@ per level e >= 1:
   multiple[e-1]  same with a multiple root
 
 verify_ledgers is the one way in.  It builds both factors itself, block
-of rows by block, with poly.table_factors (each side int64 words when
-its proven bound stays below 2^62 and int64 limbs above, and F evaluated
-on words up to the Horner step whose partial bound reaches 2^62) and
-never reads the engine's tables or walks the ladders it uses.  Per block
-it goes one prime at a time: a test over the whole block finds the cells
-divisible by l, repeated division of the values of those cells gives
-their valuations, a test of a = b*x (mod l) against each of the at most d
+of rows by block, with poly.table_factors (each side the int64 limbs its
+proven bound needs, one limb below 2^62, and F evaluated on words up to
+the Horner step whose partial bound reaches 2^62) and never reads the
+engine's tables or walks the ladders it uses.  Per block it goes one
+prime at a time: a test over the whole block finds the cells divisible
+by l, repeated division of the values of those cells gives their
+valuations, a test of a = b*x (mod l) against each of the at most d
 roots x that classify_roots returns (one row of the residue kernel of
 roots, the same one the ladders read) sorts the algebraic hits by root
 class, and counting per row gives the sizes of every pair in the block
 at once.  Each prime's test is arith.fused_test, one wrapping multiply,
 add and unsigned compare per value, on the int64 residues that
-arith.int64_residues gives of each side: a word side as it is, a limb
-side reduced by Horner once per group of primes with product below 2^31,
-so that each step r*2^32 + limb stays below 2^63.  Divisions go through
+arith.int64_residues gives of each side: a one-limb side as it is, a
+wider one by Horner once per group of primes with product below 2^31, so
+that each step r*2^32 + limb stays below 2^63.  Divisions go through
 arith.fused_divide, which divides limbs by long division from the top
-limb; the oracle gathers, compares and masks along the limb axis as the
-engine does.
+limb; the oracle gathers along the cell axis as the engine does.
 
 Only the level-1 sizes, the level sums and multiple[1] enter the
 formulas, so the oracle keeps just those, as the (primes, u) arrays of a
@@ -50,11 +49,13 @@ that term and replace the level sums by their l-adic limits.
 
 The LedgerReport holds the predictions of every (b, l, phase) of both
 sieves next to the two measured ledgers and compares them array against
-array.  The command line and the tests read those arrays and
-pair_columns(); rows, one PairRecord per pair, is there for the
-benchmark's layer tracer alone and is built only when read.
+array.  The tests read those arrays and pair_columns(), and the command
+line the same columns gathered chunk by chunk (pair_chunks); rows, one
+PairRecord per pair, is there for the benchmark's layer tracer alone and
+is built only when read.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -107,9 +108,9 @@ def scaled_asymptotic(z: LevelSums, l) -> tuple:
 
 
 def _valuations(side: np.ndarray, cells: np.ndarray, l: int, depth: int) -> np.ndarray:
-    """v_l of the values of a flat side, words or limbs, at the cells; a
-    valuation above the proven depth is an invariant violation."""
-    values = side.take(cells, axis=-1)
+    """v_l of the values of a flat (k, cells) side at the cells; a valuation
+    above the proven depth is an invariant violation."""
+    values = side.take(cells, axis=1)
     valuation = np.zeros(cells.size, dtype=np.int64)
     index = np.arange(cells.size)
     for level in range(depth + 1):
@@ -132,7 +133,7 @@ def _hits(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(row, v_l) of every rational, simple-root and multiple-root hit of the
     rows b (a column) that l does not divide; factors holds the two sides,
-    flat (words or limbs), and the live mask, residues an int64 array
+    flat (k, cells) limbs, and the live mask, residues an int64 array
     congruent to each side mod l, and roots the simple and the multiple
     roots of f mod l, each as a column."""
     rational, algebraic, live = factors
@@ -191,7 +192,7 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
     for first in range(1, u + 1, step):
         b = np.arange(first, min(first + step, u + 1), dtype=np.int64)[:, None]
         rational, algebraic, live = table_factors(f, u, b)
-        factors = (*(x.reshape(x.shape[:-2] + (-1,)) for x in (rational, algebraic)), live)  # sides: one axis of cells
+        factors = (*(x.reshape(len(x), -1) for x in (rational, algebraic)), live)  # sides: (k, cells)
         residues = zip(primes, int64_residues(factors[0], primes), int64_residues(factors[1], primes))
         for k, (l, *sides) in enumerate(residues):
             hits = _hits(u, b, l, factors, sides, roots[k], depths[k])
@@ -211,9 +212,10 @@ class PairRecord:
 
 
 class PairColumns(NamedTuple):
-    """One entry per checked pair, sorted by (b, l): measured[g, i, p] is the
-    attempts of phase PHASES[p] of algorithm ALGORITHMS[g], and
-    scaled_asymptotic[g] is c_asym (g = 0) or d_asym (g = 1) times (l - 1)."""
+    """One entry per checked pair, or per pair of one chunk of them, sorted
+    by (b, l): measured[g, i, p] is the attempts of phase PHASES[p] of
+    algorithm ALGORITHMS[g], and scaled_asymptotic[g] is c_asym (g = 0) or
+    d_asym (g = 1) times (l - 1)."""
 
     b: np.ndarray
     l: np.ndarray
@@ -290,14 +292,25 @@ class LedgerReport:
 
     def pair_columns(self) -> PairColumns:
         """Every checked pair's measured and predicted counts, as columns."""
+        return self._columns(*np.nonzero(self.checked.T))
+
+    def pair_chunks(self, size: int) -> Iterator[PairColumns]:
+        """pair_columns() in slices of `size` pairs, each gathered only when
+        it is reached, so no column of every pair is held."""
         row, k = np.nonzero(self.checked.T)
+        for start in range(0, row.size, size):
+            yield self._columns(row[start : start + size], k[start : start + size])
+
+    def _columns(self, row: np.ndarray, k: np.ndarray) -> PairColumns:
+        """The columns of the pairs (row + 1, primes[k])."""
         correction = self.correction[k, row]
+        exact = self.expected.transpose(0, 1, 3, 2)[:, k, row].sum(axis=2)  # attempts per algorithm and pair
         return PairColumns(
             b=row + 1,
             l=np.array(self.primes, dtype=np.int64)[k],
             measured=self.measured.transpose(0, 1, 3, 2)[:, k, row],
-            c_exact=self.expected[0].sum(axis=1)[k, row],
-            d_exact=self.expected[1].sum(axis=1)[k, row] - correction,
+            c_exact=exact[0],
+            d_exact=exact[1] - correction,
             correction=correction,
             scaled_asymptotic=self.scaled_asymptotic[:, k, row],
         )

@@ -13,12 +13,13 @@ same coefficients as f, so eval_norm takes f itself; it is the one
 evaluator of F.  The roots module evaluates f itself, reduced mod l^2
 in its residue kernel and mod l^e in the ladders' Newton steps.
 
-Arrays of table values are int64 throughout, in the form arith gives a
-value's proven bound: one word below 2^62, limb_count(bound) limbs of 32
-bits with a signed top limb above.  eval_norm applies that rule step by
-step: each Horner step has its own partial bound, so an evaluation runs
-on int64 words up to the first step whose bound reaches 2^62 and on limbs
-only from there on, with each row's exact term c * b^(k+1) computed once.
+Arrays of table values are int64 throughout, in arith's one form: the
+limb_count(bound) >= 1 limbs of 32 bits with a signed top limb that a
+value's proven bound needs, one limb below 2^62.  eval_norm applies that
+rule step by step: each Horner step has its own partial bound, so an
+evaluation runs on int64 words up to the first step whose bound reaches
+2^62 and on limbs only from there on, with each row's exact term
+c * b^(k+1) computed once.
 exact_dtype is the same rule for values held once per row or per prime,
 which stay exact Python integers above 2^62.  table_factors builds both
 factors of a block of table rows and their live mask that way; it is the
@@ -79,11 +80,10 @@ def eval_norm(f: SievePolynomial, a, b):
     the k+2 leading terms of F, so with u the largest |a| or |b| every
     intermediate of step k is bounded by m*(k+2)*u^(k+1).  Given an int64
     array, the steps run on int64 words while that partial bound stays below
-    2^62, and from the first step past it on the limbs of arith, as many as
-    the last step's bound, algebraic_bound(f, u), needs: the result is an
-    int64 array of words, or of shape (k, ...) with k = limb_count(
-    algebraic_bound(f, u)) >= 2.  Ints (and object arrays) stay exact
-    throughout.
+    2^62, and from the first step past it on the limbs of arith: the result
+    is an int64 array of shape (k, ...) with k = limb_count(algebraic_bound(
+    f, u)) >= 1, the words themselves at k = 1.  Ints (and object arrays)
+    stay exact throughout.
 
     A limb step multiplies every limb by a, adds the limbs of the row term
     c * b^(k+1), computed exactly once per entry of b, and carries.  With
@@ -95,7 +95,8 @@ def eval_norm(f: SievePolynomial, a, b):
     """
     coeffs = f.coefficients
     switch = f.degree  # the first step on limbs
-    if any(isinstance(x, np.ndarray) and x.dtype == np.int64 for x in (a, b)):
+    int64 = any(isinstance(x, np.ndarray) and x.dtype == np.int64 for x in (a, b))
+    if int64:
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         u = int(max(np.max(np.abs(a), initial=0), np.max(np.abs(b), initial=0)))
         bounds = [f.m * (k + 2) * u ** (k + 1) for k in range(f.degree)]
@@ -108,18 +109,19 @@ def eval_norm(f: SievePolynomial, a, b):
             bp = bp * b
             acc *= a
             acc += coeffs[-2 - k] * bp
-    if switch < f.degree:
-        if np.max(np.abs(a), initial=0) >= 2**30:
-            raise ValueError(f"limb steps need |a| < 2^30, got {np.max(np.abs(a))}")
-        acc = to_limbs(acc, limb_count(bounds[-1]))
-        for k in range(switch, f.degree):
-            _limb_step(acc, a, coeffs[-2 - k], b, k + 1)
+    if not int64:
+        return acc
+    if switch < f.degree and np.max(np.abs(a), initial=0) >= 2**30:
+        raise ValueError(f"limb steps need |a| < 2^30, got {np.max(np.abs(a))}")
+    acc = to_limbs(acc, limb_count(bounds[-1]))
+    for k in range(switch, f.degree):
+        acc *= a
+        _add_row_term(acc, coeffs[-2 - k], b, k + 1)
     return acc
 
 
-def _limb_step(acc: np.ndarray, a: np.ndarray, c: int, b: np.ndarray, power: int) -> None:
-    """acc = acc * a + c * b^power in place on the (k, ...) limbs acc."""
-    acc *= a
+def _add_row_term(acc: np.ndarray, c: int, b: np.ndarray, power: int) -> None:
+    """acc += c * b^power in place on the (k, ...) limbs acc, then carry."""
     terms = to_limbs(np.array([c * x**power for x in b.ravel().tolist()], dtype=object).reshape(b.shape), len(acc))
     acc += terms.reshape(terms.shape[:1] + (1,) * (acc.ndim - terms.ndim) + terms.shape[1:])
     carry(acc)
@@ -148,23 +150,13 @@ def exact_dtype(bound: int):
 def table_factors(f: SievePolynomial, u: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """a - b*m and F(a, b) for a in [-u, u] and the rows b (a column), with
     the live mask: gcd(a, b) = 1 and both factors nonzero.  Each side is an
-    int64 array of words of shape (rows, 2u+1), or of shape (k, rows, 2u+1)
-    with k = limb_count of its proven bound over the whole table when that
-    bound reaches 2^62; eval_norm runs on words up to the Horner step where
-    the algebraic side's partial bound reaches 2^62.  A rational side in
-    limbs is one limb step, 1 * a - m * b."""
+    int64 array of shape (k, rows, 2u+1) with k = limb_count of its proven
+    bound over the whole table; eval_norm runs on words up to the Horner
+    step where the algebraic side's partial bound reaches 2^62.  The
+    rational side is the limbs of a plus those of the row term -m * b."""
     a = np.arange(-u, u + 1, dtype=np.int64)
-    k = limb_count(rational_bound(f, u))
-    if k == 1:
-        rational = a - b * f.m
-    else:
-        rational = to_limbs(np.ones((b.shape[0], a.size), dtype=np.int64), k)
-        _limb_step(rational, a, -f.m, b, 1)
+    rational = to_limbs(np.broadcast_to(a, (b.shape[0], a.size)), limb_count(rational_bound(f, u)))
+    _add_row_term(rational, -f.m, b, 1)
     algebraic = eval_norm(f, a, b)
-    live = (np.gcd(a, b) == 1) & _nonzero(rational) & _nonzero(algebraic)
+    live = (np.gcd(a, b) == 1) & rational.any(axis=0) & algebraic.any(axis=0)
     return rational, algebraic, live
-
-
-def _nonzero(side: np.ndarray) -> np.ndarray:
-    """The mask of the nonzero entries of a (rows, width) side, words or limbs."""
-    return side != 0 if side.ndim == 2 else side.any(axis=0)

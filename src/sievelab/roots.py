@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import max_exponent, primes_up_to
-from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, exact_dtype, rational_bound
+from .arith import INT64_BOUND, max_exponent, primes_up_to
+from .poly import MonicPolynomial, SievePolynomial, algebraic_bound, rational_bound
 
 TRIVIAL = "trivial"
 CLASSICAL = "classical"
@@ -83,7 +83,7 @@ class LiftTables:
 
 
 def _require_int64_prime(l: int) -> None:
-    if exact_dtype(l**3) is not np.int64:
+    if l**3 >= INT64_BOUND:
         raise ValueError(f"prime {l} too large for int64 residue scans (l^3 >= 2^62)")
 
 
@@ -104,7 +104,7 @@ def residue_scan(coeffs, l: int) -> tuple[np.ndarray, np.ndarray]:
     slope = np.zeros_like(value)
     bound = l2 - 1  # bounds both accumulators, which stay >= 0
     for c in coeffs.T[-2::-1]:  # fused Horner: value -> f(x), slope -> f'(x)
-        if exact_dtype(bound * l) is object:
+        if bound * l >= INT64_BOUND:
             value %= l2
             slope %= l2
             bound = l2 - 1

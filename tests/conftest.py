@@ -21,15 +21,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def exact_values(side: np.ndarray) -> np.ndarray:
-    """The values of a table side, words or limbs, as a (rows, width)
+    """The values of a (k, rows, width) table side as a (rows, width)
     object array of Python ints."""
-    return limb_values(side.reshape((-1,) + side.shape[-2:]))
+    limbs_of(side)  # asserts the one form
+    return limb_values(side)
 
 
 def limbs_of(side: np.ndarray) -> int:
-    """The limb count of a (rows, width) table side: 1 for int64 words."""
-    assert side.dtype == np.int64 and side.ndim in (2, 3)
-    return 1 if side.ndim == 2 else side.shape[0]
+    """The limb count k of a (k, rows, width) table side."""
+    assert side.dtype == np.int64 and side.ndim == 3
+    return side.shape[0]
 
 
 def divisible_cells(table, primes) -> list[tuple[int, int, int]]:

@@ -89,20 +89,18 @@ def reference_divide(values: list[int], l: int) -> tuple[list[bool], list[int]]:
 
 
 def check_fused_divide(values: list[int], l: int, k: int = 1) -> None:
-    """fused_divide of the values as words (k = 1) or as k limbs, and
-    fused_test of the words, against Python's % and //."""
-    if k == 1:
-        array = np.array(values, dtype=np.int64)
-        assert fused_test(array, l).tolist() == reference_divide(values, l)[0]
-        divisible, quotients = fused_divide(array, l)
-        assert quotients.dtype == np.int64 and quotients.ndim == 1
-    else:
-        divisible, limbs = fused_divide(to_limbs(np.array(values, dtype=object), k), l)
-        assert limbs.dtype == np.int64 and limbs.shape == (k, np.count_nonzero(divisible))
-        # the quotients keep the normal form: lower limbs in [0, 2^32), the top one below 2^62
-        assert ((limbs[:-1] >= 0) & (limbs[:-1] < 2**32)).all() and (abs(limbs[-1]) <= 2**62).all()
-        quotients = limb_values(limbs)
-    assert (divisible.tolist(), quotients.tolist()) == reference_divide(values, l)
+    """fused_divide of the values as k limbs (at k = 1 any int64 value, one
+    word each) against Python's % and //."""
+    divisible, limbs = fused_divide(to_limbs(np.array(values, dtype=object), k), l)
+    assert limbs.dtype == np.int64 and limbs.shape == (k, np.count_nonzero(divisible))
+    # the quotients keep the normal form: lower limbs in [0, 2^32), the top one below 2^62
+    assert ((limbs[:-1] >= 0) & (limbs[:-1] < 2**32)).all() and (abs(limbs[-1]) <= 2**62).all()
+    assert (divisible.tolist(), limb_values(limbs).tolist()) == reference_divide(values, l)
+
+
+def check_fused_test(values: list[int], l: int) -> None:
+    """fused_test of int64 words, the last step's mask alone, against Python's %."""
+    assert fused_test(np.array(values, dtype=np.int64), l).tolist() == reference_divide(values, l)[0]
 
 
 def edge_values(l: int) -> list[int]:
@@ -120,7 +118,8 @@ def edge_values(l: int) -> list[int]:
 def test_fused_divide_at_the_ends_of_the_int64_range(l):
     values = edge_values(l)
     assert l * (INT64_MAX // l) in values and -l * (2**63 // l) in values
-    check_fused_divide(values, l)
+    check_fused_divide(values, l)  # a (1, n) array: one limb holds any int64 value
+    check_fused_test(values, l)
 
 
 @pytest.mark.parametrize("l", DIVISORS)
@@ -131,6 +130,7 @@ def test_fused_divide_matches_python_division(l, data):
     values = data.draw(st.lists(st.one_of(int64, multiples, st.sampled_from([0, INT64_MIN, INT64_MAX, -INT64_MAX])),
                                 max_size=40))
     check_fused_divide(values, l)
+    check_fused_test(values, l)
     big = data.draw(st.lists(st.one_of(int64, st.integers(-(10**40), 10**40), multiples.map(lambda x: x * 10**30)),
                              max_size=20))
     check_fused_divide(big, l, limb_count(2**63 * 10**30))
@@ -149,6 +149,8 @@ def test_fused_divide_rejects_unsupported_inputs():
         fused_divide(np.zeros((2, 3), dtype=np.int64), 2**31 + 11)
     with pytest.raises(ValueError):
         fused_divide(np.zeros((2, 3, 4), dtype=np.int64), 3)
+    with pytest.raises(ValueError):  # every array of values has a limb axis, one limb for words
+        fused_divide(np.arange(4, dtype=np.int64), 3)
     for bad in ((1, np.int64), (4, np.int64), (3, np.int32)):
         with pytest.raises((ValueError, TypeError)):
             fused_test(np.arange(4, dtype=bad[1]), bad[0])
@@ -192,10 +194,13 @@ def test_int64_residues_reduce_once_per_group():
 
 
 def test_int64_residues_pass_int64_through():
-    values = np.array([INT64_MIN, -1, 0, 5, INT64_MAX], dtype=np.int64)
+    values = np.array([[INT64_MIN, -1, 0, 5, INT64_MAX]], dtype=np.int64)  # one limb
     residues = list(int64_residues(values, GROUPED_MODULI))
-    assert len(residues) == len(GROUPED_MODULI) and all(r is values for r in residues)
+    assert len(residues) == len(GROUPED_MODULI)
+    assert all(np.shares_memory(r, values) and r.tolist() == values[0].tolist() for r in residues)
     assert list(int64_residues(values, [])) == []
+    with pytest.raises(ValueError):  # every int64 array of values has a limb axis
+        list(int64_residues(values[0], [3]))
     assert list(int64_residues(np.array(WIDE_VALUES, dtype=object), [])) == []
 
 

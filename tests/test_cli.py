@@ -781,9 +781,9 @@ def test_table_mismatch_maps_to_exit_three(monkeypatch, capsys, caplog):
     def doctored(*args, **kwargs):
         comp = real(*args, **kwargs)
         side = comp.improved.table.algebraic
-        assert limbs_of(side) == 1  # one int64 word a cell, so 7 is added to the value itself
+        assert limbs_of(side) == 1  # one limb a cell, so 7 is added to the value itself
         before = exact_values(side)
-        side[1, 4] += 7  # cell (b, a) = (2, 4 - u)
+        side[0, 1, 4] += 7  # cell (b, a) = (2, 4 - u)
         assert (exact_values(side) - before != 0).sum() == 1 and exact_values(side)[1, 4] == before[1, 4] + 7
         return comp
 

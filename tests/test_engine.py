@@ -74,13 +74,15 @@ def test_build_table_against_direct_products():
     f = SievePolynomial((-2, 3, 0, 1), m=5)
     u = 6
     table = build_table(f, u)
+    assert limbs_of(table.rational) == limbs_of(table.algebraic) == 1
+    rational, algebraic = exact_values(table.rational), exact_values(table.algebraic)
     d = f.degree
     for b in range(1, u + 1):
         for a in range(-u, u + 1):
             # the direct sum F(a, b) = sum c_i a^i b^(d-i), not Horner
             norm = sum(c * a**i * b ** (d - i) for i, c in enumerate(f.coefficients))
             sides = [a - b * f.m, norm] if gcd(a, b) == 1 and (a - b * f.m) * norm else [0, 0]
-            assert [table.rational[b - 1, a + u], table.algebraic[b - 1, a + u]] == sides
+            assert [rational[b - 1, a + u], algebraic[b - 1, a + u]] == sides
 
 
 def test_trivial_sieve_hand_count():
@@ -90,9 +92,9 @@ def test_trivial_sieve_hand_count():
     # l = 3 pays 1, 1 and 1 + 1 (rational -3)
     assert outcome.ledger.primes == (2, 3) and outcome.ledger.phases == ("total",)
     assert outcome.ledger.attempts.tolist() == [[[7]], [[4]]]
-    assert outcome.table.rational.tolist() == [[-5, -1, -1]]
-    assert outcome.table.algebraic.tolist() == [[1, 1, 1]]
-    assert (outcome.table.rational * outcome.table.algebraic).tolist() == [[-5, -1, -1]]
+    assert outcome.table.rational.tolist() == [[[-5, -1, -1]]]  # one limb, one row
+    assert outcome.table.algebraic.tolist() == [[[1, 1, 1]]]
+    assert (outcome.table.rational * outcome.table.algebraic).tolist() == [[[-5, -1, -1]]]
 
 
 def test_trivial_skips_zero_entries():
@@ -100,7 +102,7 @@ def test_trivial_skips_zero_entries():
     # the integer roots 0 and -1 kill the norm at the remaining points
     f = SievePolynomial((0, 1, 1), m=1)
     outcome = sieve_trivial(f, 1, 3)
-    assert not outcome.table.rational.any() and not outcome.table.algebraic.any()
+    assert exact_values(outcome.table.rational).tolist() == exact_values(outcome.table.algebraic).tolist() == [[0] * 3]
     assert outcome.ledger.grand_total() == 0
     assert sieve_classical(f, 1, 3).ledger.grand_total() == 0
     assert sieve_improved(f, 1, 3).ledger.grand_total() == 0
@@ -231,7 +233,7 @@ def test_improved_sieve_stops_at_the_first_level_without_live_cells(monkeypatch)
     real = engine._divide_once
 
     def recorded(side, cells, l, u, phase, modulus):
-        passes.setdefault((l, phase), []).append((modulus, int(np.count_nonzero(side[cells]))))
+        passes.setdefault((l, phase), []).append((modulus, int(np.count_nonzero(side.take(cells, axis=1).any(axis=0)))))
         return real(side, cells, l, u, phase, modulus)
 
     monkeypatch.setattr(engine, "_divide_once", recorded)

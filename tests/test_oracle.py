@@ -335,6 +335,13 @@ def test_identities_hold_on_random_instances(instance):
     # classical - improved = sum over pairs of (c_exact - d_exact) - correction
     # = r1 + s1 + m1 - m2 per pair, and m2 <= m1
     pairs = report.pair_columns()
+    # the chunks the command line formats hold the same columns, in order
+    for size in (1, 7):
+        chunks = list(report.pair_chunks(size))
+        assert all(chunk.b.size == size for chunk in chunks[:-1])
+        for name, whole in pairs._asdict().items():
+            joined = np.concatenate([getattr(chunk, name) for chunk in chunks], axis=1 if name == "measured" else -1)
+            assert np.array_equal(joined, whole), name
     gap = int((pairs.c_exact - pairs.d_exact).sum())
     classical_total, improved_total = classical.ledger.grand_total(), improved.ledger.grand_total()
     assert improved_total <= classical_total

@@ -84,7 +84,9 @@ def test_eval_norm_on_arrays(dtype):
     a = np.arange(-6, 7).astype(dtype)
     values = eval_norm(f, a, 5)
     assert values.dtype == a.dtype
-    assert values.tolist() == [fraction_norm(f, int(x), 5) for x in range(-6, 7)]
+    # int64 values come back as one limb; exact integers keep the shape of a
+    assert values.shape == (1,) * (dtype is np.int64) + a.shape
+    assert values.reshape(-1).tolist() == [fraction_norm(f, int(x), 5) for x in range(-6, 7)]
 
 
 @given(sieve_polys(), st.integers(min_value=-50, max_value=50))
@@ -199,7 +201,7 @@ def test_eval_norm_leaves_int64_at_the_proven_step(d, m, u, switch):
     # words up to 2^62, then the limbs the final bound needs
     k = limb_count(algebraic_bound(f, u))
     assert values.dtype == algebraic.dtype == np.int64 and (k == 1) == (switch == d)
-    assert values.shape == algebraic.shape == (k,) * (k > 1) + (u, 2 * u + 1)
+    assert values.shape == algebraic.shape == (k, u, 2 * u + 1)
     assert exact_values(values).tolist() == exact_values(algebraic).tolist() == direct
 
 
@@ -218,8 +220,8 @@ def test_eval_norm_in_limbs_matches_python_ints(d, m, u, data):
     values = eval_norm(f, np.arange(-u, u + 1, dtype=np.int64), rows)
     k = limb_count(algebraic_bound(f, u))
     assert values.dtype == np.int64 and limbs_of(values) == k
-    if k > 1:  # the normal form: lower limbs in [0, 2^32), the top one in [-2^62, 2^62)
-        assert ((values[:-1] >= 0) & (values[:-1] < 2**32)).all() and (abs(values[-1]) <= 2**62).all()
+    # the normal form: lower limbs in [0, 2^32), the top one in [-2^62, 2^62)
+    assert ((values[:-1] >= 0) & (values[:-1] < 2**32)).all() and (abs(values[-1]) <= 2**62).all()
     direct = [[eval_norm(f, a, b) for a in range(-u, u + 1)] for b in rows[:, 0].tolist()]
     assert exact_values(values).tolist() == direct
     rational = table_factors(f, u, rows)[0]
