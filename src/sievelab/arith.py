@@ -12,7 +12,8 @@ value / 2^(32(k-1))).  A bound below 2^62 gives k = 1, one signed word.
 An array of n values is a (k, n) int64 array.  to_limbs, carry and
 limb_values convert between int64 words, limbs and exact Python
 integers; exact integers appear only once per row or per prime, never
-once per cell.
+once per cell.  exact_dtype is the same 2^62 rule for those values: an
+int64 below it, exact Python integers from it on.
 
 fused_divide is the one test-and-divide of a limb array by a prime: long
 division down to the last word, then one wrapping multiply on it;
@@ -25,7 +26,7 @@ from math import prod
 
 import numpy as np
 
-INT64_BOUND = 2**62  # int64 bounds stay below it (poly.exact_dtype), as do the products of grouped moduli
+INT64_BOUND = 2**62  # int64 bounds stay below it (exact_dtype), as do the products of grouped moduli
 LIMB_BITS = 32
 LIMB_MASK = 2**LIMB_BITS - 1
 # limbs meet moduli below 2^31 only (a divisor, a residue group's product): a remainder r
@@ -72,6 +73,12 @@ def limb_count(bound: int) -> int:
     while bound >= INT64_BOUND << (LIMB_BITS * (k - 1)):
         k += 1
     return k
+
+
+def exact_dtype(bound: int):
+    """np.int64 when |values| <= bound < 2^62, else object (exact Python
+    integers): for values held once per row or per prime."""
+    return np.int64 if bound < INT64_BOUND else object
 
 
 def to_limbs(values, k: int) -> np.ndarray:

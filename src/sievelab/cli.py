@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arith import InvariantViolation, limb_values, to_limbs
+from .arith import InvariantViolation, exact_dtype, limb_values, to_limbs
 from .experiments import (
     RandomModel,
     SweepInstance,
@@ -72,7 +72,7 @@ from .experiments import (
     ratio_sweep,
     run_comparison,
 )
-from .poly import SievePolynomial, exact_dtype
+from .poly import SievePolynomial
 from .roots import CLASSICAL, IMPROVED, PHASES, TRIVIAL
 
 if TYPE_CHECKING:

@@ -69,8 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import InvariantViolation, fused_divide, fused_test, int64_residues, limb_values, primes_up_to
-from .poly import SievePolynomial, exact_dtype, table_factors
+from .arith import InvariantViolation, exact_dtype, fused_divide, fused_test, int64_residues, limb_values, primes_up_to
+from .poly import SievePolynomial, table_factors
 from .roots import CLASSICAL, IMPROVED, PHASES, TRIVIAL, LiftTables, build_lift_tables
 
 _TRIVIAL_BLOCK = 1 << 16  # live cells per gather; bounds the residue buffers a gathered copy of limbs needs

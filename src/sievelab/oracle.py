@@ -11,22 +11,21 @@ per level e >= 1:
 
 verify_ledgers is the one way in.  It builds both factors itself, block
 of rows by block, with poly.table_factors (each side the int64 limbs its
-proven bound needs, one limb below 2^62, and F evaluated on words up to
-the Horner step whose partial bound reaches 2^62) and never reads the
-engine's tables or walks the ladders it uses.  Per block it goes one
-prime at a time: a test over the whole block finds the cells divisible
-by l, repeated division of the values of those cells gives their
-valuations, a test of a = b*x (mod l) against each of the at most d
-roots x that classify_roots returns (one row of the residue kernel of
-roots, the same one the ladders read) sorts the algebraic hits by root
-class, and counting per row gives the sizes of every pair in the block
-at once.  Each prime's test is arith.fused_test, one wrapping multiply,
-add and unsigned compare per value, on the int64 residues that
-arith.int64_residues gives of each side: a one-limb side as it is, a
-wider one by Horner once per group of primes with product below 2^31, so
-that each step r*2^32 + limb stays below 2^63.  Divisions go through
-arith.fused_divide, which divides limbs by long division from the top
-limb; the oracle gathers along the cell axis as the engine does.
+proven bound needs, one limb below 2^62) and never reads the engine's
+tables or walks the ladders it uses.  Per block it goes one prime at a
+time: a test over the whole block finds the cells divisible by l,
+repeated division of the values of those cells gives their valuations
+(of all algebraic hits in one pass), a test of a = b*x (mod l) against
+each of the at most d roots x that classify_roots returns (one row of
+the residue kernel of roots, the same one the ladders read) sorts the
+algebraic hits by root class, and counting per row gives the sizes of
+every pair in the block at once.  Each prime's test is arith.fused_test,
+one wrapping multiply, add and unsigned compare per value, on the int64
+residues that arith.int64_residues gives of each side: a one-limb side
+as it is, a wider one by Horner once per group of primes with product
+below 2^31, so that each step r*2^32 + limb stays below 2^63.  Divisions
+go through arith.fused_divide, which divides limbs by long division from
+the top limb; the oracle gathers along the cell axis as the engine does.
 
 Only the level-1 sizes, the level sums and multiple[1] enter the
 formulas, so the oracle keeps just those, as the (primes, u) arrays of a
@@ -153,14 +152,10 @@ def _hits(
         raise InvariantViolation(
             f"norm hit at (b={hit_b[i]}, a={hit_a[i]}) maps to non-root residue {residue} mod {l}"
         )
-    return [
-        (cells // width, _valuations(side, cells, l, depth))
-        for side, cells, depth in (
-            (rational, rational_hits, depths[0]),
-            (algebraic, norm_hits[simple], depths[1]),
-            (algebraic, norm_hits[multiple], depths[1]),
-        )
-    ]
+    # both root classes share the algebraic depth, so one call values them all
+    rational_valued = (rational_hits // width, _valuations(rational, rational_hits, l, depths[0]))
+    norm_rows, norm_valuations = norm_hits // width, _valuations(algebraic, norm_hits, l, depths[1])
+    return [rational_valued, *((norm_rows[mask], norm_valuations[mask]) for mask in (simple, multiple))]
 
 
 def _row_sums(hits: list[tuple[np.ndarray, np.ndarray]], rows: int) -> list[np.ndarray]:

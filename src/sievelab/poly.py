@@ -15,23 +15,20 @@ in its residue kernel and mod l^e in the ladders' Newton steps.
 
 Arrays of table values are int64 throughout, in arith's one form: the
 limb_count(bound) >= 1 limbs of 32 bits with a signed top limb that a
-value's proven bound needs, one limb below 2^62.  eval_norm applies that
-rule step by step: each Horner step has its own partial bound, so an
-evaluation runs on int64 words up to the first step whose bound reaches
-2^62 and on limbs only from there on, with each row's exact term
-c * b^(k+1) computed once.
-exact_dtype is the same rule for values held once per row or per prime,
-which stay exact Python integers above 2^62.  table_factors builds both
-factors of a block of table rows and their live mask that way; it is the
-one builder of cell factors, used by the engine for the whole table and
-by the oracle block by block.
+value's proven bound needs, one limb below 2^62.  eval_norm evaluates a
+form on those limbs at every Horner step, with each row's exact term
+c * b^i computed once; the caller passes the proven bound, which fixes
+the limb count.  table_factors builds both factors of a block of table
+rows and their live mask that way, the rational side as the norm form
+a - m*b of x - m; it is the one builder of cell factors, used by the
+engine for the whole table and by the oracle block by block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import INT64_BOUND, carry, limb_count, to_limbs
+from .arith import carry, limb_count, to_limbs
 
 
 @dataclass(frozen=True)
@@ -71,60 +68,41 @@ class SievePolynomial(MonicPolynomial):
                 raise ValueError(f"|c_{i}| = {abs(c)} exceeds m = {self.m}")
 
 
-def eval_norm(f: SievePolynomial, a, b):
-    """F(a, b) by Horner in a with ascending powers of b folded in.
+def eval_norm(f: MonicPolynomial, a, b, bound: int) -> np.ndarray:
+    """F(a, b) = sum c_i a^i b^(d-i) by Horner in a, as the (k, ...) int64
+    limbs of arith with k = limb_count(bound).
 
-    `a` and `b` are ints or numpy arrays that broadcast against each other
-    (a row of a values and a column of b values give the whole table).
-    Step k = 0..d-1 multiplies by a and adds c_(d-1-k) * b^(k+1), leaving
-    the k+2 leading terms of F, so with u the largest |a| or |b| every
-    intermediate of step k is bounded by m*(k+2)*u^(k+1).  Given an int64
-    array, the steps run on int64 words while that partial bound stays below
-    2^62, and from the first step past it on the limbs of arith: the result
-    is an int64 array of shape (k, ...) with k = limb_count(algebraic_bound(
-    f, u)) >= 1, the words themselves at k = 1.  Ints (and object arrays)
-    stay exact throughout.
+    `a` and `b` are integer arrays that broadcast against each other (a row
+    of a values and a column of b values give the whole table).  The
+    accumulator starts as the limbs of c_d = 1, and step i = 1..d
+    multiplies every limb by a, adds the limbs of the row term
+    c_(d-i) * b^i, computed exactly once per entry of b, and carries.  After
+    step i it holds sum_(j<=i) c_(d-j) a^(i-j) b^j, so with u the largest
+    |a| or |b| every intermediate is at most sum |c_i| * u^d, and a bound
+    below that is a ValueError, as is an |a| from 2^30 on.
 
-    A limb step multiplies every limb by a, adds the limbs of the row term
-    c * b^(k+1), computed exactly once per entry of b, and carries.  With
-    |a| < 2^30, a lower limb stays below (2^32 - 1)*(|a| + 1) + |carry| <
-    2^63 before its carry, and the carry below |a| + 2; the top limb only
+    With |a| < 2^30, a lower limb stays below (2^32 - 1)*(|a| + 1) + |carry|
+    < 2^63 before its carry, and the carry below |a| + 2; the top limb only
     meets multiplications and additions, which wrap mod 2^64, and ends at
     the floor of the step's value / 2^(32(k-1)), which the bound keeps in
     [-2^62, 2^62).
     """
-    coeffs = f.coefficients
-    switch = f.degree  # the first step on limbs
-    int64 = any(isinstance(x, np.ndarray) and x.dtype == np.int64 for x in (a, b))
-    if int64:
-        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        u = int(max(np.max(np.abs(a), initial=0), np.max(np.abs(b), initial=0)))
-        bounds = [f.m * (k + 2) * u ** (k + 1) for k in range(f.degree)]
-        switch = next((k for k, bound in enumerate(bounds) if bound >= INT64_BOUND), switch)
-    if switch == 0:
-        acc = np.ones(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)  # c_d, before step 0
-    else:
-        acc, bp = coeffs[-1] * a + coeffs[-2] * b, b  # step 0; a fresh array, updated in place below
-        for k in range(1, switch):
-            bp = bp * b
-            acc *= a
-            acc += coeffs[-2 - k] * bp
-    if not int64:
-        return acc
-    if switch < f.degree and np.max(np.abs(a), initial=0) >= 2**30:
-        raise ValueError(f"limb steps need |a| < 2^30, got {np.max(np.abs(a))}")
-    acc = to_limbs(acc, limb_count(bounds[-1]))
-    for k in range(switch, f.degree):
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    largest_a, largest_b = (int(np.max(np.abs(x), initial=0)) for x in (a, b))
+    if largest_a >= 2**30:
+        raise ValueError(f"limb steps need |a| < 2^30, got {largest_a}")
+    u = max(largest_a, largest_b)
+    if bound < sum(abs(c) for c in f.coefficients) * u**f.degree:
+        raise ValueError(f"bound {bound} is below sum |c_i| * u^d at u = {u}")
+    acc = np.zeros((limb_count(bound),) + np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    acc[0] = 1
+    rows = b.ravel().tolist()
+    term_shape = acc.shape[:1] + (1,) * (acc.ndim - 1 - b.ndim) + b.shape
+    for i, c in enumerate(reversed(f.coefficients[:-1]), start=1):
         acc *= a
-        _add_row_term(acc, coeffs[-2 - k], b, k + 1)
+        acc += to_limbs(np.array([c * x**i for x in rows], dtype=object), len(acc)).reshape(term_shape)
+        carry(acc)
     return acc
-
-
-def _add_row_term(acc: np.ndarray, c: int, b: np.ndarray, power: int) -> None:
-    """acc += c * b^power in place on the (k, ...) limbs acc, then carry."""
-    terms = to_limbs(np.array([c * x**power for x in b.ravel().tolist()], dtype=object).reshape(b.shape), len(acc))
-    acc += terms.reshape(terms.shape[:1] + (1,) * (acc.ndim - terms.ndim) + terms.shape[1:])
-    carry(acc)
 
 
 def rational_bound(f: SievePolynomial, u: int) -> int:
@@ -141,22 +119,14 @@ def algebraic_bound(f: SievePolynomial, u: int) -> int:
     return f.m * (f.degree + 1) * u**f.degree
 
 
-def exact_dtype(bound: int):
-    """np.int64 when |values| <= bound < 2^62, else object (exact Python
-    integers): for values held once per row or per prime."""
-    return np.int64 if bound < INT64_BOUND else object
-
-
 def table_factors(f: SievePolynomial, u: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """a - b*m and F(a, b) for a in [-u, u] and the rows b (a column), with
     the live mask: gcd(a, b) = 1 and both factors nonzero.  Each side is an
     int64 array of shape (k, rows, 2u+1) with k = limb_count of its proven
-    bound over the whole table; eval_norm runs on words up to the Horner
-    step where the algebraic side's partial bound reaches 2^62.  The
-    rational side is the limbs of a plus those of the row term -m * b."""
+    bound over the whole table, both from eval_norm: the rational side is
+    the norm form of x - m."""
     a = np.arange(-u, u + 1, dtype=np.int64)
-    rational = to_limbs(np.broadcast_to(a, (b.shape[0], a.size)), limb_count(rational_bound(f, u)))
-    _add_row_term(rational, -f.m, b, 1)
-    algebraic = eval_norm(f, a, b)
+    rational = eval_norm(MonicPolynomial((-f.m, 1)), a, b, rational_bound(f, u))
+    algebraic = eval_norm(f, a, b, algebraic_bound(f, u))
     live = (np.gcd(a, b) == 1) & rational.any(axis=0) & algebraic.any(axis=0)
     return rational, algebraic, live

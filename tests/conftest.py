@@ -27,6 +27,12 @@ def exact_values(side: np.ndarray) -> np.ndarray:
     return limb_values(side)
 
 
+def exact_norm(f, a: int, b: int) -> int:
+    """F(a, b) = sum c_i a^i b^(d-i) on Python ints: the reference value
+    the tests hold eval_norm's limbs against."""
+    return sum(c * a**i * b ** (f.degree - i) for i, c in enumerate(f.coefficients))
+
+
 def limbs_of(side: np.ndarray) -> int:
     """The limb count k of a (k, rows, width) table side."""
     assert side.dtype == np.int64 and side.ndim == 3

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 
 import sievelab
 from sievelab import cli
-from sievelab.arith import InvariantViolation, primes_up_to
+from sievelab.arith import InvariantViolation, exact_dtype, primes_up_to
 from sievelab.cli import EXIT_GATE_FAILED, EXIT_OK, EXIT_VIOLATION, PAIR_COLUMNS, _format_column, main
 from sievelab.engine import sieve_improved
-from sievelab.poly import SievePolynomial, algebraic_bound, exact_dtype
+from sievelab.poly import SievePolynomial, algebraic_bound
 
 from conftest import exact_values, limbs_of
 

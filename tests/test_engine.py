@@ -24,10 +24,10 @@ from sievelab.engine import (
 )
 from sievelab.experiments import random_sieve_polynomial
 from sievelab.oracle import verify_ledgers
-from sievelab.poly import SievePolynomial, algebraic_bound, eval_norm
+from sievelab.poly import SievePolynomial, algebraic_bound
 from sievelab.roots import build_lift_tables
 
-from conftest import divisible_cells, exact_values, limbs_of
+from conftest import divisible_cells, exact_norm, exact_values, limbs_of
 
 F_SQUARE_PLUS_ONE = SievePolynomial((1, 0, 1), m=4)
 
@@ -147,7 +147,7 @@ def test_rows_with_prime_dividing_b_lose_nothing():
             for a in range(-u, u + 1):
                 if gcd(a, b) != 1:
                     continue
-                entry = (a - b * f.m) * eval_norm(f, a, b)
+                entry = (a - b * f.m) * exact_norm(f, a, b)
                 if entry:
                     assert entry % l != 0
 
@@ -324,7 +324,7 @@ def test_trivial_sieve_on_exact_sides_matches_recount():
     expected = np.zeros((len(primes), 1, u), dtype=np.int64)
     for b in range(1, u + 1):
         for a in range(-u, u + 1):
-            sides = [a - b * f.m, eval_norm(f, a, b)]
+            sides = [a - b * f.m, exact_norm(f, a, b)]
             if gcd(a, b) != 1 or 0 in sides:
                 assert rational[b - 1, a + u] == algebraic[b - 1, a + u] == 0
                 continue

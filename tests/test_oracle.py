@@ -18,11 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sievelab.arith import InvariantViolation, max_exponent, primes_up_to
+from sievelab.arith import InvariantViolation, exact_dtype, max_exponent, primes_up_to
 from sievelab.engine import PHASES, CostLedger, sieve_classical, sieve_improved
 from sievelab.experiments import random_sieve_polynomial
 from sievelab.oracle import LevelSums, PairRecord, phase_attempts, scaled_asymptotic, verify_ledgers
-from sievelab.poly import SievePolynomial, algebraic_bound, exact_dtype, rational_bound
+from sievelab.poly import SievePolynomial, algebraic_bound, rational_bound
 from sievelab.roots import classify_roots
 
 F_SQUARE_PLUS_ONE = SievePolynomial((1, 0, 1), m=4)

@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exact_values, limbs_of
-from sievelab.arith import limb_count
+from conftest import exact_norm, exact_values, limbs_of
+from sievelab.arith import exact_dtype, limb_count, limb_values
 from sievelab.poly import (
     MonicPolynomial,
     SievePolynomial,
     algebraic_bound,
     eval_norm,
-    exact_dtype,
     rational_bound,
     table_factors,
 )
@@ -66,32 +65,37 @@ def test_norm_form_examples():
     square = SievePolynomial((1, 0, 1), m=4)
     pure = SievePolynomial((0, 0, 1), m=3)
     f = SievePolynomial((-1, 2, 0, 1), m=2)
-    for a in range(-6, 7):
-        for b in range(1, 7):
-            assert eval_norm(square, a, b) == a * a + b * b
-            assert eval_norm(pure, a, b) == a * a
-            assert eval_norm(f, a, b) == fraction_norm(f, a, b)
+    a, b = np.arange(-6, 7), np.arange(1, 7)[:, None]
+    grid = [(int(x), int(y)) for y in b[:, 0] for x in a]
+    for g, expected in ((square, [x * x + y * y for x, y in grid]), (pure, [x * x for x, y in grid]),
+                        (f, [fraction_norm(f, x, y) for x, y in grid])):
+        assert exact_values(eval_norm(g, a, b, algebraic_bound(g, 6))).ravel().tolist() == expected
 
 
 def test_eval_norm_examples():
-    assert eval_norm(SievePolynomial((1, 0, 1), m=4), 3, 2) == 13
-    assert eval_norm(SievePolynomial((-1, 2, 0, 1), m=2), 2, 3) == 8 + 36 - 27
+    square, cubic = SievePolynomial((1, 0, 1), m=4), SievePolynomial((-1, 2, 0, 1), m=2)
+    # pairs (a, b) side by side; at b = 1 the norm is f(a): f(2) = 5 and f(7) = 50, the cubic's f(0) = -1
+    values = eval_norm(square, np.array([3, 2, 7]), np.array([2, 1, 1]), algebraic_bound(square, 7))
+    assert limb_values(values).tolist() == [13, 5, 50]
+    values = eval_norm(cubic, np.array([2, 0]), np.array([3, 1]), algebraic_bound(cubic, 3))
+    assert limb_values(values).tolist() == [8 + 36 - 27, -1]
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_eval_norm_on_arrays(dtype):
+    # an array of Python ints is read as int64: both give the same one limb
     f = SievePolynomial((-1, 2, 0, 1), m=2)
     a = np.arange(-6, 7).astype(dtype)
-    values = eval_norm(f, a, 5)
-    assert values.dtype == a.dtype
-    # int64 values come back as one limb; exact integers keep the shape of a
-    assert values.shape == (1,) * (dtype is np.int64) + a.shape
+    values = eval_norm(f, a, 5, algebraic_bound(f, 6))
+    assert values.dtype == np.int64 and values.shape == (1,) + a.shape
     assert values.reshape(-1).tolist() == [fraction_norm(f, int(x), 5) for x in range(-6, 7)]
 
 
-@given(sieve_polys(), st.integers(min_value=-50, max_value=50))
-def test_norm_at_b_one_is_plain_evaluation(f, a):
-    assert eval_norm(f, a, 1) == sum(c * a**i for i, c in enumerate(f.coefficients))
+@given(sieve_polys())
+def test_norm_at_b_one_is_plain_evaluation(f):
+    a = np.arange(-100, 101)
+    values = limb_values(eval_norm(f, a, 1, algebraic_bound(f, 100)))
+    assert values.tolist() == [sum(c * x**i for i, c in enumerate(f.coefficients)) for x in range(-100, 101)]
 
 
 @given(
@@ -100,35 +104,34 @@ def test_norm_at_b_one_is_plain_evaluation(f, a):
     st.integers(min_value=1, max_value=50),
 )
 def test_norm_matches_fraction_route(f, a, b):
-    assert eval_norm(f, a, b) == fraction_norm(f, a, b)
+    values = eval_norm(f, np.array([a]), np.array([b]), algebraic_bound(f, 50))
+    assert limb_values(values).tolist() == [fraction_norm(f, a, b)] == [exact_norm(f, a, b)]
 
 
-def value_mod(f, x, modulus):
-    """f(x) mod modulus the way the ladders' Newton steps take it: F(x, 1)
-    from eval_norm, reduced."""
-    return eval_norm(f, x, 1) % modulus
-
-
-def test_eval_poly_examples():
-    assert value_mod(SievePolynomial((1, 0, 1), m=4), 2, 5) == 0
-    assert value_mod(SievePolynomial((1, 0, 1), m=4), 7, 25) == 0
-    assert value_mod(SievePolynomial((-1, 2, 0, 1), m=2), 0, 9) == 8
-
-
-@given(sieve_polys(), st.integers(min_value=-100, max_value=100), st.integers(min_value=1, max_value=10**6))
-def test_eval_against_direct_sums(f, x, modulus):
-    assert value_mod(f, x, modulus) == sum(c * x**i for i, c in enumerate(f.coefficients)) % modulus
-
-
-@given(
-    sieve_polys(),
-    st.integers(min_value=-100, max_value=100),
-    st.integers(min_value=2, max_value=7),
-    st.integers(min_value=2, max_value=5),
-)
-def test_eval_poly_reduction_chain(f, x, l, e):
-    assert value_mod(f, x, l**e) % l ** (e - 1) == value_mod(f, x, l ** (e - 1))
-    assert value_mod(f, x, l**e) == sum(c * x**i for i, c in enumerate(f.coefficients)) % l**e
+def test_eval_norm_refuses_wide_a_and_small_bounds():
+    f = SievePolynomial((-1, 2, 0, 1), m=2)  # sum |c_i| = 4
+    a, b = np.arange(-5, 6), np.array([[1], [5]])
+    for wide in (2**30, -(2**30)):
+        with pytest.raises(ValueError, match="2\\^30"):
+            eval_norm(f, np.array([0, wide]), b, 10**40)
+    # every intermediate is at most sum |c_i| * u^d = 4 * 5^3, and that is enough
+    with pytest.raises(ValueError, match="below"):
+        eval_norm(f, a, b, 4 * 5**3 - 1)
+    assert exact_values(eval_norm(f, a, b, 4 * 5**3)).tolist() == [
+        [exact_norm(f, x, y) for x in range(-5, 6)] for y in (1, 5)]
+    # a too-small bound that would hold the values in one word and wrap mid-Horner
+    g = SievePolynomial((2**61, -(2**61), 2**61, 1), m=2**61)
+    with pytest.raises(ValueError, match="below"):
+        eval_norm(g, a, b, 2**62 - 1)
+    # |a| = 2^30 - 1 is taken, here on four limbs: a lower limb times a comes
+    # near 2^62, so a step that left its limbs uncarried would wrap at the next
+    g = SievePolynomial((2**40, -(2**40), 3, 1), m=2**40)
+    a = np.array([-(2**30 - 1), -(2**29 + 12345), -1, 0, 7, 2**30 - 1])
+    b = np.array([[1], [2**20 + 3], [2**30 + 5]])
+    bound = algebraic_bound(g, 2**30 + 5)
+    values = eval_norm(g, a, b, bound)
+    assert limbs_of(values) == limb_count(bound) == 4
+    assert exact_values(values).tolist() == [[exact_norm(g, int(x), int(y)) for x in a] for y in b[:, 0]]
 
 
 def test_bound_examples():
@@ -146,7 +149,7 @@ def test_bounds_hold_over_the_whole_region(f, u):
     for b in range(1, u + 1):
         for a in range(-u, u + 1):
             assert abs(a - b * f.m) <= rat
-            assert abs(eval_norm(f, a, b)) <= alg
+            assert abs(exact_norm(f, a, b)) <= alg
 
 
 @pytest.mark.parametrize("m,dtypes", [(3, (np.int64, np.int64)), (10**17, (np.int64, object))], ids=["int64", "mixed"])
@@ -169,38 +172,35 @@ def test_table_factors_of_a_block_of_rows(m, dtypes):
             assert whole[2][row, i] == (gcd(a, b) == 1 and a - b * m != 0 and algebraic[row, i] != 0)
 
 
-# name: (d, m, u, first Horner step whose partial bound m*(k+2)*u^(k+1) reaches 2^62, d for none)
-SWITCH_CASES = {
-    "first step": (3, 2**61, 3, 0),  # 2m*u = 3 * 2^62
-    "coefficients past int64": (3, 2**70, 2, 0),
+# name: (d, m, u, k), instances at the edge of one int64 word.  The name is
+# the Horner step (from 0) whose partial bound m*(i+2)*u^(i+1) first reaches
+# 2^62, where a word would wrap; k is the limb count of the final bound
+# m*(d+1)*u^d, which the limbs of every step hold.
+LIMB_EDGE_CASES = {
+    "first step": (3, 2**61, 3, 2),  # 2m*u = 3 * 2^62
+    "coefficients past int64": (3, 2**70, 2, 2),
     "middle step, bound exactly 2^62": (5, 2**57, 2, 2),  # 3m*u^2 = 3 * 2^59, 4m*u^3 = 2^62
     "middle step after exactly 2^62 - 1": (4, (2**62 - 1) // 3, 1, 2),  # 3m = 2^62 - 1, 4m > 2^62
     "last step, bound exactly 2^62": (3, 2**57, 2, 2),
-    "never, final bound exactly 2^62 - 1": (2, (2**62 - 1) // 3, 1, 2),
-    "never": (5, 20, 40, 5),
+    "never, final bound exactly 2^62 - 1": (2, (2**62 - 1) // 3, 1, 1),
+    "never": (5, 20, 40, 1),
     # at u = 3, the least m whose partial bound m*(s+2)*3^(s+1) reaches 2^62 first at step s of 6
-    **{f"step {s} of 6": (6, -(-(2**62) // ((s + 2) * 3 ** (s + 1))), 3, s) for s in range(6)},
+    **{f"step {s} of 6": (6, -(-(2**62) // ((s + 2) * 3 ** (s + 1))), 3, 2) for s in range(6)},
 }
 
 
-@pytest.mark.parametrize("d,m,u,switch", SWITCH_CASES.values(), ids=SWITCH_CASES.keys())
-def test_eval_norm_leaves_int64_at_the_proven_step(d, m, u, switch):
-    # c_i = +-m, so the values come close to the partial bounds, and an int64
-    # step past 2^62 would wrap
+@pytest.mark.parametrize("d,m,u,k", LIMB_EDGE_CASES.values(), ids=LIMB_EDGE_CASES.keys())
+def test_eval_norm_leaves_int64_at_the_proven_step(d, m, u, k):
+    # c_i = +-m, so the values come close to the partial bounds, and a
+    # one-word step past 2^62 would wrap
     f = SievePolynomial(tuple((-1) ** i * m for i in range(d)) + (1,), m=m)
-    assert next((k for k in range(d) if m * (k + 2) * u ** (k + 1) >= 2**62), d) == switch
-    dtype = exact_dtype(algebraic_bound(f, u))
-    assert dtype == (np.int64 if switch == d else object)
-    direct = [
-        [sum(c * a**i * b ** (d - i) for i, c in enumerate(f.coefficients)) for a in range(-u, u + 1)]
-        for b in range(1, u + 1)
-    ]
+    assert limb_count(algebraic_bound(f, u)) == k
+    assert exact_dtype(algebraic_bound(f, u)) == (np.int64 if k == 1 else object)
+    direct = [[exact_norm(f, a, b) for a in range(-u, u + 1)] for b in range(1, u + 1)]
     rows = np.arange(1, u + 1, dtype=np.int64)[:, None]
-    values = eval_norm(f, np.arange(-u, u + 1, dtype=np.int64), rows)
+    values = eval_norm(f, np.arange(-u, u + 1, dtype=np.int64), rows, algebraic_bound(f, u))
     algebraic = table_factors(f, u, rows)[1]
-    # words up to 2^62, then the limbs the final bound needs
-    k = limb_count(algebraic_bound(f, u))
-    assert values.dtype == algebraic.dtype == np.int64 and (k == 1) == (switch == d)
+    assert values.dtype == algebraic.dtype == np.int64
     assert values.shape == algebraic.shape == (k, u, 2 * u + 1)
     assert exact_values(values).tolist() == exact_values(algebraic).tolist() == direct
 
@@ -212,17 +212,17 @@ def test_eval_norm_leaves_int64_at_the_proven_step(d, m, u, switch):
     st.data(),
 )
 def test_eval_norm_in_limbs_matches_python_ints(d, m, u, data):
-    # coefficients near +-m bring the values close to the partial bounds;
-    # the final bound spans one word to six limbs and more
+    # coefficients near +-m bring the values close to the bound; the final
+    # bound spans one word to six limbs and more
     lower = data.draw(st.lists(st.sampled_from([m, -m, 0, 1, -1]) | st.integers(-m, m), min_size=d, max_size=d))
     f = SievePolynomial(tuple(lower) + (1,), m=m)
     rows = np.array(data.draw(st.lists(st.integers(1, u), min_size=1, max_size=3)), dtype=np.int64)[:, None]
-    values = eval_norm(f, np.arange(-u, u + 1, dtype=np.int64), rows)
+    values = eval_norm(f, np.arange(-u, u + 1, dtype=np.int64), rows, algebraic_bound(f, u))
     k = limb_count(algebraic_bound(f, u))
     assert values.dtype == np.int64 and limbs_of(values) == k
     # the normal form: lower limbs in [0, 2^32), the top one in [-2^62, 2^62)
     assert ((values[:-1] >= 0) & (values[:-1] < 2**32)).all() and (abs(values[-1]) <= 2**62).all()
-    direct = [[eval_norm(f, a, b) for a in range(-u, u + 1)] for b in rows[:, 0].tolist()]
+    direct = [[exact_norm(f, a, b) for a in range(-u, u + 1)] for b in rows[:, 0].tolist()]
     assert exact_values(values).tolist() == direct
     rational = table_factors(f, u, rows)[0]
     assert limbs_of(rational) == limb_count(rational_bound(f, u))

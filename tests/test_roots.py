@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from sievelab.arith import max_exponent, primes_up_to
 from sievelab import roots
-from sievelab.poly import MonicPolynomial, SievePolynomial, algebraic_bound, eval_norm, rational_bound
+from sievelab.poly import MonicPolynomial, SievePolynomial, algebraic_bound, rational_bound
 from sievelab.roots import build_lift_tables, classify_roots
+
+from conftest import exact_norm
 
 ENUM_LIMIT = 10**4
 # u^2 >= ENUM_LIMIT, so every ladder reaches l^e = ENUM_LIMIT
@@ -265,7 +267,7 @@ def test_ladder_levels_are_roots_and_chain(f, u, y):
 def _root_sets_correspond(f, b, l, e):
     """Progression targets of the norm form are b times the roots of f."""
     modulus = l**e
-    norm_side = {a % modulus for a in range(modulus) if eval_norm(f, a, b) % modulus == 0}
+    norm_side = {a % modulus for a in range(modulus) if exact_norm(f, a, b) % modulus == 0}
     poly_side = {b * x % modulus for x in brute_roots(f, modulus)}
     return norm_side == poly_side
 
@@ -290,5 +292,5 @@ def test_norm_root_classes_match_at_level_one(f, l, b):
     rc = classify_roots(f, l)
     for x in range(l):
         a = b * x % l
-        hit = eval_norm(f, a, b) % l == 0
+        hit = exact_norm(f, a, b) % l == 0
         assert hit == (x in rc.simple_roots or x in rc.multiple_roots)
