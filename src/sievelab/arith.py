@@ -19,6 +19,10 @@ fused_divide is the one test-and-divide of a limb array by a prime: long
 division down to the last word, then one wrapping multiply on it;
 fused_test is that last step's mask alone, on words.  int64_residues is
 the one way an array meets many small moduli.
+
+BLOCK_CELLS is the one budget of every blocked pass (oracle, trivial
+sieve, experiments), in cells, not limb words, so a block's share of a
+table side is the same whatever k is; blocks() cuts a pass to fit it.
 """
 
 from collections.abc import Iterable, Iterator
@@ -32,6 +36,7 @@ LIMB_MASK = 2**LIMB_BITS - 1
 # limbs meet moduli below 2^31 only (a divisor, a residue group's product): a remainder r
 # below one, times 2^32, plus a limb stays below 2^31*2^32 = 2^63
 _LIMB_MODULUS_BOUND = 2**31
+BLOCK_CELLS = 2**15  # cells one blocked pass holds at once
 
 
 class InvariantViolation(RuntimeError):
@@ -64,6 +69,13 @@ def max_exponent(l: int, bound: int) -> int:
         e += 1
         power *= l
     return e
+
+
+def blocks(count: int, cells_per_item: int) -> Iterator[range]:
+    """Consecutive ranges of max(1, BLOCK_CELLS // cells_per_item) items covering range(count)."""
+    step = max(1, BLOCK_CELLS // cells_per_item)
+    for start in range(0, count, step):
+        yield range(start, min(start + step, count))
 
 
 def limb_count(bound: int) -> int:

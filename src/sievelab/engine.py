@@ -15,10 +15,10 @@ that arith.int64_residues gives of each side with arith.fused_test and
 while-loops only at the hits they prove.
 A cell is dead when gcd(a, b) > 1 or either factor vanishes; dead cells
 hold 0 on both sides and every pass below skips them, since repeatedly
-dividing 0 would never terminate.  The classical and improved sieves
-take one boolean mask per call, before any pass, of the cells nonzero on
-both sides, and gather side values only at the cells it selects;
-division never makes a cell zero, so the mask holds for the whole call.
+dividing 0 would never terminate.  Each sieve takes one boolean mask per
+call, before any pass, of the cells nonzero on both sides, and gathers
+side values only at the cells it selects; division never makes a cell
+zero, so the mask holds for the whole call.
 The residual entry of a cell is the product of its two sides.
 
 The cost unit is one fused test-and-divide on one side of a cell:
@@ -69,11 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import InvariantViolation, exact_dtype, fused_divide, fused_test, int64_residues, limb_values, primes_up_to
+from .arith import InvariantViolation, blocks, exact_dtype, fused_divide, fused_test, int64_residues, limb_values, primes_up_to
 from .poly import SievePolynomial, table_factors
 from .roots import CLASSICAL, IMPROVED, PHASES, TRIVIAL, LiftTables, build_lift_tables
-
-_TRIVIAL_BLOCK = 1 << 16  # live cells per gather; bounds the residue buffers a gathered copy of limbs needs
 
 
 @dataclass(eq=False)
@@ -251,10 +249,11 @@ def sieve_trivial(f: SievePolynomial, u: int, y: int, table: SieveTable | None =
     each side of a block of live cells meets the primes as int64 residues."""
     primes = primes_up_to(y)
     table = _table_for(f, u, table)
-    live = np.flatnonzero(_flat(table.rational).any(axis=0))
+    live = np.flatnonzero(_live_mask(table))
     counts = np.zeros((len(primes), 1, u), dtype=np.int64)
     counts[:, 0] = _per_row(live, u)
-    for block in np.split(live, range(_TRIVIAL_BLOCK, live.size, _TRIVIAL_BLOCK)):
+    for cells in blocks(live.size, 1):
+        block = live[cells.start : cells.stop]
         for side in (_flat(table.rational), _flat(table.algebraic)):
             residues = int64_residues(side.take(block, axis=1), primes)
             for k, (l, residue) in enumerate(zip(primes, residues)):

@@ -21,10 +21,10 @@ roots.residue_scan.  Monte Carlo feeds roots.lift_events blocks of
 trials, taken mod each l^2 from arith.int64_residues.  enumerate_exact
 feeds residue_scan blocks of the flat index range [0, l^(2d-2)), whose
 base-l^2 digits are c_1..c_{d-1}, and counts the constant coefficient
-instead of walking it: its l^(2d) polynomials take l^(2d-1) cells.  A
-block holds max(1, _BLOCK_CELLS // l) rows (Monte Carlo sizes it for its
-largest prime), so a pass touches at most 2^14 cells, or a single row for
-a prime above 2^14.
+instead of walking it: its l^(2d) polynomials take l^(2d-1) cells.  The
+blocks come from arith.blocks with l cells a row (Monte Carlo sizes them
+for its largest prime), so a pass touches at most arith.BLOCK_CELLS
+cells, or a single row for a prime above it.
 
 Work caps, each checked before any work starts (an input over a cap is
 a ValueError):
@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arith import int64_residues, primes_up_to
+from .arith import blocks, int64_residues, primes_up_to
 from .poly import SievePolynomial
 from .roots import LiftTables, build_lift_tables, lift_events, residue_scan
 
@@ -73,7 +73,6 @@ DRAW_CAP = 10**6  # coefficient draws of monte_carlo: trials * d
 # sum of the primes <= 10^6 is about 3.8e10, above MONTE_CARLO_CAP, so a
 # larger prime bound is over the cap whatever the trial count and degree
 _CAP_PRIME_SCAN = 10**6
-_BLOCK_CELLS = 2**14  # rows * residues per kernel pass
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,6 @@ def _draw(model: RandomModel, modulus: int, index: int) -> tuple[int, ...]:
     """Coefficients c_0..c_d of the index-th draw; modulus is model.modulus."""
     rng = random.Random(f"{model.seed}:{index}")  # string seeding hashes the same on every platform
     return tuple(rng.randrange(modulus) for _ in range(model.degree)) + (1,)
-
-
-def _block_rows(l: int) -> int:
-    return max(1, _BLOCK_CELLS // l)
 
 
 @dataclass
@@ -184,9 +179,8 @@ def monte_carlo(model: RandomModel, trials: int) -> LiftEventReport:
     modulus = model.modulus
     failures = {l: 0 for l in primes}
     successes = 0
-    step = _block_rows(primes[-1])  # sized for the largest prime; smaller ones touch fewer cells
-    for start in range(0, trials, step):
-        block = np.array([_draw(model, modulus, i) for i in range(start, min(start + step, trials))], dtype=object)
+    for trial_block in blocks(trials, primes[-1]):  # sized for the largest prime; smaller ones touch fewer cells
+        block = np.array([_draw(model, modulus, i) for i in trial_block], dtype=object)
         clean = np.ones(block.shape[0], dtype=bool)
         for l, residues in zip(primes, int64_residues(block, [l * l for l in primes])):
             hit = lift_events(residues % (l * l), l).any(axis=1)
@@ -234,9 +228,8 @@ def enumerate_exact(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
     classes = l2 ** (d - 1)
     per_point = np.zeros(l, dtype=np.int64)
     count_bad = 0
-    step = _block_rows(l)
-    for start in range(0, classes, step):
-        index = np.arange(start, min(start + step, classes), dtype=np.int64)
+    for class_block in blocks(classes, l):
+        index = np.arange(class_block.start, class_block.stop, dtype=np.int64)
         coeffs = np.ones((index.size, d + 1), dtype=np.int64)
         coeffs[:, 0] = 0
         for i in range(1, d):  # c_i is base-l^2 digit i-1 of the index
@@ -246,7 +239,7 @@ def enumerate_exact(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
         flat = slope == 0
         per_point += flat.sum(axis=0)
         # mark each row's targets among the l^2 values of c_0 (at most
-        # _BLOCK_CELLS * l bytes), then count the marks: its distinct targets
+        # BLOCK_CELLS * l bytes), then count the marks: its distinct targets
         row, x = np.nonzero(flat)
         marks = np.zeros((index.size, l2), dtype=bool)
         marks[row, -value[row, x] % l2] = True

@@ -10,10 +10,10 @@ per level e >= 1:
   multiple[e-1]  same with a multiple root
 
 verify_ledgers is the one way in.  It builds both factors itself, block
-of rows by block, with poly.table_factors (each side the int64 limbs its
-proven bound needs, one limb below 2^62) and never reads the engine's
-tables or walks the ladders it uses.  Per block it goes one prime at a
-time: a test over the whole block finds the cells divisible by l,
+of rows by block (arith.blocks), with poly.table_factors (each side the
+int64 limbs its proven bound needs, one limb below 2^62) and never reads
+the engine's tables or walks the ladders it uses.  Per block it goes one
+prime at a time: a test over the whole block finds the cells divisible by l,
 repeated division of the values of those cells gives their valuations
 (of all algebraic hits in one pass), a test of a = b*x (mod l) against
 each of the at most d roots x that classify_roots returns (one row of
@@ -60,14 +60,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import InvariantViolation, fused_divide, fused_test, int64_residues, max_exponent, primes_up_to
+from .arith import InvariantViolation, blocks, fused_divide, fused_test, int64_residues, max_exponent, primes_up_to
 from .engine import CLASSICAL, IMPROVED, PHASES, SieveOutcome
 from .poly import SievePolynomial, algebraic_bound, rational_bound, table_factors
 from .roots import classify_roots
 
-# rows per block of the oracle's own factor arrays: about this many cells,
-# so a block's sides and their residues stay small next to the engine's tables
-_BLOCK_CELLS = 1 << 14
 # the first axis of a LedgerReport's arrays
 ALGORITHMS = (CLASSICAL, IMPROVED)
 
@@ -183,15 +180,14 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
     ]
     # proven largest exponents of each l on the rational and the algebraic side
     depths = [(max_exponent(l, rational_bound(f, u)), max_exponent(l, algebraic_bound(f, u))) for l in primes]
-    step = max(1, _BLOCK_CELLS // (2 * u + 1))
-    for first in range(1, u + 1, step):
-        b = np.arange(first, min(first + step, u + 1), dtype=np.int64)[:, None]
+    for rows in blocks(u, 2 * u + 1):
+        b = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int64)[:, None]
         rational, algebraic, live = table_factors(f, u, b)
         factors = (*(x.reshape(len(x), -1) for x in (rational, algebraic)), live)  # sides: (k, cells)
         residues = zip(primes, int64_residues(factors[0], primes), int64_residues(factors[1], primes))
         for k, (l, *sides) in enumerate(residues):
             hits = _hits(u, b, l, factors, sides, roots[k], depths[k])
-            sums[:, k, first - 1 : first - 1 + b.shape[0]] = _row_sums(hits, b.shape[0])
+            sums[:, k, rows.start : rows.stop] = _row_sums(hits, len(rows))
     return LevelSums(*sums)
 
 

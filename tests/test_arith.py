@@ -1,11 +1,16 @@
 """Integer helpers, each checked against a brute-force twin."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sievelab import arith
 from sievelab.arith import (
+    blocks,
     carry,
     fused_divide,
     fused_test,
@@ -16,6 +21,9 @@ from sievelab.arith import (
     primes_up_to,
     to_limbs,
 )
+from sievelab.engine import build_table, sieve_classical, sieve_improved, sieve_trivial
+from sievelab.experiments import RandomModel, monte_carlo, random_sieve_polynomial
+from sievelab.oracle import verify_ledgers
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # 3931 is the largest prime <= cli.MAX_Y
@@ -330,3 +338,42 @@ def test_int64_residues_group_limbs_below_2_to_the_31():
 def test_int64_residues_of_limbs_match_python_remainder(drawn, moduli):
     k, values = drawn
     check_limb_residues(values, moduli, k)
+
+
+@pytest.mark.parametrize("count,cells_per_item,sizes", [(0, 7, []), (7, 25, [4, 3]), (8, 25, [4, 4]), (3, 200, [1, 1, 1])])
+def test_blocks_cover_the_count_within_the_budget(count, cells_per_item, sizes, monkeypatch):
+    monkeypatch.setattr(arith, "BLOCK_CELLS", 100)
+    ranges = list(blocks(count, cells_per_item))
+    assert [len(r) for r in ranges] == sizes
+    assert [i for r in ranges for i in r] == list(range(count))
+
+
+def test_every_blocked_pass_matches_the_default_budget(monkeypatch):
+    # at 70 cells a pass every pass below spans several blocks and ends on a
+    # short one: the oracle's rows of 15 cells (u = 7) come 4 + 3 and of 21
+    # cells (u = 10) 3 + 3 + 3 + 1, the trivial sieve's live cells (counted
+    # below) 70 at a time, and Monte Carlo's 33 trials 5 at a time at y = 13
+    instances = [
+        (random_sieve_polynomial(3, 20, random.Random("columns:int64")), 7, 29),  # one-limb sides
+        (random_sieve_polynomial(4, 10**18, random.Random("columns:object")), 10, 59),  # two-limb sides
+    ]
+    model = RandomModel(degree=3, smooth_bound=13, seed=1)
+    for f, u, _ in instances:
+        live = np.count_nonzero(build_table(f, u).rational.any(axis=0))
+        assert live > 70 and live % 70
+
+    def run():
+        arrays = []
+        for f, u, y in instances:
+            report = verify_ledgers(sieve_classical(f, u, y), sieve_improved(f, u, y), f, u, y)
+            trivial = sieve_trivial(f, u, y)
+            arrays.append([getattr(report, field.name) for field in dataclasses.fields(report)])
+            arrays.append([trivial.ledger.attempts, trivial.table.rational, trivial.table.algebraic])
+        return arrays, monte_carlo(model, 33)
+
+    default, default_monte_carlo = run()
+    monkeypatch.setattr(arith, "BLOCK_CELLS", 70)
+    blocked, blocked_monte_carlo = run()
+    assert blocked_monte_carlo == default_monte_carlo
+    for expected, got in zip(default, blocked, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(expected, got, strict=True))

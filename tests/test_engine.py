@@ -108,6 +108,21 @@ def test_trivial_skips_zero_entries():
     assert sieve_improved(f, 1, 3).ledger.grand_total() == 0
 
 
+def test_trivial_sieve_skips_a_cell_zero_on_one_side_only():
+    # a cell that is zero on the algebraic side only is dead, as in the other
+    # two sieves: the trivial ledger equals that of the cell zeroed on both sides
+    f, u, y = SievePolynomial((1, 0, 1), m=2), 3, 5
+    tampered, zeroed = build_table(f, u), build_table(f, u)
+    assert tampered.rational[0, 0, 0] == -5 and tampered.algebraic[0, 0, 0] == 10  # b = 1, a = -3
+    tampered.algebraic[0, 0, 0] = 0
+    zeroed.rational[0, 0, 0] = zeroed.algebraic[0, 0, 0] = 0
+    trivial = sieve_trivial(f, u, y, table=tampered)
+    assert np.array_equal(trivial.ledger.attempts, sieve_trivial(f, u, y, table=zeroed).ledger.attempts)
+    assert tampered.rational[0, 0, 0] == -5  # never divided by 5
+    tampered.rational[0, 0, 0] = 0
+    assert np.array_equal(tampered.rational, zeroed.rational) and np.array_equal(tampered.algebraic, zeroed.algebraic)
+
+
 def test_worked_instance_pair_totals():
     classical = sieve_classical(F_SQUARE_PLUS_ONE, 3, 5)
     improved = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sievelab.arith import primes_up_to
-from sievelab import experiments
+from sievelab import arith, experiments
 from sievelab.experiments import (
     MONTE_CARLO_CAP,
     ComparisonResult,
@@ -128,8 +128,10 @@ def test_lift_events_refuse_primes_past_the_int64_bound(l):
 
 
 @pytest.mark.parametrize("d,y,seed,trials", [(1, 30, 4, 300), (2, 2, 6, 8200), (3, 100, 0, 400), (4, 13, 2, 1300)])
-def test_monte_carlo_matches_per_trial_reference(d, y, seed, trials):
-    # trial blocks hold 8192 rows at y = 2, 168 at y = 100 and 1260 at y = 13
+def test_monte_carlo_matches_per_trial_reference(d, y, seed, trials, monkeypatch):
+    # at 2^14 cells a pass, trial blocks hold 8192 rows at y = 2, 168 at
+    # y = 100 and 1260 at y = 13, so each count spans blocks and ends short
+    monkeypatch.setattr(arith, "BLOCK_CELLS", 2**14)
     model = RandomModel(degree=d, smooth_bound=y, seed=seed)
     primes = primes_up_to(y)
     failures = dict.fromkeys(primes, 0)
@@ -159,11 +161,12 @@ def test_kernel_passes_stay_within_the_cell_budget(monkeypatch):
     # Monte Carlo calls lift_events, enumerate_exact calls residue_scan
     monkeypatch.setattr(experiments, "lift_events", recorded(lift_events))
     monkeypatch.setattr(experiments, "residue_scan", recorded(residue_scan))
+    monkeypatch.setattr(arith, "BLOCK_CELLS", 2**14)
     monte_carlo(RandomModel(degree=3, smooth_bound=100, seed=0), 400)
     enumerate_exact(3, 7)  # 2401 classes: a full block of 2340 rows, then a short one
     enumerate_exact(1, 97)
     assert {name for name, _, _ in shapes} == {"lift_events", "residue_scan"}
-    assert all(rows * l <= experiments._BLOCK_CELLS for _, rows, l in shapes)
+    assert all(rows * l <= arith.BLOCK_CELLS for _, rows, l in shapes)
 
 
 def test_monte_carlo_work_cap(monkeypatch):
@@ -353,8 +356,9 @@ def nested_loop_count(d: int, l: int) -> tuple[int, int, tuple[int, ...]]:
 
 
 @pytest.mark.parametrize("d,l", [(1, 2), (3, 7), (1, 97)])
-def test_enumerate_exact_matches_nested_loop_recount(d, l):
-    # (3, 7) runs 2 blocks of its 2401 classes, (1, 97) its single class
+def test_enumerate_exact_matches_nested_loop_recount(d, l, monkeypatch):
+    # at 2^14 cells a pass, (3, 7) runs 2 blocks of its 2401 classes, (1, 97) its single class
+    monkeypatch.setattr(arith, "BLOCK_CELLS", 2**14)
     assert enumerate_exact(d, l) == nested_loop_count(d, l)
 
 
@@ -366,7 +370,7 @@ def test_enumerate_exact_counts_distinct_targets(d, l, block_cells, monkeypatch)
     # has 702 where they number 729.  With 20 cells a pass, the classes
     # span many passes and the last one is short.
     if block_cells is not None:
-        monkeypatch.setattr(experiments, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(arith, "BLOCK_CELLS", block_cells)
     assert enumerate_exact(d, l) == nested_loop_count(d, l)
 
 

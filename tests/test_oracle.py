@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sievelab.arith import InvariantViolation, exact_dtype, max_exponent, primes_up_to
+from sievelab.arith import InvariantViolation, limb_count, max_exponent, primes_up_to
 from sievelab.engine import PHASES, CostLedger, sieve_classical, sieve_improved
 from sievelab.experiments import random_sieve_polynomial
 from sievelab.oracle import LevelSums, PairRecord, phase_attempts, scaled_asymptotic, verify_ledgers
@@ -199,12 +199,13 @@ def test_verify_ledgers_matches_plain_recount(instance):
     assert_report_matches_recount(report, f, u, y)
 
 
-def test_python_fallback_path_matches_recount():
-    # m large enough to push the norm bound past the int64 guard, so the
-    # oracle runs on exact (object) integers
+def test_two_limb_algebraic_side_matches_recount():
+    # m large enough to push the norm bound past 2^62, so the oracle's
+    # algebraic side is k = 2 limbs next to a one-limb rational side
     m = 10**12
     f = SievePolynomial((7, -m + 3, 1, 0, 0, 1), m=m)
     assert algebraic_bound(f, 20) > 2**62
+    assert (limb_count(rational_bound(f, 20)), limb_count(algebraic_bound(f, 20))) == (1, 2)
     report = report_for(f, 20, 7)
     assert report.ok
     assert_report_matches_recount(report, f, 20, 7)
@@ -405,19 +406,19 @@ def per_pair_rows(classical, improved, f, u, y):
 
 
 @pytest.mark.parametrize(
-    "f,u,y,dtypes",
+    "f,u,y,ks",
     [
-        # both sides int64
-        (random_sieve_polynomial(3, 20, random.Random("columns:int64")), 30, 29, (np.int64, np.int64)),
-        # both sides exact integers, and the primes up to 59 form two int64 groups
-        (random_sieve_polynomial(4, 10**18, random.Random("columns:object")), 12, 59, (object, object)),
-        # an int64 rational side next to an exact algebraic one
-        (random_sieve_polynomial(8, 10**12, random.Random("mixed:0")), 10, 11, (np.int64, object)),
+        # both sides one int64 limb
+        (random_sieve_polynomial(3, 20, random.Random("columns:int64")), 30, 29, (1, 1)),
+        # both sides two limbs, and the primes up to 59 form several limb residue groups
+        (random_sieve_polynomial(4, 10**18, random.Random("columns:object")), 12, 59, (2, 2)),
+        # a one-limb rational side next to a two-limb algebraic one
+        (random_sieve_polynomial(8, 10**12, random.Random("mixed:0")), 10, 11, (1, 2)),
     ],
-    ids=["int64", "object", "mixed"],
+    ids=["int64", "two-limb", "one-and-two-limb"],
 )
-def test_report_rows_match_per_pair_predictions(f, u, y, dtypes):
-    assert (exact_dtype(rational_bound(f, u)), exact_dtype(algebraic_bound(f, u))) == dtypes
+def test_report_rows_match_per_pair_predictions(f, u, y, ks):
+    assert (limb_count(rational_bound(f, u)), limb_count(algebraic_bound(f, u))) == ks
     classical, improved = sieve_classical(f, u, y), sieve_improved(f, u, y)
     report = verify_ledgers(classical, improved, f, u, y)
     assert report.ok
