@@ -42,9 +42,9 @@ load engine, oracle or csv, and montecarlo is the only command that loads
 fractions (and with it decimal).  The sieve and phase names come from
 roots; compare and sweep load engine and oracle through
 experiments.run_comparison, sieve loads engine in its handler, and csv is
-imported where CSV rows are written.  pairs.csv is written as its rows
-are formatted, _PAIR_CHUNK pairs at a time; --format json builds the
-list of every row, since json.dumps needs it.
+imported where CSV rows are written.  The row file, CSV or JSON, is
+written as its rows are formatted, and pairs rows are formatted
+_PAIR_CHUNK pairs at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import random
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -87,14 +88,14 @@ EXIT_VIOLATION = 3
 
 MAX_U = 1023  # largest u whose table of u·(2u+1) cells fits in 2^21: 1023·2047 <= 2^21 < 1024·2049
 MAX_Y = 3942  # largest y whose primes sum to <= 10^6, the residues the ladders and the oracle scan for roots
-# largest sieve degree: at u = MAX_U, y = MAX_Y and m = 1, compare --random takes 219 s CPU and 475 MB
-# at d = 16, within 10x of d = 2 (25 s, 273 MB); d = 32 did not finish in 300 s
+# largest sieve degree: at u = MAX_U, y = MAX_Y, m = 1 and seed 1, compare --random took 34 s CPU and
+# 477 MB at d = 16, against 9.8 s and 269 MB at d = 2 (commit 1f2d052); d = 32, in process, 70 s and 707 MB
 MAX_D = 16
-# largest m: at u = MAX_U, y = MAX_Y and d = 2, compare --random takes 215 s CPU and 480 MB at
-# m = 10^15, within 10x of m = 1 (26 s, 273 MB); m = 10^18 takes 448 s and 647 MB
+# largest m: at u = MAX_U, y = MAX_Y, d = 2 and seed 1, compare --random took 16 s CPU and 322 MB at
+# m = 10^15 (commit 1f2d052); m = 10^18, in process, 19 s and 371 MB; d = 16 with m = 10^15, 35 s and 516 MB
 MAX_M = 10**15
 MAX_SWEEP_INSTANCES = 1000  # instances of one sweep, sampled or listed in sweep_instances
-_PAIR_CHUNK = 4096  # pairs that _pair_rows formats at a time
+_PAIR_CHUNK = 4096  # pairs that _pair_rows formats, and JSON rows that _write_rows encodes, at a time
 
 PAIR_COLUMNS = [
     "instance_id",
@@ -251,11 +252,16 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _write_rows(args: argparse.Namespace, columns: list[str], rows: Iterable[list]) -> None:
-    """The row file: CSV is written row by row as `rows` yields them; JSON
-    needs the list of every row, since json.dumps takes the whole payload."""
+    """The row file, written as `rows` yields them (JSON _PAIR_CHUNK rows at a
+    time): CSV, or the bytes of json.dumps(<list of row dicts>, indent=2, sort_keys=True)."""
     if args.format == "json":
-        payload = [dict(zip(columns, r)) for r in rows]
-        _write_out(args, f"{args.rows}.json", lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
+        def write(fh) -> None:
+            encoder, opening, left = json.JSONEncoder(indent=2, sort_keys=True), "[\n", iter(rows)
+            # the list of every row, encoded _PAIR_CHUNK rows at a time, each list without its brackets
+            while chunk := [dict(zip(columns, r)) for r in islice(left, _PAIR_CHUNK)]:
+                fh.write(opening + encoder.encode(chunk)[2:-2])
+                opening = ",\n"
+            fh.write("[]\n" if opening == "[\n" else "\n]\n")
     else:
         import csv
 
@@ -264,7 +270,7 @@ def _write_rows(args: argparse.Namespace, columns: list[str], rows: Iterable[lis
             writer.writerow(columns)
             writer.writerows(rows)
 
-        _write_out(args, f"{args.rows}.csv", write)
+    _write_out(args, f"{args.rows}.{args.format}", write)
 
 
 def _emit_summary(summary: dict, args: argparse.Namespace, *lines: str) -> None:

@@ -8,8 +8,10 @@ limb_count >= 1 limbs its own proven bound needs (arith), one limb below
 side as its (k, cells) view, gathers cells with take along the cell axis
 and scatters them one limb at a time.  Every division by a prime goes
 through arith.fused_divide: one floor division of each limb above the
-lowest, whose word r*2^32 + limb stays below l*2^32 <= 2^44, and one
-wrapping multiply on the last word, at k = 1 the cell's value itself.
+lowest, whose word r*2^32 + limb stays below l*2^32 < 2^63 (fused_divide
+takes any l < 2^31, the ladders any prime below 1,664,511 and the command
+line none above 3942), and one wrapping multiply on the last word, at k = 1
+the cell's value itself.
 The one exception is the trivial sieve, which tests the int64 residues
 that arith.int64_residues gives of each side with arith.fused_test and
 while-loops only at the hits they prove.

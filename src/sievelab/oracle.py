@@ -126,12 +126,12 @@ def _hits(
     residues: list[np.ndarray],
     roots: list[np.ndarray],
     depths: tuple[int, int],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(row, v_l) of every rational, simple-root and multiple-root hit of the
-    rows b (a column) that l does not divide; factors holds the two sides,
-    flat (k, cells) limbs, and the live mask, residues an int64 array
-    congruent to each side mod l, and roots the simple and the multiple
-    roots of f mod l, each as a column."""
+) -> list[np.ndarray]:
+    """The LevelSums fields, per row of b (a column), of the rational,
+    simple-root and multiple-root hits of l in the rows it does not divide;
+    factors holds the two sides, flat (k, cells) limbs, and the live mask,
+    residues an int64 array congruent to each side mod l, and roots the
+    simple and the multiple roots of f mod l, each as a column."""
     rational, algebraic, live = factors
     width = 2 * u + 1
     live = (live & (b % l != 0)).reshape(-1)
@@ -149,25 +149,17 @@ def _hits(
         raise InvariantViolation(
             f"norm hit at (b={hit_b[i]}, a={hit_a[i]}) maps to non-root residue {residue} mod {l}"
         )
+    r_row, r_val = rational_hits // width, _valuations(rational, rational_hits, l, depths[0])
     # both root classes share the algebraic depth, so one call values them all
-    rational_valued = (rational_hits // width, _valuations(rational, rational_hits, l, depths[0]))
     norm_rows, norm_valuations = norm_hits // width, _valuations(algebraic, norm_hits, l, depths[1])
-    return [rational_valued, *((norm_rows[mask], norm_valuations[mask]) for mask in (simple, multiple))]
+    (s_row, s_val), (m_row, m_val) = ((norm_rows[mask], norm_valuations[mask]) for mask in (simple, multiple))
 
+    def count(row, times=1):
+        """Hits per row, each counted `times` times."""
+        return np.bincount(np.repeat(row, times), minlength=len(b))
 
-def _row_sums(hits: list[tuple[np.ndarray, np.ndarray]], rows: int) -> list[np.ndarray]:
-    """The LevelSums fields, per row, of one prime's hits."""
-    (r_row, r_val), (s_row, s_val), (m_row, m_val) = hits
-
-    def count(row):
-        return np.bincount(row, minlength=rows)
-
-    def total(row, valuation):
-        # bincount weighs in float64; these sums stay far below 2^53, so they are exact
-        return np.bincount(row, valuation, minlength=rows).astype(np.int64)
-
-    return [count(r_row), total(r_row, r_val), count(s_row), total(s_row, s_val),
-            count(m_row), count(m_row[m_val >= 2]), total(m_row, m_val)]
+    return [count(r_row), count(r_row, r_val), count(s_row), count(s_row, s_val),
+            count(m_row), count(m_row[m_val >= 2]), count(m_row, m_val)]
 
 
 def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSums:
@@ -186,8 +178,7 @@ def _level_sums(f: SievePolynomial, u: int, primes: tuple[int, ...]) -> LevelSum
         factors = (*(x.reshape(len(x), -1) for x in (rational, algebraic)), live)  # sides: (k, cells)
         residues = zip(primes, int64_residues(factors[0], primes), int64_residues(factors[1], primes))
         for k, (l, *sides) in enumerate(residues):
-            hits = _hits(u, b, l, factors, sides, roots[k], depths[k])
-            sums[:, k, rows.start : rows.stop] = _row_sums(hits, len(rows))
+            sums[:, k, rows.start : rows.stop] = _hits(u, b, l, factors, sides, roots[k], depths[k])
     return LevelSums(*sums)
 
 

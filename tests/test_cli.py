@@ -1,5 +1,6 @@
 """End-to-end command-line checks: flags, files, exit codes, determinism."""
 
+import argparse
 import csv
 import errno
 import hashlib
@@ -146,6 +147,11 @@ def test_compare_rejects_non_monic_poly(capsys):
         main(["compare", "--poly", "1,0,2", "--m", "4", "--u", "3", "--y", "5"])
     assert exc.value.code == 2
     assert "monic" in capsys.readouterr().err
+    # monic, but a coefficient above --m, which only the flags together rule out
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--poly", "5,0,1", "--m", "4", "--u", "3", "--y", "5"])
+    assert exc.value.code == 2
+    assert "|c_0| = 5 exceeds m = 4" in capsys.readouterr().err
 
 
 def test_compare_accepts_constant_term_two(capsys):
@@ -171,6 +177,40 @@ def test_json_row_format(tmp_path):
     assert main(["compare", *WORKED, "--format", "json", "--out", str(out)]) == EXIT_OK
     rows = json.loads((out / "pairs.json").read_text())
     assert rows and set(rows[0]) == set(PAIR_COLUMNS)
+
+
+def row_file_args(fmt, out):
+    """What _write_rows reads of a command's arguments: a row file rows.<fmt> in out."""
+    return argparse.Namespace(format=fmt, rows="rows", out=out, parser=None)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_row_file_is_written_while_rows_are_still_coming(fmt, tmp_path):
+    # 10,000 rows are more than two JSON chunks and fill the file's write
+    # buffer many times over, so the first row is on disk long before the
+    # last is made, unless the writer holds every row
+    path, seen = tmp_path / f"rows.{fmt}", []
+
+    def rows():
+        for i in range(10_000):
+            if i == 9_999:
+                seen.append(path.read_text())
+            yield [i, f"row {i}"]
+
+    cli._write_rows(row_file_args(fmt, tmp_path), ["n", "text"], rows())
+    (partial,) = seen
+    assert "row 0" in partial and "row 9999" not in partial
+    assert path.read_text().startswith(partial)
+
+
+@pytest.mark.parametrize("rows", [[], [[1, "a,b", None], [2, "\u00e9\n", [3, 4]]]], ids=["empty", "two-rows"])
+def test_json_row_file_is_the_bytes_of_json_dumps(rows, tmp_path, monkeypatch):
+    columns = ["n", "text", "extra"]
+    expected = json.dumps([dict(zip(columns, r)) for r in rows], indent=2, sort_keys=True) + "\n"
+    for chunk in (cli._PAIR_CHUNK, 1):  # the rows in one chunk, and one row a chunk
+        monkeypatch.setattr(cli, "_PAIR_CHUNK", chunk)
+        cli._write_rows(row_file_args("json", tmp_path), columns, iter(rows))
+        assert (tmp_path / "rows.json").read_bytes() == expected.encode()
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):

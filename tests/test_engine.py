@@ -189,6 +189,8 @@ def test_shared_tables_must_match_parameters():
         sieve_trivial(F_SQUARE_PLUS_ONE, 4, 5, table)
     with pytest.raises(ValueError):
         sieve_classical(F_SQUARE_PLUS_ONE, 4, 5, None, table)
+    with pytest.raises(ValueError, match="u must be >= 1"):
+        build_table(F_SQUARE_PLUS_ONE, 0)
     # a prebuilt table is sieved in place; its copy keeps the pristine values
     pristine = table.copy()
     shared = sieve_improved(F_SQUARE_PLUS_ONE, 3, 5, tables, table)

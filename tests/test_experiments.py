@@ -58,6 +58,8 @@ def test_random_model_validation():
         RandomModel(degree=0, smooth_bound=10)
     with pytest.raises(ValueError):
         RandomModel(degree=3, smooth_bound=1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        monte_carlo(RandomModel(degree=3, smooth_bound=10), 0)
 
 
 def test_model_modulus():
@@ -390,6 +392,10 @@ def test_enumerate_rejects_oversized_spaces(monkeypatch):
         enumerate_exact(1, 3137)
     with pytest.raises(ValueError, match="polynomial-residue pairs"):
         enumerate_exact(10**9, 2)  # refused without computing 2^(2*10^9 + 1)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        enumerate_exact(0, 3)
+    with pytest.raises(ValueError, match="prime must be >= 2"):
+        enumerate_exact(2, 1)
     # the cap is l^(2d+1), exactly
     monkeypatch.undo()
     assert 5**9 <= experiments.ENUMERATION_CAP < 3137**3  # the benchmark's (4, 5) passes

@@ -140,6 +140,8 @@ def test_bound_examples():
     assert algebraic_bound(f, 3) == 108
     with pytest.raises(ValueError):
         rational_bound(f, 0)
+    with pytest.raises(ValueError):
+        algebraic_bound(f, 0)
 
 
 @given(sieve_polys(max_degree=4, max_m=12), st.integers(min_value=1, max_value=20))

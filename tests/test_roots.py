@@ -68,6 +68,8 @@ def test_classify_examples():
     assert rc.simple_roots == frozenset() and rc.multiple_roots == {0}
     rc = classify_roots(SievePolynomial((1, 0, 1), m=4), 3)
     assert rc.simple_roots == frozenset() and rc.multiple_roots == frozenset()
+    with pytest.raises(ValueError, match="prime >= 2"):
+        classify_roots(SievePolynomial((1, 0, 1), m=4), 1)
 
 
 @given(sieve_polys(), st.sampled_from(primes_up_to(50)))
